@@ -2,14 +2,13 @@
 
 Coupled coarse/fine particle pairs across a resolution ladder feed a
 telescoping estimate of the covariance action, which drives a perturbed
-observation Kalman update; single-level EnKF and the exact Kalman
-recursion serve as references.  See the README for the experiment
-protocol and the CLI.
+observation Kalman update.  The single-level EnKF is the same engine
+with one level, and the exact Kalman recursion serves as the reference.
+See the README for the experiment protocol and the CLI.
 """
 
 from .spectral import (
     LevelHierarchy,
-    ModeBasis,
     SpectralField,
     eigenvalues,
     fractional_norm,
@@ -17,18 +16,8 @@ from .spectral import (
     zero_field,
 )
 from .rng import RngKey
-from .model import (
-    ModelConfig,
-    NoiseBlock,
-    coupled_coarse_solve,
-    draw_noise_block,
-    exact_mode_step,
-    expeuler_fine_solve,
-    forward_pair,
-    g_factor,
-)
+from .model import ModelConfig, g_factor
 from .filters import (
-    Ensemble,
     GainPack,
     GaussianState,
     MultilevelEnsemble,
@@ -36,7 +25,6 @@ from .filters import (
     PairEnsemble,
     compute_R_ml,
     empirical_qoi,
-    enkf_step,
     kalman_step,
     ml_gain,
     ml_predict,
@@ -44,7 +32,6 @@ from .filters import (
     mlenkf_step,
     positive_part,
     sample_cov_action,
-    sample_mean,
 )
 from .experiment import (
     ExperimentConfig,

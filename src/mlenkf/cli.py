@@ -142,6 +142,22 @@ def _cmd_run(args):
         if value is not None:
             settings[key] = value
     settings = _validate(settings)
+    try:
+        # ExperimentConfig checks every grid point before any compute
+        cfg = experiment.make_config(
+            example=settings["example"],
+            method=settings["method"],
+            solver=settings["solver"],
+            eps_grid=settings["eps"],
+            n_steps=settings["n_steps"],
+            realizations=settings["realizations"],
+            master_seed=settings["seed"],
+            n_ref=settings["n_ref"],
+            base_constant=settings["base_constant"],
+            jobs=settings["jobs"],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -151,18 +167,6 @@ def _cmd_run(args):
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 1
-    cfg = experiment.make_config(
-        example=settings["example"],
-        method=settings["method"],
-        solver=settings["solver"],
-        eps_grid=settings["eps"],
-        n_steps=settings["n_steps"],
-        realizations=settings["realizations"],
-        master_seed=settings["seed"],
-        n_ref=settings["n_ref"],
-        base_constant=settings["base_constant"],
-        jobs=settings["jobs"],
-    )
     records, schedules = experiment.run_experiment(cfg)
     _write_csv(
         out_dir / "results.csv",
@@ -175,9 +179,7 @@ def _cmd_run(args):
     )
     sched_rows = []
     for sched in schedules:
-        sizes = sched.M if cfg.method == "mlenkf" else (sched.M,)
-        for l, m_l in enumerate(sizes):
-            level = l if cfg.method == "mlenkf" else sched.L
+        for level, m_l in sched.level_sizes():
             n_l, j_l, _, _ = cfg.hierarchy.level_params(level)
             sched_rows.append(
                 (cfg.method, cfg.example, cfg.solver, sched.epsilon, level, m_l, n_l, j_l)

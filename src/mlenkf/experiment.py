@@ -19,16 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import (
-    Ensemble,
     GaussianState,
     MultilevelEnsemble,
     ObservationModel,
     PairEnsemble,
     empirical_qoi,
-    enkf_step,
+    enkf_step,  # unused here; the benchmark tracer patches experiment.enkf_step
     kalman_step,
     mlenkf_step,
-    _psd_factor,
 )
 from .model import ModelConfig, exact_noise_var, propagator
 from .rng import RngKey
@@ -45,7 +43,6 @@ __all__ = [
     "psi_cost",
     "theoretical_cost",
     "synthesize_truth_and_obs",
-    "initial_ensemble",
     "initial_multilevel_ensemble",
     "run_filter_realization",
     "estimate_mse",
@@ -82,6 +79,13 @@ class Schedule:
         if np.any(np.diff(ms) > 0):
             raise ValueError("M_l must be nonincreasing in l")
 
+    def level_sizes(self):
+        """``(level, M_l)`` for each ensemble the filter runs: levels 0..L
+        for the MLEnKF, the single level L for the EnKF."""
+        if self.method == "enkf":
+            return ((self.L, self.M),)
+        return tuple(enumerate(self.M))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -106,8 +110,21 @@ class ExperimentConfig:
             raise ValueError("need at least one observation time")
         if self.realizations < 2:
             raise ValueError("need at least two realizations")
+        if self.master_seed < 0:
+            raise ValueError("master seed must be >= 0")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if self.model.T != self.hierarchy.T:
+            raise ValueError("model and hierarchy disagree on T")
         if not self.eps_grid:
             raise ValueError("eps grid must be nonempty")
+        for eps in self.eps_grid:
+            n_top = self.hierarchy.n_modes(_level_count(eps, self.hierarchy))
+            if n_top <= self.obs.m:
+                raise ValueError(
+                    f"eps={eps!r} gives N_L={n_top}, which must exceed the "
+                    f"observation dimension m={self.obs.m}"
+                )
 
 
 @dataclass(frozen=True)
@@ -206,21 +223,26 @@ def make_config(
     )
 
 
+def _level_count(eps, hierarchy):
+    """Finest level ``L = ceil(2 d log_kappa(1/eps) / beta)``, at least 0."""
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    # guard the ceil against float fuzz in log ratios
+    raw = 2.0 * hierarchy.d * math.log(1.0 / eps) / math.log(hierarchy.kappa) / hierarchy.beta
+    return max(0, math.ceil(round(raw, 9)))
+
+
 def make_schedule(eps, hierarchy, method, base_constant=1.0):
     """Level count and ensemble sizes for accuracy target ``eps``.
 
-    ``L = ceil(2 d log_kappa(1/eps) / beta)``; the MLEnKF sizes follow
-    the three-branch balance between the coupling rate beta and the cost
+    ``L`` comes from :func:`_level_count`; the MLEnKF sizes follow the
+    three-branch balance between the coupling rate beta and the cost
     rate d*gamma_x + gamma_t, the EnKF uses ``M = ceil(c eps^{-2})``.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    L = _level_count(eps, hierarchy)
     if method not in ("enkf", "mlenkf"):
         raise ValueError("method must be 'enkf' or 'mlenkf'")
     d, beta = hierarchy.d, hierarchy.beta
-    # guard the ceil against float fuzz in log ratios
-    raw = 2.0 * d * math.log(1.0 / eps) / math.log(hierarchy.kappa) / beta
-    L = max(0, math.ceil(round(raw, 9)))
     if method == "enkf":
         m = math.ceil(base_constant / eps ** 2)
         if m < 2:
@@ -257,15 +279,17 @@ def theoretical_cost(schedule, hierarchy, method, n_steps, m):
     """Operation-count cost of a filter run.
 
     Per step and level: propagation of both pair members plus the
-    m N_l M_l moment work; the EnKF pays M (cost(Psi^L) + m N_L).
+    m N_l M_l moment work.  The lowest level has no coarse partner, so
+    the EnKF pays M (cost(Psi^L) + m N_L).  ``method`` must be the
+    schedule's.
     """
-    if method == "enkf":
-        n_top = hierarchy.n_modes(schedule.L)
-        per_step = schedule.M * (psi_cost(hierarchy, schedule.L) + m * n_top)
-        return float(per_step * n_steps)
+    if method != schedule.method:
+        raise ValueError("schedule was made for another method")
+    sizes = schedule.level_sizes()
+    base = sizes[0][0]
     per_step = 0.0
-    for l, m_l in enumerate(schedule.M):
-        fwd = psi_cost(hierarchy, l) + (psi_cost(hierarchy, l - 1) if l > 0 else 0.0)
+    for l, m_l in sizes:
+        fwd = psi_cost(hierarchy, l) + (psi_cost(hierarchy, l - 1) if l > base else 0.0)
         per_step += m_l * (fwd + m * hierarchy.n_modes(l))
     return float(per_step * n_steps)
 
@@ -282,7 +306,6 @@ def synthesize_truth_and_obs(cfg):
     lam = eigenvalues(n_ref)
     a = propagator(lam, mdl.T)
     std = np.sqrt(exact_noise_var(lam, mdl.T, mdl.b))
-    fac = _psd_factor(obs.Gamma)
     u = cfg.u0.copy()
     truth = [u.copy()]
     ys = []
@@ -290,7 +313,8 @@ def synthesize_truth_and_obs(cfg):
         z = RngKey(cfg.master_seed, "truth", 0, 0, 0, n).generator().standard_normal(n_ref)
         u = a * u + std * z
         truth.append(u.copy())
-        eta = fac @ RngKey(cfg.master_seed, "data-noise", 0, 0, 0, n).generator().standard_normal(obs.m)
+        rng = RngKey(cfg.master_seed, "data-noise", 0, 0, 0, n).generator()
+        eta = obs.Gamma_factor @ rng.standard_normal(obs.m)
         ys.append(obs.H @ u + eta)
     state = GaussianState.deterministic(cfg.u0)
     ref = [obs.qoi_value(state.mean)]
@@ -300,17 +324,14 @@ def synthesize_truth_and_obs(cfg):
     return TruthData(np.array(truth), np.array(ys), np.array(ref))
 
 
-def initial_ensemble(cfg, level, size):
-    """All members start at the projected deterministic initial state."""
-    n = cfg.hierarchy.n_modes(level)
-    return Ensemble(np.tile(cfg.u0[:n, None], (1, size)), level)
-
-
 def initial_multilevel_ensemble(cfg, schedule):
+    """All members start at the projected deterministic initial state."""
+    sizes = schedule.level_sizes()
+    base = sizes[0][0]
     pairs = []
-    for l, m_l in enumerate(schedule.M):
+    for l, m_l in sizes:
         n_f = cfg.hierarchy.n_modes(l)
-        n_c = cfg.hierarchy.n_modes(l - 1) if l > 0 else 0
+        n_c = cfg.hierarchy.n_modes(l - 1) if l > base else 0
         pairs.append(
             PairEnsemble(
                 np.tile(cfg.u0[:n_c, None], (1, m_l)),
@@ -324,16 +345,6 @@ def initial_multilevel_ensemble(cfg, schedule):
 def run_filter_realization(cfg, schedule, ys, realization):
     """QoI track of one filter realization over steps 0..N."""
     track = np.empty(cfg.n_steps + 1)
-    if cfg.method == "enkf":
-        ens = initial_ensemble(cfg, schedule.L, schedule.M)
-        track[0] = empirical_qoi(ens, cfg.obs.qoi)
-        for n in range(1, cfg.n_steps + 1):
-            ens = enkf_step(
-                ens, ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
-                cfg.master_seed, realization, n, cfg.solver,
-            )
-            track[n] = empirical_qoi(ens, cfg.obs.qoi)
-        return track
     ml = initial_multilevel_ensemble(cfg, schedule)
     track[0] = empirical_qoi(ml, cfg.obs.qoi)
     for n in range(1, cfg.n_steps + 1):

@@ -1,16 +1,18 @@
 """Ensemble and exact Kalman filters over the spectral hierarchy.
 
-Three filters share one update algebra: the single-level EnKF with
-perturbed observations, the multilevel EnKF whose moments are
-telescoping sums over coupled pair ensembles, and the exact Kalman
-recursion that serves as the mean-field reference in the linear-Gaussian
-setting.  Sample covariances are never materialized as N x N matrices;
-everything goes through the action on the m observation directions.
+One ensemble engine runs both ensemble filters: the multilevel EnKF,
+whose moments are telescoping sums over coupled pair ensembles on the
+levels 0..L, and the single-level EnKF with perturbed observations,
+which is the same engine with one pair ensemble at level L and no
+coarse partners.  The exact Kalman recursion serves as the mean-field
+reference in the linear-Gaussian setting.  Sample covariances are never
+materialized as N x N matrices; everything goes through the action on
+the m observation directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -18,16 +20,14 @@ import scipy.linalg
 from . import model
 from .model import propagate_pairs, propagator, exact_noise_var
 from .rng import RngKey
-from .spectral import SpectralField, eigenvalues, zero_field
+from .spectral import eigenvalues
 
 __all__ = [
     "ObservationModel",
-    "Ensemble",
     "PairEnsemble",
     "MultilevelEnsemble",
     "GainPack",
     "GaussianState",
-    "sample_mean",
     "sample_cov_action",
     "compute_R_ml",
     "positive_part",
@@ -35,9 +35,6 @@ __all__ = [
     "ml_update",
     "ml_predict",
     "mlenkf_step",
-    "enkf_gain",
-    "enkf_update",
-    "enkf_step",
     "empirical_qoi",
     "kalman_predict",
     "kalman_update",
@@ -67,12 +64,14 @@ class ObservationModel:
     the coefficients of the scalar quantity of interest.  ``Gamma``
     must be symmetric positive semi-definite; the filtering paths need
     it positive definite, the zero matrix is accepted for noiseless
-    test data.
+    test data.  ``Gamma_factor`` is a factor F with F F^T = Gamma,
+    computed once; it colours the observation noise draws.
     """
 
     H: np.ndarray
     Gamma: np.ndarray
     qoi: np.ndarray
+    Gamma_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -90,6 +89,7 @@ class ObservationModel:
         w = scipy.linalg.eigvalsh(G)
         if w.size and w[0] < -1e-12 * max(1.0, w[-1]):
             raise ValueError("Gamma must be positive semi-definite")
+        object.__setattr__(self, "Gamma_factor", _psd_factor(G))
 
     @property
     def m(self):
@@ -110,32 +110,12 @@ class ObservationModel:
 
 
 @dataclass(frozen=True)
-class Ensemble:
-    """Single-level ensemble, members as columns of ``coeffs`` (N x M)."""
-
-    coeffs: np.ndarray
-    level: int
-
-    def __post_init__(self):
-        if self.coeffs.ndim != 2:
-            raise ValueError("coeffs must be (n_modes, M)")
-        if self.size < 2:
-            raise ValueError("ensemble needs M >= 2")
-
-    @property
-    def size(self):
-        return self.coeffs.shape[1]
-
-    def member(self, i):
-        return SpectralField(self.coeffs[:, i].copy(), self.level)
-
-
-@dataclass(frozen=True)
 class PairEnsemble:
     """Coupled pairs of one level: coarse (N_{l-1} x M) and fine (N_l x M).
 
     At level 0 the coarse array has 0 rows, standing in for the zero
-    field convention v^{-1} := 0.
+    field convention v^{-1} := 0.  The single level of an EnKF ensemble
+    has 0 coarse rows too: its members have no coarse partners.
     """
 
     coarse: np.ndarray
@@ -159,23 +139,27 @@ class PairEnsemble:
 
 @dataclass(frozen=True)
 class MultilevelEnsemble:
-    """Pair ensembles for levels 0..L."""
+    """Pair ensembles for contiguous levels, the lowest one without coarse
+    partners: levels 0..L for the MLEnKF, the single level L for the EnKF.
+    """
 
     levels: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
-            raise ValueError("need at least level 0")
-        for l, pe in enumerate(self.levels):
-            if pe.level != l:
-                raise ValueError("levels must be contiguous from 0")
-            if l > 0 and pe.coarse.shape[0] != self.levels[l - 1].fine.shape[0]:
+            raise ValueError("need at least one level")
+        if self.levels[0].coarse.shape[0] != 0:
+            raise ValueError("the lowest level has no coarse partners")
+        for below, pe in zip(self.levels, self.levels[1:]):
+            if pe.level != below.level + 1:
+                raise ValueError("levels must be contiguous")
+            if pe.coarse.shape[0] != below.fine.shape[0]:
                 raise ValueError("coarse dimension must match the level below")
 
     @property
     def L(self):
-        return len(self.levels) - 1
+        return self.levels[-1].level
 
     @property
     def sizes(self):
@@ -191,11 +175,6 @@ class GainPack:
     K: np.ndarray
 
 
-def sample_mean(e):
-    """Coefficient-wise ensemble average as a field."""
-    return SpectralField(e.coeffs.mean(axis=1), e.level)
-
-
 def _centered(v):
     # X_M = (members - mean) / sqrt(M - 1), so Cov = X X^T
     m = v.shape[1]
@@ -207,16 +186,16 @@ def _cov_action(v, obs):
     return x @ (obs.observe(x)).T
 
 
-def sample_cov_action(e, obs):
-    """Unbiased ``Cov_M[v, Hv]`` via the centered factor, shape (N, m).
+def sample_cov_action(v, obs):
+    """Unbiased ``Cov_M[v, Hv]`` of the (N, M) members ``v``, shape (N, m).
 
     Equals ``(M/(M-1)) (E_M[v (Hv)^T] - E_M[v] E_M[Hv]^T)`` without ever
     forming an N x N matrix.
     """
-    if e.size < 2:
-        raise ValueError("sample covariance needs M >= 2")
-    r = _cov_action(e.coeffs, obs)
-    model.unit_counter["moments"] += obs.m * e.coeffs.shape[0] * e.size
+    if v.ndim != 2 or v.shape[1] < 2:
+        raise ValueError("sample covariance needs (N, M) members with M >= 2")
+    r = _cov_action(v, obs)
+    model.unit_counter["moments"] += obs.m * v.shape[0] * v.shape[1]
     return r
 
 
@@ -224,22 +203,21 @@ def compute_R_ml(ml, obs):
     """Multilevel covariance action R^ML, accumulated level by level.
 
     Adds ``Cov_{M_l}[v^l, Hv^l] - Cov_{M_{l+1}}[v^l, Hv^l]`` into the
-    first N_l rows for l < L, then the level-L fine covariance; the
-    second term of each difference comes from the coarse members of the
-    level above, which live at level l.  Cost O(m sum_l M_l N_l).
+    first N_l rows for every level below the top, then the top-level
+    fine covariance; the second term of each difference comes from the
+    coarse members of the level above, which live at level l.  With one
+    level this is the single-level sample covariance action.  Cost
+    O(m sum_l M_l N_l).
     """
-    L = ml.L
-    n_top = ml.levels[L].fine.shape[0]
-    r = np.zeros((n_top, obs.m))
-    for l in range(L):
-        fine = ml.levels[l].fine
+    top = ml.levels[-1].fine
+    r = np.zeros((top.shape[0], obs.m))
+    for pe, up in zip(ml.levels, ml.levels[1:]):
+        fine = pe.fine
         r[: fine.shape[0]] += _cov_action(fine, obs)
-        down = ml.levels[l + 1].coarse
-        r[: down.shape[0]] -= _cov_action(down, obs)
+        r[: up.coarse.shape[0]] -= _cov_action(up.coarse, obs)
         model.unit_counter["moments"] += obs.m * fine.shape[0] * fine.shape[1]
-    top = ml.levels[L].fine
     r += _cov_action(top, obs)
-    model.unit_counter["moments"] += obs.m * n_top * top.shape[1]
+    model.unit_counter["moments"] += obs.m * top.shape[0] * top.shape[1]
     return r
 
 
@@ -286,33 +264,36 @@ def ml_update(ml, gain, y, obs, seed, realization, step):
     corrected with the gain truncated to its own resolution.
     """
     y = np.asarray(y, dtype=float).reshape(obs.m)
-    fac = _psd_factor(obs.Gamma)
     out = []
-    for l, pe in enumerate(ml.levels):
-        rng = RngKey(seed, "obs-perturbation", realization, l, 0, step).generator()
-        eta = fac @ rng.standard_normal((obs.m, pe.size))
+    for pe in ml.levels:
+        rng = RngKey(seed, "obs-perturbation", realization, pe.level, 0, step).generator()
+        eta = obs.Gamma_factor @ rng.standard_normal((obs.m, pe.size))
         ytilde = y[:, None] + eta
         fine = _updated(pe.fine, gain.K, obs, ytilde)
         coarse = _updated(pe.coarse, gain.K, obs, ytilde)
-        out.append(PairEnsemble(coarse, fine, l))
+        out.append(PairEnsemble(coarse, fine, pe.level))
     return MultilevelEnsemble(tuple(out))
 
 
 def ml_predict(ml, cfg, hierarchy, seed, realization, step, solver):
     """Propagate every pair one interval with level-keyed coupled noise."""
     out = []
-    for l, pe in enumerate(ml.levels):
-        rng = RngKey(seed, "forward", realization, l, 0, step).generator()
+    for pe in ml.levels:
+        rng = RngKey(seed, "forward", realization, pe.level, 0, step).generator()
         coarse, fine = propagate_pairs(
-            pe.coarse, pe.fine, l, cfg, hierarchy, rng, solver
+            pe.coarse, pe.fine, pe.level, cfg, hierarchy, rng, solver
         )
-        out.append(PairEnsemble(coarse, fine, l))
+        out.append(PairEnsemble(coarse, fine, pe.level))
     return MultilevelEnsemble(tuple(out))
 
 
 def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
-    """One MLEnKF assimilation step: predict, multilevel gain, update."""
-    n_top = ml.levels[ml.L].fine.shape[0]
+    """One assimilation step of the ensemble engine: predict, gain, update.
+
+    A multilevel ensemble makes this an MLEnKF step; a single level L
+    without coarse partners makes it an EnKF step at level L.
+    """
+    n_top = ml.levels[-1].fine.shape[0]
     if obs.m >= n_top:
         raise ValueError(
             "observation dimension must stay below N_L "
@@ -323,52 +304,22 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
     return ml_update(pred, gain, y, obs, seed, realization, step)
 
 
-def enkf_gain(e, obs):
-    """Single-level gain from the sample covariance action.
-
-    positive_part is a no-op on the PSD single-level covariance but is
-    applied anyway so both filters share one code path.
-    """
-    return ml_gain(sample_cov_action(e, obs), obs)
+# No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.
+enkf_step = mlenkf_step
+# No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.
+enkf_update = ml_update
 
 
-def enkf_update(e, gain, y, obs, seed, realization, step):
-    """Update each member with its own perturbed observation."""
-    y = np.asarray(y, dtype=float).reshape(obs.m)
-    fac = _psd_factor(obs.Gamma)
-    rng = RngKey(seed, "obs-perturbation", realization, e.level, 0, step).generator()
-    eta = fac @ rng.standard_normal((obs.m, e.size))
-    return Ensemble(_updated(e.coeffs, gain.K, obs, y[:, None] + eta), e.level)
-
-
-def enkf_step(e, y, obs, cfg, hierarchy, seed, realization, step, solver):
-    """One EnKF assimilation step at the ensemble's level."""
-    if obs.m >= e.coeffs.shape[0]:
-        raise ValueError(
-            "observation dimension must stay below N_L "
-            f"(m={obs.m}, N_L={e.coeffs.shape[0]}); larger m is outside the regime"
-        )
-    rng = RngKey(seed, "forward", realization, e.level, 0, step).generator()
-    empty = np.zeros((0, e.size))
-    _, fine = propagate_pairs(empty, e.coeffs, e.level, cfg, hierarchy, rng, solver)
-    pred = Ensemble(fine, e.level)
-    gain = enkf_gain(pred, obs)
-    return enkf_update(pred, gain, y, obs, seed, realization, step)
-
-
-def empirical_qoi(ens, qoi):
+def empirical_qoi(ml, qoi):
     """QoI of the empirical measure.
 
-    Single level: the ensemble average of ``phi(v_i)``.  Multilevel: the
-    telescoping sum of fine-minus-coarse averages per level.  ``phi`` is
-    the truncated inner product with the ``qoi`` coefficients.
+    The telescoping sum of fine-minus-coarse averages per level; with
+    one level, the ensemble average of ``phi(v_i)``.  ``phi`` is the
+    truncated inner product with the ``qoi`` coefficients.
     """
     qoi = np.asarray(qoi, dtype=float)
-    if isinstance(ens, Ensemble):
-        n = ens.coeffs.shape[0]
-        return float(np.mean(qoi[:n] @ ens.coeffs))
     total = 0.0
-    for pe in ens.levels:
+    for pe in ml.levels:
         total += np.mean(qoi[: pe.fine.shape[0]] @ pe.fine)
         if pe.coarse.shape[0]:
             total -= np.mean(qoi[: pe.coarse.shape[0]] @ pe.coarse)

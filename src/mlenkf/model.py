@@ -16,22 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngKey
-from .spectral import SpectralField, eigenvalues, zero_field
+from .spectral import eigenvalues
 
 __all__ = [
     "ModelConfig",
-    "NoiseBlock",
     "SOLVERS",
     "propagator",
     "exact_noise_var",
     "g_factor",
     "substep_noise_var",
-    "exact_mode_step",
-    "draw_noise_block",
-    "expeuler_fine_solve",
-    "coupled_coarse_solve",
-    "forward_pair",
     "propagate_pairs",
     "unit_counter",
     "reset_unit_counter",
@@ -40,7 +33,8 @@ __all__ = [
 SOLVERS = ("exact", "expeuler")
 
 # cost-unit instrumentation: mode-substeps actually executed, bumped by
-# the batched propagators (see experiment.theoretical_cost)
+# propagate_pairs and the moment accumulation (see
+# experiment.theoretical_cost)
 unit_counter = {"forward": 0.0, "moments": 0.0}
 
 
@@ -55,14 +49,13 @@ class ModelConfig:
 
     ``r1 < r2 < b + 1/4`` is the well-posedness window; ``r1``/``r2``
     fix the norms used for coupling rates and the ladder growth factor.
-    Only linear forcing ``f(u) = u`` is shipped.
+    The forcing is linear, ``f(u) = u``.
     """
 
     T: float
     b: float
     r1: float
     r2: float
-    forcing: str = "linear"
 
     def __post_init__(self):
         if self.T <= 0.0:
@@ -71,21 +64,6 @@ class ModelConfig:
             raise ValueError("b must be >= 0")
         if not (self.r1 < self.r2 < self.b + 0.25):
             raise ValueError("need r1 < r2 < b + 1/4")
-        if self.forcing != "linear":
-            raise ValueError("only linear forcing is supported")
-
-
-@dataclass(frozen=True)
-class NoiseBlock:
-    """Gaussian increments R_{l,k}^{(j)} indexed by (substep k, mode j)."""
-
-    draws: np.ndarray
-    level: int
-    step_count: int
-
-    def __post_init__(self):
-        if self.draws.ndim != 2 or self.draws.shape[0] != self.step_count:
-            raise ValueError("draws must be (step_count, n_modes)")
 
 
 def propagator(lam, T):
@@ -100,7 +78,8 @@ def exact_noise_var(lam, T, b):
     expm1 to stay accurate when (lambda-1)T is small.
     """
     lam = np.asarray(lam, dtype=float)
-    assert np.all(lam > 1.0), "mode variance formula needs lambda > 1"
+    if not np.all(lam > 1.0):
+        raise ValueError("mode variance formula needs lambda > 1")
     return lam ** (-2.0 * b) * (-np.expm1(-2.0 * (lam - 1.0) * T)) / (2.0 * (lam - 1.0))
 
 
@@ -114,85 +93,6 @@ def substep_noise_var(lam, dt, b):
     """Variance ``(1 - e^{-2 lambda dt}) / (2 lambda^{1+2b})`` of R_{l,k}."""
     lam = np.asarray(lam, dtype=float)
     return -np.expm1(-2.0 * lam * dt) / (2.0 * lam ** (1.0 + 2.0 * b))
-
-
-def exact_mode_step(u, cfg, key):
-    """One observation interval of the exact mode flow.
-
-    Each mode is propagated by ``e^{(1-lambda_j)T}`` and receives an
-    independent Gaussian increment with the exact variance.  Mode j
-    consumes draw j of the keyed stream, so a coarser solve sharing the
-    key shares the first N_{l-1} draws.
-    """
-    n = u.coeffs.size
-    lam = eigenvalues(n)
-    a = propagator(lam, cfg.T)
-    std = np.sqrt(exact_noise_var(lam, cfg.T, cfg.b))
-    z = key.generator().standard_normal(n)
-    unit_counter["forward"] += n
-    return SpectralField(a * u.coeffs + std * z, u.level)
-
-
-def draw_noise_block(level, cfg, hierarchy, key):
-    """J_l x N_l independent increments with the per-mode variances."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    n, j, _, dt = hierarchy.level_params(level)
-    std = np.sqrt(substep_noise_var(eigenvalues(n), dt, cfg.b))
-    draws = key.generator().standard_normal((j, n)) * std
-    return NoiseBlock(draws, level, j)
-
-
-def expeuler_fine_solve(u0, level, cfg, noise, forcing_map=None):
-    """Exponential Euler over one observation interval at level ``l``.
-
-    Iterates ``U <- e^{-lambda dt} U + ((1-e^{-lambda dt})/lambda) f(U) + R_k``
-    for the J_l substeps of ``noise``.  ``forcing_map`` is a hook for a
-    mode-space linear forcing; ``None`` means the identity f(u) = u.
-    """
-    if noise.level != level:
-        raise ValueError("noise drawn for a different level")
-    j, n = noise.draws.shape
-    if u0.coeffs.size != n:
-        raise ValueError("initial data does not match noise dimension")
-    dt = cfg.T / j
-    lam = eigenvalues(n)
-    e = np.exp(-lam * dt)
-    w = -np.expm1(-lam * dt) / lam
-    u = u0.coeffs.copy()
-    for k in range(j):
-        fu = u if forcing_map is None else forcing_map(u)
-        u = e * u + w * fu + noise.draws[k]
-    unit_counter["forward"] += n * j
-    return SpectralField(u, level)
-
-
-def coupled_coarse_solve(u0, level, cfg, noise):
-    """Coarse solve at level ``l-1`` driven by the fine block of level ``l``.
-
-    Each coarse substep combines two fine increments,
-    ``U <- g(lambda, dt_{l-1}) U + e^{-lambda dt_l} R_{2k} + R_{2k+1}``,
-    for modes j <= N_{l-1}; fine draws beyond that are never read.
-    """
-    if level < 1:
-        raise ValueError("no coarser level below level 0")
-    if noise.level != level:
-        raise ValueError("noise drawn for a different level")
-    jf, nf = noise.draws.shape
-    if jf % 2:
-        raise ValueError("fine block must have an even substep count")
-    nc = u0.coeffs.size
-    if nc > nf:
-        raise ValueError("coarse state wider than the fine noise")
-    dt_f = cfg.T / jf
-    lam = eigenvalues(nc)
-    g = g_factor(lam, 2.0 * dt_f)
-    damp = np.exp(-lam * dt_f)
-    u = u0.coeffs.copy()
-    for k in range(jf // 2):
-        u = g * u + damp * noise.draws[2 * k, :nc] + noise.draws[2 * k + 1, :nc]
-    unit_counter["forward"] += nc * (jf // 2)
-    return SpectralField(u, level - 1)
 
 
 def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
@@ -249,30 +149,3 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     unit_counter["forward"] += m * (n * j + nc * (j // 2))
     return coarse_out, fine_out
 
-
-def forward_pair(v_coarse, v_fine, level, cfg, hierarchy, key, solver):
-    """Coupled one-interval step of a single (coarse, fine) pair.
-
-    Returns ``(Psi^{l-1}(v_coarse; w), Psi^l(v_fine; w))`` with shared
-    driving noise from ``key``.  At level 0 the coarse output is the
-    zero field.
-    """
-    if cfg.T != hierarchy.T:
-        raise ValueError("model and hierarchy disagree on T")
-    n = hierarchy.n_modes(level)
-    if v_fine.coeffs.size != n or v_fine.level != level:
-        raise ValueError("fine input not at the requested level")
-    if level == 0:
-        if v_coarse.coeffs.size != 0:
-            raise ValueError("level-0 coarse input must be the zero field")
-        c = np.zeros((0, 1))
-    else:
-        if v_coarse.coeffs.size != hierarchy.n_modes(level - 1):
-            raise ValueError("coarse input not at level - 1")
-        c = v_coarse.coeffs[:, None]
-    cout, fout = propagate_pairs(
-        c, v_fine.coeffs[:, None], level, cfg, hierarchy, key.generator(), solver
-    )
-    fine = SpectralField(fout[:, 0], level)
-    coarse = zero_field() if level == 0 else SpectralField(cout[:, 0], level - 1)
-    return coarse, fine

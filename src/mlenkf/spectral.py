@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ModeBasis",
     "SpectralField",
     "LevelHierarchy",
     "eigenvalues",
@@ -29,26 +28,6 @@ def eigenvalues(n):
     """Eigenvalues ``pi^2 j^2`` for modes ``j = 1..n`` as a float array."""
     j = np.arange(1, n + 1, dtype=float)
     return (np.pi * j) ** 2
-
-
-@dataclass(frozen=True)
-class ModeBasis:
-    """Sine eigenbasis truncated at ``n_ref`` modes."""
-
-    n_ref: int
-
-    def __post_init__(self):
-        if self.n_ref < 1:
-            raise ValueError("n_ref must be a positive integer")
-
-    def eigenvalue(self, j):
-        """``lambda_j = pi^2 j^2`` with an index range check."""
-        if not 1 <= j <= self.n_ref:
-            raise ValueError(f"mode index {j} outside 1..{self.n_ref}")
-        return (np.pi * j) ** 2
-
-    def eigenvalues(self):
-        return eigenvalues(self.n_ref)
 
 
 @dataclass(frozen=True)

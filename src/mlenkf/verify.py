@@ -41,7 +41,7 @@ def _random_multilevel(rng, hierarchy, L):
 def _dense_r_ml(ml, obs):
     # brute-force telescoping oracle: pad every level to N_L and use the
     # two-pass E-form of the covariance
-    n_top = ml.levels[ml.L].fine.shape[0]
+    n_top = ml.levels[-1].fine.shape[0]
 
     def pad(v):
         out = np.zeros((n_top, v.shape[1]))
@@ -85,21 +85,24 @@ def check_projection(seed):
 
 
 def check_coupling_variance(seed):
-    """Combined coarse increments match the coarse-step variance (3 SE)."""
+    """Coupled coarse output from a zero state has the coarse-chain
+    variance (3 SE)."""
     cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
     hier = LevelHierarchy(kappa=2.0, n0=4, T=0.25)
     level, j_mode, n_draws = 3, 2, 20000
     n, j_sub, _, dt = hier.level_params(level)
+    nc = hier.n_modes(level - 1)
+    rng = RngKey(seed, "forward", 0, level).generator()
+    coarse, _ = model.propagate_pairs(
+        np.zeros((nc, n_draws)), np.zeros((n, n_draws)), level, cfg, hier, rng, "expeuler"
+    )
+    samples = coarse[j_mode - 1]
+    # J/2 coarse steps U <- g U + e^{-lam dt} R_{2k} + R_{2k+1}: each combined
+    # increment has variance v(2 dt), so Var U = v(2 dt) sum_k g^{2k}
     lam = float(np.pi ** 2 * j_mode ** 2)
-    samples = []
-    for r in range(n_draws // (j_sub // 2)):
-        block = model.draw_noise_block(
-            level, cfg, hier, RngKey(seed, "forward", r, level)
-        )
-        col = block.draws[:, j_mode - 1]
-        samples.extend(np.exp(-lam * dt) * col[0::2] + col[1::2])
-    samples = np.asarray(samples)
-    want = float(model.substep_noise_var(lam, 2.0 * dt, cfg.b))
+    g2 = float(model.g_factor(lam, 2.0 * dt)) ** 2
+    steps = j_sub // 2
+    want = float(model.substep_noise_var(lam, 2.0 * dt, cfg.b)) * (1.0 - g2 ** steps) / (1.0 - g2)
     got = float(np.var(samples, ddof=1))
     se = want * np.sqrt(2.0 / (samples.size - 1))
     return abs(got - want) <= 3.0 * se, (
@@ -115,11 +118,12 @@ def check_telescoping(seed):
     for level in (1, 2, 3):
         n_f = hier.n_modes(level)
         n_c = hier.n_modes(level - 1)
-        fine_in = SpectralField(rng.standard_normal(n_f), level)
-        coarse_in = SpectralField(fine_in.coeffs[:n_c].copy(), level - 1)
+        fine_in = rng.standard_normal((n_f, 1))
         key = RngKey(seed, "forward", 0, level)
-        coarse, fine = model.forward_pair(coarse_in, fine_in, level, cfg, hier, key, "exact")
-        if not np.array_equal(fine.coeffs[:n_c], coarse.coeffs):
+        coarse, fine = model.propagate_pairs(
+            fine_in[:n_c].copy(), fine_in, level, cfg, hier, key.generator(), "exact"
+        )
+        if not np.array_equal(fine[:n_c], coarse):
             return False, f"level {level} mismatch"
     return True, "exact for levels 1..3"
 
@@ -166,22 +170,27 @@ def check_positive_part(seed):
 
 
 def check_degeneracy(seed):
-    """MLEnKF with L = 0 reproduces the EnKF under shared keys."""
+    """The one-level engine at level 1 reproduces a hand-written EnKF
+    (sample gain, one perturbed datum per member) under shared keys."""
     cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
     hier = LevelHierarchy(kappa=2.0, n0=4, T=0.25)
     rng = np.random.default_rng(seed)
-    obs = _random_observation(rng, 4, 1)
-    u0 = rng.standard_normal(4)
-    m_size = 6
-    ens = filters.Ensemble(np.tile(u0[:, None], (1, m_size)), 0)
-    ml = filters.MultilevelEnsemble(
-        (filters.PairEnsemble(np.zeros((0, m_size)), np.tile(u0[:, None], (1, m_size)), 0),)
-    )
-    for n in range(1, 6):
+    level, m_size = 1, 6
+    n = hier.n_modes(level)
+    obs = _random_observation(rng, n, 1)
+    v = np.tile(rng.standard_normal(n)[:, None], (1, m_size))
+    empty = np.zeros((0, m_size))
+    ml = filters.MultilevelEnsemble((filters.PairEnsemble(empty, v, level),))
+    for step in range(1, 6):
         y = rng.standard_normal(1)
-        ens = filters.enkf_step(ens, y, obs, cfg, hier, seed, 0, n, "exact")
-        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, 0, n, "exact")
-    gap = np.max(np.abs(ens.coeffs - ml.levels[0].fine))
+        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, 0, step, "exact")
+        fwd = RngKey(seed, "forward", 0, level, 0, step).generator()
+        _, v = model.propagate_pairs(empty, v, level, cfg, hier, fwd, "exact")
+        k = filters.ml_gain(filters.sample_cov_action(v, obs), obs).K
+        pert = RngKey(seed, "obs-perturbation", 0, level, 0, step).generator()
+        ytilde = y[:, None] + obs.Gamma_factor @ pert.standard_normal((1, m_size))
+        v = v + k @ (ytilde - obs.H @ v)
+    gap = np.max(np.abs(v - ml.levels[0].fine))
     return gap <= 1e-14, f"coefficient gap {gap:.2e}"
 
 
@@ -219,8 +228,7 @@ def check_cov_unbiased(seed):
     gap = np.abs(est - cov_true[:, :1])
     ok = np.all(gap <= 4.0 * se)
     # spot-check the library path against the same estimator on one draw
-    e = filters.Ensemble(draws[0], 0)
-    lib = filters.sample_cov_action(e, obs)
+    lib = filters.sample_cov_action(draws[0], obs)
     ok = ok and np.allclose(lib, covs[0][:, :1], rtol=1e-10, atol=1e-12)
     return bool(ok), f"max deviation {np.max(gap / se):.2f} SE"
 

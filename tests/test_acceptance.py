@@ -24,23 +24,23 @@ from mlenkf.experiment import (
     synthesize_truth_and_obs,
 )
 from mlenkf.filters import (
-    Ensemble,
     MultilevelEnsemble,
     ObservationModel,
     PairEnsemble,
     compute_R_ml,
-    enkf_gain,
-    enkf_update,
     kalman_dense_step,
     kalman_predict,
     kalman_step,
     kalman_update,
     ml_gain,
+    ml_predict,
+    ml_update,
     GaussianState,
 )
-from mlenkf.model import ModelConfig, draw_noise_block, propagate_pairs, substep_noise_var
+from mlenkf.model import ModelConfig, propagate_pairs, substep_noise_var
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy, eigenvalues
+from oracles import draw_noise_block
 
 SEED = 20260823
 EPS_GRID = tuple(2.0 ** -k for k in range(2, 7))
@@ -52,13 +52,13 @@ def _gate(label, ok, detail):
 
 
 def _dense_r_ml(ml, obs):
-    top = ml.levels[ml.L].fine
+    top = ml.levels[-1].fine
     r = np.zeros((top.shape[0], obs.m))
-    for l in range(ml.L):
-        fine = ml.levels[l].fine
+    for pe, up in zip(ml.levels, ml.levels[1:]):
+        fine = pe.fine
         c = np.atleast_2d(np.cov(fine, ddof=1))
         r[: fine.shape[0]] += c @ obs.H[:, : fine.shape[0]].T
-        down = ml.levels[l + 1].coarse
+        down = up.coarse
         c = np.atleast_2d(np.cov(down, ddof=1))
         r[: down.shape[0]] -= c @ obs.H[:, : down.shape[0]].T
     c = np.atleast_2d(np.cov(top, ddof=1))
@@ -127,7 +127,7 @@ def test_criterion_3_coarse_increment_variance():
         damp = np.exp(-eigenvalues(n) * dt)
         for i in range(blocks):
             blk = draw_noise_block(level, cfg, hier, RngKey(SEED, "forward", i, level, 0, 0))
-            v = damp[None, :] * blk.draws[0::2] + blk.draws[1::2]
+            v = damp[None, :] * blk[0::2] + blk[1::2]
             for jj in pooled:
                 pooled[jj].append(v[:, jj - 1])
         for jj, chunks in pooled.items():
@@ -179,20 +179,18 @@ def test_criterion_5_ensemble_gain_approaches_kalman_gain():
     )
     data = synthesize_truth_and_obs(cfg)
     m_size = 10000
-    ens = Ensemble(np.tile(u0[:, None], (1, m_size)), 0)
+    ens = MultilevelEnsemble((PairEnsemble(np.zeros((0, m_size)),
+                                           np.tile(u0[:, None], (1, m_size)), 0),))
     state = GaussianState.deterministic(u0)
     worst_gain = 0.0
     for n in range(1, 4):
-        rng = RngKey(SEED, "forward", 0, 0, 0, n).generator()
-        _, fine = propagate_pairs(np.zeros((0, m_size)), ens.coeffs, 0,
-                                  model, hier, rng, "exact")
-        pred = Ensemble(fine, 0)
-        pack = enkf_gain(pred, obs)
+        pred = ml_predict(ens, model, hier, SEED, 0, n, "exact")
+        pack = ml_gain(compute_R_ml(pred, obs), obs)
         state = kalman_predict(state, model)
         ref_pack = ml_gain(state.cov_action(obs.H.T), obs)
         rel = np.linalg.norm(pack.K - ref_pack.K) / np.linalg.norm(ref_pack.K)
         worst_gain = max(worst_gain, float(rel))
-        ens = enkf_update(pred, pack, data.ys[n - 1], obs, SEED, 0, n)
+        ens = ml_update(pred, pack, data.ys[n - 1], obs, SEED, 0, n)
         state = kalman_update(state, data.ys[n - 1], obs)
 
     # low-rank recursion against the dense oracle

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mlenkf.experiment
 import mlenkf.filters
 from mlenkf.cli import RESULT_COLUMNS, SCHEDULE_COLUMNS, load_config, main
 
@@ -111,6 +112,40 @@ def test_run_rejects_bad_settings(tmp_path):
                  "--n-ref", "100"]) == 2
     missing = tmp_path / "nope.cfg"
     assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
+
+
+def rejected_before_compute(tmp_path, monkeypatch, capsys, *flags):
+    """Exit status and stderr of a run that must stop before any compute."""
+    def no_compute(*args, **kwargs):
+        raise AssertionError("run_experiment reached")
+
+    monkeypatch.setattr(mlenkf.experiment, "run_experiment", no_compute)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(tiny_config(tmp_path)), "--out", str(out), *flags])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def test_run_rejects_single_realization(tmp_path, monkeypatch, capsys):
+    code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, "--realizations", "1")
+    assert code == 2 and "realizations" in err
+
+
+def test_run_rejects_negative_seed(tmp_path, monkeypatch, capsys):
+    code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, "--seed", "-1")
+    assert code == 2 and "seed" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_rejects_nonpositive_jobs(tmp_path, monkeypatch, capsys, jobs):
+    code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, "--jobs", jobs)
+    assert code == 2 and "jobs" in err
+
+
+def test_run_rejects_eps_without_modes_above_m(tmp_path, monkeypatch, capsys):
+    # example 1, eps = 2: L = 0 and N_0 = 1 is not above m = 1
+    code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, "--eps", "0.5,2")
+    assert code == 2 and "N_L=1" in err
 
 
 def test_run_unwritable_output(tmp_path, capsys):

@@ -13,7 +13,6 @@ from mlenkf.experiment import (
     build_example,
     estimate_mse,
     fit_loglog_slope,
-    initial_ensemble,
     initial_multilevel_ensemble,
     make_config,
     make_schedule,
@@ -95,6 +94,11 @@ def test_schedule_clamp_warns():
         make_schedule(0.9, hier, "enkf", base_constant=1e-6)
 
 
+def test_level_sizes_pair_levels_with_sizes():
+    assert Schedule(0.5, 2, (6, 3, 2), 1.0, "mlenkf").level_sizes() == ((0, 6), (1, 3), (2, 2))
+    assert Schedule(0.5, 2, 9, 1.0, "enkf").level_sizes() == ((2, 9),)
+
+
 def test_schedule_validation():
     hier = build_example(1, "exact", n_ref=64)[1]
     with pytest.raises(ValueError):
@@ -124,6 +128,8 @@ def test_theoretical_cost_hand_examples():
     # level 0: 4 (1 + 1) = 8, level 1: 2 (2 + 1 + 2) = 10
     assert theoretical_cost(ml, hier, "mlenkf", 3, 1) == 54.0
     assert theoretical_cost(replace(enkf, M=10), hier, "enkf", 2, 1) == 160.0
+    with pytest.raises(ValueError):
+        theoretical_cost(enkf, hier, "mlenkf", 2, 1)
 
 
 def test_build_example_coefficients():
@@ -175,9 +181,10 @@ def test_synthesize_noiseless_observations():
 
 def test_initial_ensembles_tile_projected_u0():
     cfg = make_config(example=1, n_ref=32, realizations=2)
-    e = initial_ensemble(cfg, 2, 5)
-    assert e.coeffs.shape == (4, 5)
-    assert np.array_equal(e.coeffs, np.tile(cfg.u0[:4, None], (1, 5)))
+    e = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, 5, 1.0, "enkf"))
+    assert e.L == 2 and e.sizes == (5,)
+    assert e.levels[0].coarse.shape == (0, 5)
+    assert np.array_equal(e.levels[0].fine, np.tile(cfg.u0[:4, None], (1, 5)))
     ml = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, (6, 3, 2), 1.0, "mlenkf"))
     assert ml.sizes == (6, 3, 2)
     assert np.array_equal(ml.levels[2].coarse, np.tile(cfg.u0[:2, None], (1, 2)))
@@ -349,3 +356,13 @@ def test_config_validation():
         make_config(realizations=1)
     with pytest.raises(ValueError):
         make_config(eps_grid=())
+    with pytest.raises(ValueError, match="seed"):
+        make_config(master_seed=-1)
+    with pytest.raises(ValueError, match="jobs"):
+        make_config(jobs=0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        make_config(eps_grid=(0.5, 0.0))
+    # example 1: eps = 2 gives L = 0 and N_0 = 1 = m
+    with pytest.raises(ValueError, match="N_L=1"):
+        make_config(eps_grid=(0.5, 2.0), n_ref=32)
+    assert make_config(eps_grid=(0.5,), n_ref=32).eps_grid == (0.5,)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mlenkf.filters import (
-    Ensemble,
     GainPack,
     GaussianState,
     MultilevelEnsemble,
@@ -12,9 +11,6 @@ from mlenkf.filters import (
     PairEnsemble,
     compute_R_ml,
     empirical_qoi,
-    enkf_gain,
-    enkf_step,
-    enkf_update,
     kalman_dense_step,
     kalman_predict,
     kalman_step,
@@ -25,11 +21,11 @@ from mlenkf.filters import (
     mlenkf_step,
     positive_part,
     sample_cov_action,
-    sample_mean,
 )
 from mlenkf.model import ModelConfig
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy
+from oracles import enkf_step
 
 CFG = ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
 HIER = LevelHierarchy(kappa=2.0, n0=1, j0=1, T=0.25)
@@ -49,15 +45,18 @@ def dense_cov_action(v, obs):
 
 
 def dense_r_ml(ml, obs):
-    top = ml.levels[ml.L].fine
+    top = ml.levels[-1].fine
     r = np.zeros((top.shape[0], obs.m))
-    for l in range(ml.L):
-        fine = ml.levels[l].fine
-        r[: fine.shape[0]] += dense_cov_action(fine, obs)
-        down = ml.levels[l + 1].coarse
-        r[: down.shape[0]] -= dense_cov_action(down, obs)
+    for pe, up in zip(ml.levels, ml.levels[1:]):
+        r[: pe.fine.shape[0]] += dense_cov_action(pe.fine, obs)
+        r[: up.coarse.shape[0]] -= dense_cov_action(up.coarse, obs)
     r += dense_cov_action(top, obs)
     return r
+
+
+def one_level(fine, level):
+    """EnKF ensemble: one pair ensemble at ``level`` without coarse partners."""
+    return MultilevelEnsemble((PairEnsemble(np.zeros((0, fine.shape[1])), fine, level),))
 
 
 def random_multilevel(rng, hier, L, sizes, m=1):
@@ -92,7 +91,7 @@ def test_observe_truncates_columns():
 
 def test_ensemble_containers_validate():
     with pytest.raises(ValueError):
-        Ensemble(np.zeros((3, 1)), 0)
+        PairEnsemble(np.zeros((0, 1)), np.zeros((3, 1)), 2)
     with pytest.raises(ValueError):
         PairEnsemble(np.zeros((1, 2)), np.zeros((2, 2)), 0)
     with pytest.raises(ValueError):
@@ -104,35 +103,31 @@ def test_ensemble_containers_validate():
         MultilevelEnsemble((p0, PairEnsemble(np.zeros((2, 2)), np.zeros((2, 2)), 1)))
     ml = MultilevelEnsemble((p0, PairEnsemble(np.zeros((1, 3)), np.zeros((2, 3)), 1)))
     assert ml.L == 1 and ml.sizes == (2, 3)
-
-
-def test_sample_mean_examples():
-    v = np.array([1.0, -2.0, 0.5])
-    e = Ensemble(np.column_stack([v, -v]), 0)
-    assert np.array_equal(sample_mean(e).coeffs, np.zeros(3))
-    e2 = Ensemble(np.column_stack([v, v, v]), 0)
-    assert np.allclose(sample_mean(e2).coeffs, v)
-    rng = np.random.default_rng(2)
-    big = Ensemble(rng.standard_normal((1, 10000)), 0)
-    assert abs(sample_mean(big).coeffs[0]) <= 4.0 / math.sqrt(10000)
+    # any base level, as long as its members have no coarse partners
+    p2 = PairEnsemble(np.zeros((0, 4)), np.zeros((4, 4)), 2)
+    ml = MultilevelEnsemble((p2, PairEnsemble(np.zeros((4, 2)), np.zeros((8, 2)), 3)))
+    assert ml.L == 3 and ml.sizes == (4, 2)
+    with pytest.raises(ValueError):
+        MultilevelEnsemble((PairEnsemble(np.zeros((2, 2)), np.zeros((4, 2)), 2),))
 
 
 def test_sample_cov_action_antithetic_pair():
     v = np.array([1.0, -2.0, 0.5])
     obs = obs_1d(3)
-    e = Ensemble(np.column_stack([v, -v]), 0)
-    got = sample_cov_action(e, obs)
+    got = sample_cov_action(np.column_stack([v, -v]), obs)
     want = 2.0 * np.outer(v, obs.observe(v))
     assert np.allclose(got, want, rtol=0, atol=1e-14)
-    const = Ensemble(np.column_stack([v, v, v]), 0)
+    const = np.column_stack([v, v, v])
     assert np.allclose(sample_cov_action(const, obs), 0.0, atol=1e-15)
+    with pytest.raises(ValueError):
+        sample_cov_action(v[:, None], obs)
 
 
 def test_sample_cov_action_matches_dense_route():
     rng = np.random.default_rng(17)
     obs = ObservationModel(rng.standard_normal((2, 6)), np.eye(2), np.zeros(6))
-    e = Ensemble(rng.standard_normal((6, 5)), 0)
-    assert np.allclose(sample_cov_action(e, obs), dense_cov_action(e.coeffs, obs),
+    v = rng.standard_normal((6, 5))
+    assert np.allclose(sample_cov_action(v, obs), dense_cov_action(v, obs),
                        rtol=0, atol=1e-12)
 
 
@@ -153,11 +148,11 @@ def test_sample_cov_action_is_unbiased():
 
 def test_compute_r_ml_single_level_degenerates():
     rng = np.random.default_rng(3)
-    obs = obs_1d(4)
-    fine = rng.standard_normal((4, 6))
-    ml = MultilevelEnsemble((PairEnsemble(np.zeros((0, 6)), fine, 0),))
-    e = Ensemble(fine, 0)
-    assert np.allclose(compute_R_ml(ml, obs), sample_cov_action(e, obs), atol=1e-14)
+    obs = obs_1d(8)
+    for level, n in ((0, 4), (2, 8)):
+        fine = rng.standard_normal((n, 6))
+        assert np.array_equal(compute_R_ml(one_level(fine, level), obs),
+                              sample_cov_action(fine, obs))
 
 
 def test_compute_r_ml_matches_dense_telescoping():
@@ -338,41 +333,43 @@ def test_ml_predict_keeps_nested_pairs_nested():
 
 
 def test_enkf_two_member_hand_oracle():
-    pred = Ensemble(np.array([[1.0, 3.0], [2.0, 0.0]]), 1)
+    pred = one_level(np.array([[1.0, 3.0], [2.0, 0.0]]), 1)
     obs = obs_1d(2, gamma=0.5)
-    pack = enkf_gain(pred, obs)
+    pack = ml_gain(compute_R_ml(pred, obs), obs)
     assert np.allclose(pack.R, [[2.0], [-2.0]], atol=1e-14)
     assert np.allclose(pack.S, [[2.5]], atol=1e-14)
     assert np.allclose(pack.K, [[0.8], [-0.8]], atol=1e-14)
     y = np.array([0.6])
     seed, realization, step = 11, 2, 4
-    out = enkf_update(pred, pack, y, obs, seed, realization, step)
+    out = ml_update(pred, pack, y, obs, seed, realization, step)
+    # the perturbations are keyed by the ensemble's level, 1, not by its index
     eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 1, 0, step)\
         .generator().standard_normal((1, 2))
     want = np.empty((2, 2))
     for i in range(2):
-        v = pred.coeffs[:, i]
+        v = pred.levels[0].fine[:, i]
         want[:, i] = v + pack.K[:, 0] * (y[0] + eta[0, i] - v[0])
-    assert np.allclose(out.coeffs, want, rtol=0, atol=1e-14)
+    assert np.allclose(out.levels[0].fine, want, rtol=0, atol=1e-14)
+    assert out.L == 1 and out.levels[0].coarse.shape == (0, 2)
 
 
 def test_gain_norm_bounded_by_noise_floor():
     rng = np.random.default_rng(71)
     obs = ObservationModel(rng.standard_normal((2, 6)), 1e6 * np.eye(2), np.zeros(6))
-    e = Ensemble(rng.standard_normal((6, 8)), 0)
-    pack = enkf_gain(e, obs)
+    e = one_level(rng.standard_normal((6, 8)), 0)
+    pack = ml_gain(compute_R_ml(e, obs), obs)
     bound = np.linalg.norm(pack.R, 2) / 1e6
     assert np.linalg.norm(pack.K, 2) <= bound * (1 + 1e-12)
-    out = enkf_update(e, pack, np.array([0.5, -0.5]), obs, seed=8, realization=0, step=0)
+    out = ml_update(e, pack, np.array([0.5, -0.5]), obs, seed=8, realization=0, step=0)
     # K eta has size ~ |R| / sqrt(Gamma), tiny against the members
-    assert np.max(np.abs(out.coeffs - e.coeffs)) <= 1e-2
+    assert np.max(np.abs(out.levels[0].fine - e.levels[0].fine)) <= 1e-2
 
 
 def test_step_drivers_reject_wide_observation():
     obs = ObservationModel(np.eye(2), 0.1 * np.eye(2), np.zeros(2))
-    e = Ensemble(np.zeros((2, 3)), 1)
     with pytest.raises(ValueError, match="outside the regime"):
-        enkf_step(e, np.zeros(2), obs, CFG, HIER, 0, 0, 0, "exact")
+        mlenkf_step(one_level(np.zeros((2, 3)), 1), np.zeros(2), obs, CFG, HIER,
+                    0, 0, 0, "exact")
     ml = MultilevelEnsemble((
         PairEnsemble(np.zeros((0, 3)), np.zeros((1, 3)), 0),
         PairEnsemble(np.zeros((1, 3)), np.zeros((2, 3)), 1),
@@ -382,7 +379,7 @@ def test_step_drivers_reject_wide_observation():
 
 
 def test_empirical_qoi_single_level():
-    e = Ensemble(np.array([[1.0, 3.0], [2.0, 4.0]]), 0)
+    e = one_level(np.array([[1.0, 3.0], [2.0, 4.0]]), 1)
     qoi = np.array([1.0, -1.0])
     assert empirical_qoi(e, qoi) == pytest.approx(((1 - 2) + (3 - 4)) / 2.0)
 
@@ -397,6 +394,25 @@ def test_empirical_qoi_telescopes_by_hand():
     qoi = np.array([1.0, 0.5])
     want = (1.0 + 2.0) / 2 + ((3.0 + 0.5) + (5.0 - 0.5)) / 2 - (3.0 + 5.0) / 2
     assert empirical_qoi(ml, qoi) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("solver", ["exact", "expeuler"])
+def test_one_level_engine_at_level_l_matches_reference_enkf(solver):
+    # the EnKF is the ensemble engine with one level: at level 3, over 5
+    # steps, it must reproduce the reference EnKF bit for bit
+    rng = np.random.default_rng(83)
+    level, m_size = 3, 7
+    n = HIER.n_modes(level)
+    obs = ObservationModel(rng.standard_normal((2, n)), np.array([[0.4, 0.1], [0.1, 0.3]]),
+                           np.zeros(n))
+    v = np.tile(rng.standard_normal(n)[:, None], (1, m_size))
+    ml = one_level(v, level)
+    for step in range(1, 6):
+        y = rng.standard_normal(2)
+        ml = mlenkf_step(ml, y, obs, CFG, HIER, 19, 2, step, solver)
+        v = enkf_step(v, level, y, obs, CFG, HIER, 19, 2, step, solver)
+        assert ml.L == level and ml.levels[0].coarse.shape == (0, m_size)
+        assert np.array_equal(ml.levels[0].fine, v)
 
 
 def test_kalman_scalar_toy():

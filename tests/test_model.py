@@ -3,15 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from mlenkf.experiment import ExperimentConfig, build_example
 from mlenkf.model import (
     ModelConfig,
-    NoiseBlock,
-    coupled_coarse_solve,
-    draw_noise_block,
-    exact_mode_step,
     exact_noise_var,
-    expeuler_fine_solve,
-    forward_pair,
     g_factor,
     propagate_pairs,
     propagator,
@@ -20,7 +15,8 @@ from mlenkf.model import (
     unit_counter,
 )
 from mlenkf.rng import RngKey
-from mlenkf.spectral import LevelHierarchy, SpectralField, eigenvalues, project, zero_field
+from mlenkf.spectral import LevelHierarchy, eigenvalues
+from oracles import coupled_coarse_solve, draw_noise_block, exact_mode_step, expeuler_fine_solve
 
 LAM1 = math.pi ** 2
 CFG = ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
@@ -36,8 +32,6 @@ def test_config_validation():
         ModelConfig(T=0.25, b=0.251, r1=0.5, r2=0.5)
     with pytest.raises(ValueError):
         ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.6)
-    with pytest.raises(ValueError):
-        ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5, forcing="cubic")
 
 
 def test_propagator_value():
@@ -54,7 +48,7 @@ def test_exact_noise_var_value():
 
 
 def test_exact_noise_var_requires_lam_above_one():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="lambda > 1"):
         exact_noise_var(0.5, 0.25, 0.251)
 
 
@@ -88,37 +82,42 @@ def test_coarse_increment_variance_identity():
             assert (damp ** 2 + 1.0) * v_f == pytest.approx(v_c, rel=1e-13)
 
 
+def pair_step(coarse, fine, level, key, solver, hier=HIER):
+    """propagate_pairs on single columns, returned as 1-D arrays."""
+    c, f = propagate_pairs(coarse[:, None], fine[:, None], level, CFG, hier,
+                           key.generator(), solver)
+    return c[:, 0], f[:, 0]
+
+
 def test_exact_mode_step_linearity_and_draw_order():
-    key = RngKey(42, "forward", 0, 1, 0, 3)
-    u = SpectralField(np.array([1.0, -2.0, 0.5, 3.0, -1.0, 0.25]), 1)
-    out_u = exact_mode_step(u, CFG, key)
-    out_0 = exact_mode_step(SpectralField(np.zeros(6), 1), CFG, key)
-    lam = eigenvalues(6)
+    key = RngKey(42, "forward", 0, 2, 0, 3)
+    u = np.array([1.0, -2.0, 0.5, 3.0])
+    _, out_u = pair_step(np.zeros(0), u, 2, key, "exact")
+    _, out_0 = pair_step(np.zeros(0), np.zeros(4), 2, key, "exact")
+    lam = eigenvalues(4)
     a = propagator(lam, CFG.T)
-    assert np.allclose(out_u.coeffs - out_0.coeffs, a * u.coeffs, rtol=0, atol=1e-14)
-    z = key.generator().standard_normal(6)
+    assert np.allclose(out_u - out_0, a * u, rtol=0, atol=1e-14)
+    z = key.generator().standard_normal(4)
     std = np.sqrt(exact_noise_var(lam, CFG.T, CFG.b))
-    assert np.array_equal(out_0.coeffs, std * z)
-    assert out_u.level == 1
+    assert np.array_equal(out_0, std * z)
+    assert np.array_equal(out_u, exact_mode_step(u, CFG, key))
 
 
 def test_exact_mode_step_coarse_shares_draw_prefix():
     key = RngKey(7, "forward", 2, 3, 0, 0)
-    fine = SpectralField(np.linspace(1.0, 2.0, 8), 3)
-    coarse = SpectralField(fine.coeffs[:4].copy(), 2)
-    out_f = exact_mode_step(fine, CFG, key)
-    out_c = exact_mode_step(coarse, CFG, key)
-    assert np.array_equal(out_c.coeffs, out_f.coeffs[:4])
+    fine = np.linspace(1.0, 2.0, 8)
+    coarse = fine[:4].copy()
+    out_c, out_f = pair_step(coarse, fine, 3, key, "exact")
+    assert np.array_equal(out_c, out_f[:4])
+    assert np.array_equal(out_c, exact_mode_step(coarse, CFG, key))
 
 
 def test_draw_noise_block_shape_and_determinism():
     hier = LevelHierarchy(kappa=2.0, n0=2, j0=4, T=0.25)
     key = RngKey(3, "forward", 0, 1, 0, 0)
     blk = draw_noise_block(1, CFG, hier, key)
-    assert blk.draws.shape == (8, 4)
-    assert blk.level == 1 and blk.step_count == 8
-    blk2 = draw_noise_block(1, CFG, hier, key)
-    assert np.array_equal(blk.draws, blk2.draws)
+    assert blk.shape == (8, 4)
+    assert np.array_equal(blk, draw_noise_block(1, CFG, hier, key))
     with pytest.raises(ValueError):
         draw_noise_block(-1, CFG, hier, key)
 
@@ -130,7 +129,7 @@ def test_draw_noise_block_variance_within_three_se():
     for i in range(n_blocks):
         blk = draw_noise_block(0, CFG, hier, RngKey(77, "forward", i, 0, 0, 0))
         for j in cols:
-            cols[j].append(blk.draws[:, j - 1])
+            cols[j].append(blk[:, j - 1])
     _, _, _, dt = hier.level_params(0)
     for j, chunks in cols.items():
         samples = np.concatenate(chunks)
@@ -139,144 +138,140 @@ def test_draw_noise_block_variance_within_three_se():
         assert abs(samples.var(ddof=1) - want) <= 3.0 * se
 
 
-def test_noise_block_shape_validation():
-    with pytest.raises(ValueError):
-        NoiseBlock(np.zeros((3, 2)), 0, 4)
-    with pytest.raises(ValueError):
-        NoiseBlock(np.zeros(6), 0, 6)
-
-
 def test_expeuler_single_substep_is_g_times_u0():
-    u0 = SpectralField(np.array([2.0, -1.0]), 0)
-    noise = NoiseBlock(np.zeros((1, 2)), 0, 1)
-    out = expeuler_fine_solve(u0, 0, CFG, noise)
-    want = g_factor(eigenvalues(2), 0.25) * u0.coeffs
-    assert np.allclose(out.coeffs, want, rtol=1e-15)
+    # level 0 of HIER has one substep: the noise is additive, so the
+    # response to the initial data is g(lambda, T) u0
+    key = RngKey(4, "forward", 0, 0, 0, 1)
+    u0 = np.array([2.0])
+    _, out_u = pair_step(np.zeros(0), u0, 0, key, "expeuler")
+    _, out_0 = pair_step(np.zeros(0), np.zeros(1), 0, key, "expeuler")
+    want = g_factor(eigenvalues(1), 0.25) * u0
+    assert np.allclose(out_u - out_0, want, rtol=1e-15)
 
 
 def test_expeuler_matches_hand_iteration():
     rng = np.random.default_rng(8)
-    draws = rng.standard_normal((4, 3)) * 0.05
-    noise = NoiseBlock(draws, 2, 4)
-    u0 = SpectralField(rng.standard_normal(3), 2)
-    out = expeuler_fine_solve(u0, 2, CFG, noise)
-    lam = eigenvalues(3)
+    key = RngKey(8, "forward", 0, 2, 0, 1)
+    u0 = rng.standard_normal(4)
+    _, out = pair_step(np.zeros(0), u0, 2, key, "expeuler")
+    draws = draw_noise_block(2, CFG, HIER, key)
+    lam = eigenvalues(4)
     dt = 0.25 / 4
     e = np.exp(-lam * dt)
     w = (1.0 - e) / lam
-    u = u0.coeffs.copy()
+    u = u0.copy()
     for k in range(4):
         u = e * u + w * u + draws[k]
-    assert np.allclose(out.coeffs, u, rtol=0, atol=1e-14)
-    # the forcing hook feeds the map, identity by default
-    out2 = expeuler_fine_solve(u0, 2, CFG, noise, forcing_map=lambda v: 2.0 * v)
-    u = u0.coeffs.copy()
-    for k in range(4):
-        u = e * u + w * (2.0 * u) + draws[k]
-    assert np.allclose(out2.coeffs, u, rtol=0, atol=1e-14)
+    assert np.allclose(out, u, rtol=0, atol=1e-14)
 
 
 def test_expeuler_zero_in_zero_noise_out():
-    noise = NoiseBlock(np.zeros((2, 5)), 1, 2)
-    out = expeuler_fine_solve(SpectralField(np.zeros(5), 1), 1, CFG, noise)
-    assert np.array_equal(out.coeffs, np.zeros(5))
+    out = expeuler_fine_solve(np.zeros(5), CFG, np.zeros((2, 5)))
+    assert np.array_equal(out, np.zeros(5))
 
 
 def test_expeuler_input_validation():
-    noise = NoiseBlock(np.zeros((2, 4)), 1, 2)
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        expeuler_fine_solve(SpectralField(np.zeros(4), 2), 2, CFG, noise)
+        propagate_pairs(np.zeros((0, 2)), np.zeros((3, 2)), 2, CFG, HIER, rng, "expeuler")
     with pytest.raises(ValueError):
-        expeuler_fine_solve(SpectralField(np.zeros(3), 1), 1, CFG, noise)
+        propagate_pairs(np.zeros((2, 2)), np.zeros((4, 3)), 2, CFG, HIER, rng, "expeuler")
+    with pytest.raises(ValueError):
+        expeuler_fine_solve(np.zeros(4), CFG, np.zeros((2, 3)))
 
 
 def test_coupled_coarse_two_substeps_zero_noise():
-    u0 = SpectralField(np.array([1.5]), 0)
-    noise = NoiseBlock(np.zeros((2, 2)), 1, 2)
-    out = coupled_coarse_solve(u0, 1, CFG, noise)
-    # dt_f = T/2, one coarse substep of width T
+    # level 1 of HIER: two fine substeps make one coarse substep of width T
+    key = RngKey(9, "forward", 0, 1, 0, 0)
+    fine = np.array([1.5, 0.0])
+    c_u, _ = pair_step(fine[:1], fine, 1, key, "expeuler")
+    c_0, _ = pair_step(np.zeros(1), np.zeros(2), 1, key, "expeuler")
     want = g_factor(LAM1, 0.25) * 1.5
-    assert out.coeffs[0] == pytest.approx(want, rel=1e-15)
-    assert out.level == 0
+    assert c_u[0] - c_0[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_coupled_coarse_matches_hand_iteration():
     rng = np.random.default_rng(13)
-    draws = rng.standard_normal((4, 4)) * 0.1
-    noise = NoiseBlock(draws, 2, 4)
-    u0 = SpectralField(rng.standard_normal(2), 1)
-    out = coupled_coarse_solve(u0, 2, CFG, noise)
+    key = RngKey(13, "forward", 0, 2, 0, 0)
+    coarse = rng.standard_normal(2)
+    out, _ = pair_step(coarse, rng.standard_normal(4), 2, key, "expeuler")
+    draws = draw_noise_block(2, CFG, HIER, key)
     lam = eigenvalues(2)
     dt_f = 0.25 / 4
     g = g_factor(lam, 2.0 * dt_f)
     damp = np.exp(-lam * dt_f)
-    u = u0.coeffs.copy()
+    u = coarse.copy()
     for k in range(2):
         u = g * u + damp * draws[2 * k, :2] + draws[2 * k + 1, :2]
-    assert np.allclose(out.coeffs, u, rtol=0, atol=1e-14)
+    assert np.allclose(out, u, rtol=0, atol=1e-14)
 
 
 def test_coupled_coarse_never_reads_fine_tail():
+    fine = np.zeros(4)
+    fine[2:] = np.nan
+    out, _ = pair_step(np.zeros(2), fine, 2, RngKey(1, "forward", 0, 2, 0, 0), "expeuler")
+    assert np.all(np.isfinite(out))
     draws = np.ones((2, 4))
     draws[:, 2:] = np.nan
-    noise = NoiseBlock(draws, 1, 2)
-    out = coupled_coarse_solve(SpectralField(np.zeros(2), 0), 1, CFG, noise)
-    assert np.all(np.isfinite(out.coeffs))
+    assert np.all(np.isfinite(coupled_coarse_solve(np.zeros(2), CFG, draws)))
 
 
 def test_coupled_coarse_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        coupled_coarse_solve(SpectralField(np.zeros(1), 0), 0, CFG, NoiseBlock(np.zeros((2, 1)), 0, 2))
+        propagate_pairs(np.zeros((1, 2)), np.zeros((1, 2)), 0, CFG, HIER, rng, "expeuler")
     with pytest.raises(ValueError):
-        coupled_coarse_solve(SpectralField(np.zeros(1), 0), 1, CFG, NoiseBlock(np.zeros((3, 2)), 1, 3))
+        propagate_pairs(np.zeros((2, 2)), np.zeros((2, 2)), 1, CFG, HIER, rng, "expeuler")
     with pytest.raises(ValueError):
-        coupled_coarse_solve(SpectralField(np.zeros(4), 0), 1, CFG, NoiseBlock(np.zeros((2, 2)), 1, 2))
+        coupled_coarse_solve(np.zeros(1), CFG, np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        coupled_coarse_solve(np.zeros(4), CFG, np.zeros((2, 2)))
 
 
 def test_forward_pair_level_zero_coarse_is_zero_field():
     key = RngKey(1, "forward", 0, 0, 0, 0)
-    u = SpectralField(np.array([0.3]), 0)
-    c, f = forward_pair(zero_field(), u, 0, CFG, HIER, key, "exact")
-    assert c.coeffs.size == 0 and c.level == -1
-    assert f.level == 0
+    c, f = propagate_pairs(np.zeros((0, 1)), np.array([[0.3]]), 0, CFG, HIER,
+                           key.generator(), "exact")
+    assert c.shape == (0, 1) and f.shape == (1, 1)
     with pytest.raises(ValueError):
-        forward_pair(SpectralField(np.array([1.0]), 0), u, 0, CFG, HIER, key, "exact")
+        propagate_pairs(np.array([[1.0]]), np.array([[0.3]]), 0, CFG, HIER,
+                        key.generator(), "exact")
 
 
 def test_forward_pair_exact_matches_single_mode_steps():
     key = RngKey(21, "forward", 1, 2, 0, 4)
-    fine = SpectralField(np.array([1.0, -0.5, 0.25, 0.1]), 2)
-    coarse = SpectralField(np.array([0.7, 0.2]), 1)
-    c, f = forward_pair(coarse, fine, 2, CFG, HIER, key, "exact")
-    assert np.array_equal(f.coeffs, exact_mode_step(fine, CFG, key).coeffs)
-    assert np.array_equal(c.coeffs, exact_mode_step(coarse, CFG, key).coeffs)
+    fine = np.array([1.0, -0.5, 0.25, 0.1])
+    coarse = np.array([0.7, 0.2])
+    c, f = pair_step(coarse, fine, 2, key, "exact")
+    assert np.array_equal(f, exact_mode_step(fine, CFG, key))
+    assert np.array_equal(c, exact_mode_step(coarse, CFG, key))
 
 
 def test_forward_pair_exact_preserves_nesting():
     key = RngKey(5, "forward", 0, 3, 0, 2)
-    fine = SpectralField(np.linspace(-1, 1, 8), 3)
-    coarse = project(fine, 2, HIER)
-    c, f = forward_pair(coarse, fine, 3, CFG, HIER, key, "exact")
-    assert np.array_equal(c.coeffs, f.coeffs[:4])
+    fine = np.linspace(-1, 1, 8)
+    c, f = pair_step(fine[:4].copy(), fine, 3, key, "exact")
+    assert np.array_equal(c, f[:4])
 
 
 def test_forward_pair_expeuler_matches_block_route():
     key = RngKey(31, "forward", 2, 2, 0, 1)
-    fine = SpectralField(np.array([0.9, -0.3, 0.2, 0.05]), 2)
-    coarse = SpectralField(np.array([0.8, -0.25]), 1)
-    c, f = forward_pair(coarse, fine, 2, CFG, HIER, key, "expeuler")
+    fine = np.array([0.9, -0.3, 0.2, 0.05])
+    coarse = np.array([0.8, -0.25])
+    c, f = pair_step(coarse, fine, 2, key, "expeuler")
     blk = draw_noise_block(2, CFG, HIER, key)
-    f2 = expeuler_fine_solve(fine, 2, CFG, blk)
-    c2 = coupled_coarse_solve(coarse, 2, CFG, blk)
-    assert np.array_equal(f.coeffs, f2.coeffs)
-    assert np.array_equal(c.coeffs, c2.coeffs)
+    assert np.array_equal(f, expeuler_fine_solve(fine, CFG, blk))
+    assert np.array_equal(c, coupled_coarse_solve(coarse, CFG, blk))
 
 
 def test_forward_pair_rejects_mismatched_t():
-    key = RngKey(0, "forward", 0, 0, 0, 0)
+    # the T check moved from the single-pair driver into the study config
+    model, _, obs, u0 = build_example(1, "exact", n_ref=8)
     hier = LevelHierarchy(kappa=2.0, n0=1, j0=1, T=0.5)
-    with pytest.raises(ValueError):
-        forward_pair(zero_field(), SpectralField(np.zeros(1), 0), 0, CFG, hier, key, "exact")
+    with pytest.raises(ValueError, match="disagree on T"):
+        ExperimentConfig(model=model, hierarchy=hier, obs=obs, u0=u0, example=1,
+                         solver="exact", method="enkf", n_steps=1, realizations=2,
+                         eps_grid=(0.5,), master_seed=0)
 
 
 def test_propagate_pairs_batch_replays_keyed_draws():
@@ -320,18 +315,17 @@ def test_pair_difference_shrinks_with_level():
 
 
 def test_unit_counter_tracks_mode_substeps():
+    rng = np.random.default_rng(0)
     reset_unit_counter()
-    exact_mode_step(SpectralField(np.zeros(6), 1), CFG, RngKey(0, "forward", 0, 0, 0, 0))
-    assert unit_counter["forward"] == 6
+    propagate_pairs(np.zeros((0, 5)), np.zeros((4, 5)), 2, CFG, HIER, rng, "exact")
+    assert unit_counter["forward"] == 5 * 4
     reset_unit_counter()
-    noise = NoiseBlock(np.zeros((4, 3)), 2, 4)
-    expeuler_fine_solve(SpectralField(np.zeros(3), 2), 2, CFG, noise)
-    assert unit_counter["forward"] == 12
+    propagate_pairs(np.zeros((0, 3)), np.zeros((4, 3)), 2, CFG, HIER, rng, "expeuler")
+    assert unit_counter["forward"] == 3 * 4 * 4
     reset_unit_counter()
-    coupled_coarse_solve(SpectralField(np.zeros(2), 1), 2, CFG, NoiseBlock(np.zeros((4, 4)), 2, 4))
-    assert unit_counter["forward"] == 4
+    propagate_pairs(np.zeros((2, 3)), np.zeros((4, 3)), 2, CFG, HIER, rng, "expeuler")
+    assert unit_counter["forward"] == 3 * (4 * 4 + 2 * 2)
     reset_unit_counter()
-    propagate_pairs(np.zeros((2, 5)), np.zeros((4, 5)), 2, CFG, HIER,
-                    np.random.default_rng(0), "exact")
+    propagate_pairs(np.zeros((2, 5)), np.zeros((4, 5)), 2, CFG, HIER, rng, "exact")
     assert unit_counter["forward"] == 5 * 6
     reset_unit_counter()

@@ -5,7 +5,6 @@ import pytest
 
 from mlenkf.spectral import (
     LevelHierarchy,
-    ModeBasis,
     SpectralField,
     eigenvalues,
     fractional_norm,
@@ -15,21 +14,12 @@ from mlenkf.spectral import (
 
 
 def test_eigenvalue_closed_form():
-    basis = ModeBasis(8)
-    assert basis.eigenvalue(1) == pytest.approx(math.pi ** 2, rel=1e-15)
-    assert basis.eigenvalue(2) == pytest.approx(4.0 * math.pi ** 2, rel=1e-15)
-    assert basis.eigenvalue(3) > basis.eigenvalue(2)
-    assert np.allclose(eigenvalues(8), [basis.eigenvalue(j) for j in range(1, 9)])
-
-
-def test_eigenvalue_range_checks():
-    basis = ModeBasis(4)
-    with pytest.raises(ValueError):
-        basis.eigenvalue(0)
-    with pytest.raises(ValueError):
-        basis.eigenvalue(5)
-    with pytest.raises(ValueError):
-        ModeBasis(0)
+    lam = eigenvalues(8)
+    assert lam[0] == pytest.approx(math.pi ** 2, rel=1e-15)
+    assert lam[1] == pytest.approx(4.0 * math.pi ** 2, rel=1e-15)
+    assert lam[2] > lam[1]
+    assert np.allclose(lam, [(math.pi * j) ** 2 for j in range(1, 9)])
+    assert eigenvalues(0).size == 0
 
 
 def test_fractional_norm_examples():
