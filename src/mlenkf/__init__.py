@@ -7,18 +7,10 @@ with one level, and the exact Kalman recursion serves as the reference.
 See the README for the experiment protocol and the CLI.
 """
 
-from .spectral import (
-    LevelHierarchy,
-    SpectralField,
-    eigenvalues,
-    fractional_norm,
-    project,
-    zero_field,
-)
+from .spectral import LevelHierarchy, eigenvalues
 from .rng import RngKey
 from .model import ModelConfig, g_factor
 from .filters import (
-    GainPack,
     GaussianState,
     MultilevelEnsemble,
     ObservationModel,

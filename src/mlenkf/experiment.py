@@ -40,6 +40,7 @@ __all__ = [
     "build_example",
     "make_config",
     "make_schedule",
+    "balanced_rates",
     "psi_cost",
     "theoretical_cost",
     "synthesize_truth_and_obs",
@@ -108,6 +109,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("need at least one observation time")
+        if self.method not in ("enkf", "mlenkf"):
+            raise ValueError("method must be 'enkf' or 'mlenkf'")
+        if not 0.0 < self.base_constant < math.inf:
+            raise ValueError("base_constant must be finite and > 0")
         if self.realizations < 2:
             raise ValueError("need at least two realizations")
         if self.master_seed < 0:
@@ -124,6 +129,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"eps={eps!r} gives N_L={n_top}, which must exceed the "
                     f"observation dimension m={self.obs.m}"
+                )
+            if n_top > self.obs.n_ref:
+                raise ValueError(
+                    f"eps={eps!r} gives N_L={n_top}, which must not exceed the "
+                    f"reference dimension n_ref={self.obs.n_ref}"
                 )
 
 
@@ -225,11 +235,18 @@ def make_config(
 
 def _level_count(eps, hierarchy):
     """Finest level ``L = ceil(2 d log_kappa(1/eps) / beta)``, at least 0."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     # guard the ceil against float fuzz in log ratios
     raw = 2.0 * hierarchy.d * math.log(1.0 / eps) / math.log(hierarchy.kappa) / hierarchy.beta
     return max(0, math.ceil(round(raw, 9)))
+
+
+def balanced_rates(hierarchy):
+    """Whether the coupling rate beta equals the cost rate
+    d*gamma_x + gamma_t, the branch with the L^2 factor in the sizes."""
+    s = hierarchy.d * hierarchy.gamma_x + hierarchy.gamma_t
+    return abs(hierarchy.beta - s) <= _BRANCH_TOL
 
 
 def make_schedule(eps, hierarchy, method, base_constant=1.0):
@@ -250,10 +267,10 @@ def make_schedule(eps, hierarchy, method, base_constant=1.0):
         return Schedule(eps, L, max(2, m), base_constant, method)
     s = d * hierarchy.gamma_x + hierarchy.gamma_t
     h_top = hierarchy.level_params(L)[2]
-    if beta - s > _BRANCH_TOL:
-        x = h_top ** -beta
-    elif abs(beta - s) <= _BRANCH_TOL:
+    if balanced_rates(hierarchy):
         x = max(L, 1) ** 2 * h_top ** -beta
+    elif beta > s:
+        x = h_top ** -beta
     else:
         x = h_top ** (-(beta + s) / 2.0)
     sizes = []

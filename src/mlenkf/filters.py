@@ -26,7 +26,6 @@ __all__ = [
     "ObservationModel",
     "PairEnsemble",
     "MultilevelEnsemble",
-    "GainPack",
     "GaussianState",
     "sample_cov_action",
     "compute_R_ml",
@@ -166,15 +165,6 @@ class MultilevelEnsemble:
         return tuple(pe.size for pe in self.levels)
 
 
-@dataclass(frozen=True)
-class GainPack:
-    """Covariance action R = C H*, innovation covariance S, gain K = R S^{-1}."""
-
-    R: np.ndarray
-    S: np.ndarray
-    K: np.ndarray
-
-
 def _centered(v):
     # X_M = (members - mean) / sqrt(M - 1), so Cov = X X^T
     m = v.shape[1]
@@ -238,7 +228,7 @@ def positive_part(a):
 
 
 def ml_gain(r, obs):
-    """Gain from a covariance action: S = (HR)^+ + Gamma, K = R S^{-1}."""
+    """Gain ``K = R S^{-1}`` from a covariance action R, S = (HR)^+ + Gamma."""
     if not np.all(np.isfinite(r)):
         raise ValueError("covariance action has non-finite entries")
     s = positive_part(obs.observe(r)) + obs.Gamma
@@ -246,8 +236,7 @@ def ml_gain(r, obs):
         cf = scipy.linalg.cho_factor(s)
     except scipy.linalg.LinAlgError as exc:
         raise RuntimeError("innovation covariance not positive definite") from exc
-    k = scipy.linalg.cho_solve(cf, r.T).T
-    return GainPack(R=r, S=s, K=k)
+    return scipy.linalg.cho_solve(cf, r.T).T
 
 
 def _updated(v, k, obs, ytilde):
@@ -256,12 +245,12 @@ def _updated(v, k, obs, ytilde):
     return v + k[:n] @ (ytilde - obs.observe(v))
 
 
-def ml_update(ml, gain, y, obs, seed, realization, step):
+def ml_update(ml, k, y, obs, seed, realization, step):
     """Perturbed-observation update of every pair.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
     pair and is independent across particles and levels; each member is
-    corrected with the gain truncated to its own resolution.
+    corrected with the gain ``k`` truncated to its own resolution.
     """
     y = np.asarray(y, dtype=float).reshape(obs.m)
     out = []
@@ -269,8 +258,8 @@ def ml_update(ml, gain, y, obs, seed, realization, step):
         rng = RngKey(seed, "obs-perturbation", realization, pe.level, 0, step).generator()
         eta = obs.Gamma_factor @ rng.standard_normal((obs.m, pe.size))
         ytilde = y[:, None] + eta
-        fine = _updated(pe.fine, gain.K, obs, ytilde)
-        coarse = _updated(pe.coarse, gain.K, obs, ytilde)
+        fine = _updated(pe.fine, k, obs, ytilde)
+        coarse = _updated(pe.coarse, k, obs, ytilde)
         out.append(PairEnsemble(coarse, fine, pe.level))
     return MultilevelEnsemble(tuple(out))
 
@@ -300,8 +289,8 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
     pred = ml_predict(ml, cfg, hierarchy, seed, realization, step, solver)
-    gain = ml_gain(compute_R_ml(pred, obs), obs)
-    return ml_update(pred, gain, y, obs, seed, realization, step)
+    k = ml_gain(compute_R_ml(pred, obs), obs)
+    return ml_update(pred, k, y, obs, seed, realization, step)
 
 
 # No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.
@@ -330,7 +319,7 @@ def empirical_qoi(ml, qoi):
 class GaussianState:
     """Kalman reference state with diagonal-plus-low-rank covariance.
 
-    ``cov = diag(cov_diag) - factors diag(signs) factors^T``; the rank
+    ``cov = diag(cov_diag) - factors factors^T``; the rank
     grows by m per assimilation step.  Exact here because the initial
     covariance is zero and prediction is mode-diagonal.
     """
@@ -338,13 +327,12 @@ class GaussianState:
     mean: np.ndarray
     cov_diag: np.ndarray
     factors: np.ndarray
-    signs: np.ndarray
 
     @classmethod
     def deterministic(cls, u0):
         u0 = np.asarray(u0, dtype=float)
         n = u0.size
-        return cls(u0.copy(), np.zeros(n), np.zeros((n, 0)), np.zeros(0))
+        return cls(u0.copy(), np.zeros(n), np.zeros((n, 0)))
 
     @property
     def rank(self):
@@ -353,13 +341,11 @@ class GaussianState:
     def cov_action(self, w):
         """``cov @ w`` for an (n, p) probe without forming the covariance."""
         w = np.asarray(w, dtype=float)
-        return self.cov_diag[:, None] * w - self.factors @ (
-            self.signs[:, None] * (self.factors.T @ w)
-        )
+        return self.cov_diag[:, None] * w - self.factors @ (self.factors.T @ w)
 
     def cov_matrix(self):
         """Dense covariance; for tests and small dimensions only."""
-        return np.diag(self.cov_diag) - (self.factors * self.signs) @ self.factors.T
+        return np.diag(self.cov_diag) - self.factors @ self.factors.T
 
 
 def kalman_predict(state, cfg):
@@ -371,7 +357,6 @@ def kalman_predict(state, cfg):
         a * state.mean,
         a * a * state.cov_diag + q,
         a[:, None] * state.factors,
-        state.signs.copy(),
     )
 
 
@@ -394,12 +379,7 @@ def kalman_update(state, y, obs):
     mean = state.mean + k @ (y - obs.observe(state.mean))
     # (I - KH)C = C - G G^T with G = C H* L^{-T}
     g = scipy.linalg.solve_triangular(low, ch.T, lower=True).T
-    return GaussianState(
-        mean,
-        state.cov_diag.copy(),
-        np.hstack([state.factors, g]),
-        np.concatenate([state.signs, np.ones(obs.m)]),
-    )
+    return GaussianState(mean, state.cov_diag.copy(), np.hstack([state.factors, g]))
 
 
 def kalman_step(state, y, obs, cfg):

@@ -1,4 +1,4 @@
-"""Eigenbasis bookkeeping, fractional norms and the resolution ladder.
+"""Laplacian eigenvalues and the resolution ladder.
 
 States live in the eigenbasis of the negative Dirichlet Laplacian on
 (0, 1): phi_j = sqrt(2) sin(j pi x) with eigenvalue lambda_j = pi^2 j^2.
@@ -14,61 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SpectralField",
-    "LevelHierarchy",
-    "eigenvalues",
-    "fractional_norm",
-    "project",
-    "zero_field",
-]
+__all__ = ["LevelHierarchy", "eigenvalues"]
 
 
 def eigenvalues(n):
     """Eigenvalues ``pi^2 j^2`` for modes ``j = 1..n`` as a float array."""
     j = np.arange(1, n + 1, dtype=float)
     return (np.pi * j) ** 2
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Mode coefficients of a state together with its resolution level.
-
-    Level -1 denotes the zero field with no modes (the ``v^{-1} := 0``
-    convention used for the coarse partner at level 0).  For levels >= 0
-    the coefficient length must equal N_level of the hierarchy in use;
-    the field itself cannot check that without the hierarchy, callers
-    that care do.
-    """
-
-    coeffs: np.ndarray
-    level: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
-        if self.level < -1:
-            raise ValueError("level must be >= -1")
-        if self.level == -1 and c.size != 0:
-            raise ValueError("level -1 is the empty zero field")
-
-
-def zero_field():
-    """The level -1 zero field."""
-    return SpectralField(np.zeros(0), -1)
-
-
-def fractional_norm(u, r):
-    """Norm of ``K_r``: ``sqrt(sum_j lambda_j^{2r} |u_j|^2)``.
-
-    ``u`` may be a :class:`SpectralField` or a plain coefficient array;
-    ``r = 0`` gives the Euclidean norm, the empty field has norm 0.
-    """
-    c = u.coeffs if isinstance(u, SpectralField) else np.asarray(u, dtype=float)
-    if c.size == 0:
-        return 0.0
-    w = eigenvalues(c.size) ** (2.0 * r)
-    return float(np.sqrt(np.sum(w * c * c)))
 
 
 @dataclass(frozen=True)
@@ -122,20 +74,3 @@ class LevelHierarchy:
         j = self.n_substeps(level)
         return n, j, float(n) ** (-1.0 / self.d), self.T / j
 
-
-def project(u, level, hierarchy):
-    """Mode-truncation projector ``P_l``: keep modes ``j <= N_l``.
-
-    Coefficients beyond the target dimension are dropped; a target wider
-    than the input is zero-padded (the input has no mass there).  Level
-    -1 returns the zero field.
-    """
-    if level < -1:
-        raise ValueError("level must be >= -1")
-    if level == -1:
-        return zero_field()
-    n = hierarchy.n_modes(level)
-    c = np.zeros(n)
-    k = min(n, u.coeffs.size)
-    c[:k] = u.coeffs[:k]
-    return SpectralField(c, level)

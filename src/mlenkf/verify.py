@@ -13,7 +13,7 @@ import numpy as np
 
 from . import experiment, filters, model
 from .rng import RngKey
-from .spectral import LevelHierarchy, SpectralField, fractional_norm, project
+from .spectral import LevelHierarchy
 
 __all__ = ["run_all", "CHECKS"]
 
@@ -63,27 +63,6 @@ def _dense_r_ml(ml, obs):
     return total
 
 
-def check_projection(seed):
-    """project is orthogonal in every K_r norm and satisfies Pythagoras."""
-    rng = np.random.default_rng(seed)
-    hier = LevelHierarchy(kappa=2.0, n0=2)
-    worst = 0.0
-    for _ in range(50):
-        u = SpectralField(rng.standard_normal(32), 4)
-        l = int(rng.integers(0, 4))
-        r = float(rng.uniform(-1.0, 1.0))
-        pu = project(u, l, hier)
-        n_l = hier.n_modes(l)
-        tail = u.coeffs.copy()
-        tail[:n_l] = 0.0
-        lhs = fractional_norm(u, r) ** 2
-        rhs = fractional_norm(pu, r) ** 2 + fractional_norm(tail, r) ** 2
-        worst = max(worst, abs(lhs - rhs) / lhs)
-        if fractional_norm(pu, r) > fractional_norm(u, r) * (1 + 1e-12):
-            return False, "projection expanded a norm"
-    return worst < 1e-10, f"worst Pythagoras defect {worst:.2e}"
-
-
 def check_coupling_variance(seed):
     """Coupled coarse output from a zero state has the coarse-chain
     variance (3 SE)."""
@@ -111,7 +90,8 @@ def check_coupling_variance(seed):
 
 
 def check_telescoping(seed):
-    """Exact-in-time coupling: project(fine out) equals coarse out."""
+    """Exact-in-time coupling: the fine output truncated to the coarse
+    modes equals the coarse output."""
     cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
     hier = LevelHierarchy(kappa=2.0, n0=2, T=0.25)
     rng = np.random.default_rng(seed)
@@ -186,7 +166,7 @@ def check_degeneracy(seed):
         ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, 0, step, "exact")
         fwd = RngKey(seed, "forward", 0, level, 0, step).generator()
         _, v = model.propagate_pairs(empty, v, level, cfg, hier, fwd, "exact")
-        k = filters.ml_gain(filters.sample_cov_action(v, obs), obs).K
+        k = filters.ml_gain(filters.sample_cov_action(v, obs), obs)
         pert = RngKey(seed, "obs-perturbation", 0, level, 0, step).generator()
         ytilde = y[:, None] + obs.Gamma_factor @ pert.standard_normal((1, m_size))
         v = v + k @ (ytilde - obs.H @ v)
@@ -205,10 +185,10 @@ def check_gain_consistency(seed):
         state = filters.kalman_step(state, rng.standard_normal(2), obs, cfg)
     pred = filters.kalman_predict(state, cfg)
     ch = pred.cov_action(obs.H.T)
-    pack = filters.ml_gain(ch, obs)
+    k = filters.ml_gain(ch, obs)
     s = obs.H @ ch + obs.Gamma
     k_ref = np.linalg.solve(0.5 * (s + s.T), ch.T).T
-    gap = np.max(np.abs(pack.K - k_ref)) / np.max(np.abs(k_ref))
+    gap = np.max(np.abs(k - k_ref)) / np.max(np.abs(k_ref))
     return gap <= 1e-12, f"relative gain gap {gap:.2e}"
 
 
@@ -289,7 +269,6 @@ def check_cost_counter(seed):
 
 
 CHECKS = (
-    ("projection-orthogonality", check_projection),
     ("coupling-variance-identity", check_coupling_variance),
     ("telescoping-consistency", check_telescoping),
     ("g-factor-bound", check_g_bound),

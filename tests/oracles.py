@@ -81,7 +81,7 @@ def enkf_step(v, level, y, obs, cfg, hierarchy, seed, realization, step, solver)
     m_size = v.shape[1]
     rng = RngKey(seed, "forward", realization, level, 0, step).generator()
     _, pred = propagate_pairs(np.zeros((0, m_size)), v, level, cfg, hierarchy, rng, solver)
-    k = ml_gain(sample_cov_action(pred, obs), obs).K
+    k = ml_gain(sample_cov_action(pred, obs), obs)
     rng = RngKey(seed, "obs-perturbation", realization, level, 0, step).generator()
     eta = scipy.linalg.cholesky(obs.Gamma, lower=True) @ rng.standard_normal((obs.m, m_size))
     y = np.asarray(y, dtype=float).reshape(obs.m)

@@ -114,14 +114,16 @@ def test_run_rejects_bad_settings(tmp_path):
     assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
 
 
-def rejected_before_compute(tmp_path, monkeypatch, capsys, *flags):
-    """Exit status and stderr of a run that must stop before any compute."""
+def rejected_before_compute(tmp_path, monkeypatch, capsys, *flags, **settings):
+    """Exit status and stderr of a run that must stop before any compute;
+    ``settings`` override lines of the tiny config file."""
     def no_compute(*args, **kwargs):
         raise AssertionError("run_experiment reached")
 
     monkeypatch.setattr(mlenkf.experiment, "run_experiment", no_compute)
     out = tmp_path / "out"
-    code = main(["run", "--config", str(tiny_config(tmp_path)), "--out", str(out), *flags])
+    cfg = tiny_config(tmp_path, **settings)
+    code = main(["run", "--config", str(cfg), "--out", str(out), *flags])
     assert not out.exists()
     return code, capsys.readouterr().err
 
@@ -146,6 +148,36 @@ def test_run_rejects_eps_without_modes_above_m(tmp_path, monkeypatch, capsys):
     # example 1, eps = 2: L = 0 and N_0 = 1 is not above m = 1
     code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, "--eps", "0.5,2")
     assert code == 2 and "N_L=1" in err
+
+
+def test_run_rejects_finest_level_wider_than_n_ref(tmp_path, monkeypatch, capsys):
+    # example 1, eps = 0.01: L = 7 and N_7 = 128 modes, above n_ref = 32
+    code, err = rejected_before_compute(
+        tmp_path, monkeypatch, capsys, "--n-ref", "32", "--eps", "0.01"
+    )
+    assert code == 2 and "n_ref=32" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "-3"])
+def test_run_rejects_bad_base_constant(tmp_path, monkeypatch, capsys, value):
+    code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, base_constant=value)
+    assert code == 2 and "base_constant" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key,value", [("method", "foo"), ("example", "3"), ("solver", "rk4")])
+def test_run_rejects_unknown_choice_in_config(tmp_path, monkeypatch, capsys, key, value):
+    code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, **{key: value})
+    assert code == 2 and key in err and len(err.strip().splitlines()) == 1
+
+
+def test_summary_reports_balanced_branch_only_when_rates_balance(tmp_path):
+    # example 1: beta = 2 equals d gamma_x + gamma_t for expeuler only
+    for solver, balanced in (("exact", False), ("expeuler", True)):
+        out = tmp_path / solver
+        cfg = tiny_config(tmp_path, solver=solver)
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert ("balanced-rate branch" in summary) == balanced
 
 
 def test_run_unwritable_output(tmp_path, capsys):

@@ -63,6 +63,15 @@ def test_schedule_sizes_cost_dominated_branch():
     assert sched.M == (8, 3, 2)
 
 
+def test_balanced_rates_is_the_schedule_branch_test():
+    assert experiment.balanced_rates(build_example(1, "expeuler", n_ref=64)[1])
+    assert not experiment.balanced_rates(build_example(1, "exact", n_ref=64)[1])
+    # float fuzz far below any real rate gap still counts as balanced
+    hier = LevelHierarchy(kappa=2.0, beta=2.0 + 1e-12, gamma_x=1.0, gamma_t=1.0)
+    assert experiment.balanced_rates(hier)
+    assert not experiment.balanced_rates(replace(hier, beta=2.1))
+
+
 def test_enkf_schedule_size():
     hier = build_example(1, "exact", n_ref=64)[1]
     sched = make_schedule(0.125, hier, "enkf")
@@ -269,7 +278,7 @@ def test_enkf_error_scales_inversely_with_ensemble_size():
     cfg = ExperimentConfig(
         model=model, hierarchy=hier, obs=obs, u0=u0, example=1,
         solver="exact", method="enkf", n_steps=3, realizations=100,
-        eps_grid=(0.5,), master_seed=91, jobs=1,
+        eps_grid=(1.0,), master_seed=91, jobs=1,
     )
     data = synthesize_truth_and_obs(cfg)
     small = estimate_mse(cfg, Schedule(0.5, 0, 20, 1.0, "enkf"), data)
@@ -365,4 +374,12 @@ def test_config_validation():
     # example 1: eps = 2 gives L = 0 and N_0 = 1 = m
     with pytest.raises(ValueError, match="N_L=1"):
         make_config(eps_grid=(0.5, 2.0), n_ref=32)
+    # example 1: eps = 0.01 gives L = 7 and N_7 = 128 > n_ref = 32
+    with pytest.raises(ValueError, match="n_ref=32"):
+        make_config(eps_grid=(0.5, 0.01), n_ref=32)
+    with pytest.raises(ValueError, match="method"):
+        make_config(method="foo", n_ref=32)
+    for bad in (float("nan"), float("inf"), 0.0, -3.0):
+        with pytest.raises(ValueError, match="base_constant"):
+            make_config(base_constant=bad, n_ref=32)
     assert make_config(eps_grid=(0.5,), n_ref=32).eps_grid == (0.5,)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mlenkf.filters import (
-    GainPack,
     GaussianState,
     MultilevelEnsemble,
     ObservationModel,
@@ -205,16 +204,14 @@ def test_positive_part_rejects_non_finite():
 
 def test_ml_gain_zero_covariance():
     obs = obs_1d(3, gamma=0.7)
-    pack = ml_gain(np.zeros((3, 1)), obs)
-    assert np.array_equal(pack.K, np.zeros((3, 1)))
-    assert np.allclose(pack.S, [[0.7]])
+    assert np.array_equal(ml_gain(np.zeros((3, 1)), obs), np.zeros((3, 1)))
 
 
 def test_ml_gain_scalar_formula():
     obs = obs_1d(1, gamma=0.2)
-    pack = ml_gain(np.array([[0.3]]), obs)
-    assert pack.S[0, 0] == pytest.approx(0.5)
-    assert pack.K[0, 0] == pytest.approx(0.6)
+    # S = 0.3 + 0.2 = 0.5, K = 0.3 / 0.5
+    k = ml_gain(np.array([[0.3]]), obs)
+    assert k[0, 0] == pytest.approx(0.6)
 
 
 def test_ml_gain_clips_negative_eigendirection():
@@ -225,9 +222,9 @@ def test_ml_gain_clips_negative_eigendirection():
     a, gamma = 0.5, 0.2
     r = np.outer(q1, q1) - a * np.outer(q2, q2)
     obs = ObservationModel(np.eye(2), gamma * np.eye(2), np.zeros(2))
-    pack = ml_gain(r, obs)
-    assert np.allclose(pack.K @ q1, q1 / (1.0 + gamma), atol=1e-12)
-    assert np.allclose(pack.K @ q2, -(a / gamma) * q2, atol=1e-12)
+    k = ml_gain(r, obs)
+    assert np.allclose(k @ q1, q1 / (1.0 + gamma), atol=1e-12)
+    assert np.allclose(k @ q2, -(a / gamma) * q2, atol=1e-12)
 
 
 def test_ml_gain_failure_modes():
@@ -242,8 +239,7 @@ def test_ml_update_zero_gain_is_identity():
     rng = np.random.default_rng(41)
     ml = random_multilevel(rng, HIER, L=1, sizes=(4, 3))
     obs = obs_1d(2)
-    pack = GainPack(np.zeros((2, 1)), obs.Gamma, np.zeros((2, 1)))
-    out = ml_update(ml, pack, np.array([0.4]), obs, seed=1, realization=0, step=0)
+    out = ml_update(ml, np.zeros((2, 1)), np.array([0.4]), obs, seed=1, realization=0, step=0)
     for l in range(2):
         assert np.array_equal(out.levels[l].fine, ml.levels[l].fine)
         assert np.array_equal(out.levels[l].coarse, ml.levels[l].coarse)
@@ -254,9 +250,8 @@ def test_ml_update_unit_gain_pins_members_to_datum():
     fine = rng.standard_normal((2, 5))
     ml = MultilevelEnsemble((PairEnsemble(np.zeros((0, 5)), fine, 0),))
     obs = ObservationModel(np.eye(2), 1e-30 * np.eye(2), np.zeros(2))
-    pack = GainPack(np.eye(2), np.eye(2), np.eye(2))
     y = np.array([0.7, -0.2])
-    out = ml_update(ml, pack, y, obs, seed=2, realization=0, step=0)
+    out = ml_update(ml, np.eye(2), y, obs, seed=2, realization=0, step=0)
     assert np.allclose(out.levels[0].fine, y[:, None], atol=1e-12)
 
 
@@ -271,8 +266,8 @@ def test_ml_update_pair_coherence_under_coarse_supported_h():
     ))
     h = np.array([[0.3, -1.1, 0.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.5]]), np.zeros(4))
-    pack = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, pack, np.array([0.1]), obs, seed=3, realization=1, step=2)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
+    out = ml_update(ml, k, np.array([0.1]), obs, seed=3, realization=1, step=2)
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:2], atol=1e-13)
 
 
@@ -285,10 +280,10 @@ def test_ml_update_pair_residual_identity_general_h():
         PairEnsemble(coarse, fine, 1),
     ))
     obs = ObservationModel(rng.standard_normal((1, 4)), np.array([[0.5]]), np.zeros(4))
-    pack = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, pack, np.array([-0.3]), obs, seed=4, realization=0, step=1)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
+    out = ml_update(ml, k, np.array([-0.3]), obs, seed=4, realization=0, step=1)
     got = out.levels[1].coarse - out.levels[1].fine[:2]
-    want = (coarse - fine[:2]) + pack.K[:2] @ (obs.observe(fine) - obs.observe(coarse))
+    want = (coarse - fine[:2]) + k[:2] @ (obs.observe(fine) - obs.observe(coarse))
     assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -303,8 +298,8 @@ def test_ml_update_shares_perturbation_within_pair():
     ))
     h = np.array([[1.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.25]]), np.zeros(2))
-    pack = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, pack, np.array([0.2]), obs, seed=5, realization=0, step=0)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
+    out = ml_update(ml, k, np.array([0.2]), obs, seed=5, realization=0, step=0)
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:1], atol=1e-13)
 
 
@@ -312,8 +307,7 @@ def test_zero_gain_update_then_predict_is_open_loop():
     rng = np.random.default_rng(61)
     ml = random_multilevel(rng, HIER, L=2, sizes=(5, 3, 2))
     obs = obs_1d(4)
-    pack = GainPack(np.zeros((4, 1)), obs.Gamma, np.zeros((4, 1)))
-    upd = ml_update(ml, pack, np.array([1.0]), obs, seed=6, realization=0, step=0)
+    upd = ml_update(ml, np.zeros((4, 1)), np.array([1.0]), obs, seed=6, realization=0, step=0)
     a = ml_predict(upd, CFG, HIER, seed=6, realization=0, step=0, solver="exact")
     b = ml_predict(ml, CFG, HIER, seed=6, realization=0, step=0, solver="exact")
     for l in range(3):
@@ -335,20 +329,21 @@ def test_ml_predict_keeps_nested_pairs_nested():
 def test_enkf_two_member_hand_oracle():
     pred = one_level(np.array([[1.0, 3.0], [2.0, 0.0]]), 1)
     obs = obs_1d(2, gamma=0.5)
-    pack = ml_gain(compute_R_ml(pred, obs), obs)
-    assert np.allclose(pack.R, [[2.0], [-2.0]], atol=1e-14)
-    assert np.allclose(pack.S, [[2.5]], atol=1e-14)
-    assert np.allclose(pack.K, [[0.8], [-0.8]], atol=1e-14)
+    r = compute_R_ml(pred, obs)
+    assert np.allclose(r, [[2.0], [-2.0]], atol=1e-14)
+    # S = 2.0 + 0.5 = 2.5, K = R / S
+    k = ml_gain(r, obs)
+    assert np.allclose(k, [[0.8], [-0.8]], atol=1e-14)
     y = np.array([0.6])
     seed, realization, step = 11, 2, 4
-    out = ml_update(pred, pack, y, obs, seed, realization, step)
+    out = ml_update(pred, k, y, obs, seed, realization, step)
     # the perturbations are keyed by the ensemble's level, 1, not by its index
     eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 1, 0, step)\
         .generator().standard_normal((1, 2))
     want = np.empty((2, 2))
     for i in range(2):
         v = pred.levels[0].fine[:, i]
-        want[:, i] = v + pack.K[:, 0] * (y[0] + eta[0, i] - v[0])
+        want[:, i] = v + k[:, 0] * (y[0] + eta[0, i] - v[0])
     assert np.allclose(out.levels[0].fine, want, rtol=0, atol=1e-14)
     assert out.L == 1 and out.levels[0].coarse.shape == (0, 2)
 
@@ -357,10 +352,11 @@ def test_gain_norm_bounded_by_noise_floor():
     rng = np.random.default_rng(71)
     obs = ObservationModel(rng.standard_normal((2, 6)), 1e6 * np.eye(2), np.zeros(6))
     e = one_level(rng.standard_normal((6, 8)), 0)
-    pack = ml_gain(compute_R_ml(e, obs), obs)
-    bound = np.linalg.norm(pack.R, 2) / 1e6
-    assert np.linalg.norm(pack.K, 2) <= bound * (1 + 1e-12)
-    out = ml_update(e, pack, np.array([0.5, -0.5]), obs, seed=8, realization=0, step=0)
+    r = compute_R_ml(e, obs)
+    k = ml_gain(r, obs)
+    bound = np.linalg.norm(r, 2) / 1e6
+    assert np.linalg.norm(k, 2) <= bound * (1 + 1e-12)
+    out = ml_update(e, k, np.array([0.5, -0.5]), obs, seed=8, realization=0, step=0)
     # K eta has size ~ |R| / sqrt(Gamma), tiny against the members
     assert np.max(np.abs(out.levels[0].fine - e.levels[0].fine)) <= 1e-2
 
@@ -416,7 +412,7 @@ def test_one_level_engine_at_level_l_matches_reference_enkf(solver):
 
 
 def test_kalman_scalar_toy():
-    state = GaussianState(np.array([0.0]), np.array([1.0]), np.zeros((1, 0)), np.zeros(0))
+    state = GaussianState(np.array([0.0]), np.array([1.0]), np.zeros((1, 0)))
     obs = ObservationModel(np.array([[1.0]]), np.array([[1.0]]), np.ones(1))
     out = kalman_update(state, np.array([1.0]), obs)
     assert out.mean[0] == pytest.approx(0.5, rel=1e-14)
@@ -427,7 +423,7 @@ def test_kalman_scalar_toy():
 def test_kalman_zero_innovation_keeps_mean():
     rng = np.random.default_rng(73)
     state = GaussianState(rng.standard_normal(4), np.abs(rng.standard_normal(4)) + 0.1,
-                          np.zeros((4, 0)), np.zeros(0))
+                          np.zeros((4, 0)))
     obs = ObservationModel(rng.standard_normal((1, 4)), np.array([[0.3]]), np.zeros(4))
     y = obs.observe(state.mean)
     out = kalman_update(state, y, obs)
@@ -453,8 +449,7 @@ def test_kalman_lowrank_matches_dense():
 
 
 def test_kalman_predict_is_mode_diagonal_affine():
-    state = GaussianState(np.array([1.0, -1.0]), np.array([0.5, 0.25]),
-                          np.zeros((2, 0)), np.zeros(0))
+    state = GaussianState(np.array([1.0, -1.0]), np.array([0.5, 0.25]), np.zeros((2, 0)))
     out = kalman_predict(state, CFG)
     from mlenkf.model import exact_noise_var, propagator
     from mlenkf.spectral import eigenvalues

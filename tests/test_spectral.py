@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlenkf.spectral import (
-    LevelHierarchy,
-    SpectralField,
-    eigenvalues,
-    fractional_norm,
-    project,
-    zero_field,
-)
+from mlenkf.spectral import LevelHierarchy, eigenvalues
 
 
 def test_eigenvalue_closed_form():
@@ -20,45 +13,6 @@ def test_eigenvalue_closed_form():
     assert lam[2] > lam[1]
     assert np.allclose(lam, [(math.pi * j) ** 2 for j in range(1, 9)])
     assert eigenvalues(0).size == 0
-
-
-def test_fractional_norm_examples():
-    phi1 = SpectralField(np.array([1.0]), 0)
-    assert fractional_norm(phi1, 0.5) == pytest.approx(math.pi, rel=1e-15)
-    rng = np.random.default_rng(5)
-    u = rng.standard_normal(12)
-    assert fractional_norm(u, 0.0) == pytest.approx(np.linalg.norm(u), rel=1e-14)
-    assert fractional_norm(zero_field(), 1.3) == 0.0
-    assert fractional_norm(np.zeros(6), -0.7) == 0.0
-
-
-def test_project_truncates_and_pads():
-    hier = LevelHierarchy(kappa=2.0, n0=2)
-    u = SpectralField(np.array([1.0, 2.0, 3.0, 4.0]), 1)
-    down = project(u, 0, hier)
-    assert down.level == 0
-    assert np.array_equal(down.coeffs, [1.0, 2.0])
-    again = project(down, 0, hier)
-    assert np.array_equal(again.coeffs, down.coeffs)
-    up = project(u, 2, hier)
-    assert np.array_equal(up.coeffs, [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-    assert project(u, -1, hier).coeffs.size == 0
-
-
-def test_project_is_orthogonal_in_every_norm():
-    hier = LevelHierarchy(kappa=2.0, n0=2)
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        u = SpectralField(rng.standard_normal(16), 3)
-        level = int(rng.integers(0, 3))
-        r = float(rng.uniform(-1.0, 1.0))
-        pu = project(u, level, hier)
-        tail = u.coeffs.copy()
-        tail[: hier.n_modes(level)] = 0.0
-        assert fractional_norm(pu, r) <= fractional_norm(u, r) * (1 + 1e-12)
-        assert fractional_norm(u, r) ** 2 == pytest.approx(
-            fractional_norm(pu, r) ** 2 + fractional_norm(tail, r) ** 2, rel=1e-10
-        )
 
 
 def test_level_params_arithmetic():
@@ -94,11 +48,3 @@ def test_hierarchy_validation():
         LevelHierarchy(kappa=2.0, n0=0)
     with pytest.raises(ValueError):
         LevelHierarchy(kappa=2.0, T=0.0)
-
-
-def test_field_level_validation():
-    with pytest.raises(ValueError):
-        SpectralField(np.zeros(3), -2)
-    with pytest.raises(ValueError):
-        SpectralField(np.zeros(3), -1)
-    assert zero_field().level == -1
