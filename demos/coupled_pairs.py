@@ -29,7 +29,7 @@ for solver in ("exact", "expeuler"):
         nc = hier.n_modes(level - 1)
         fine = np.tile(u0[:n, None], (1, SAMPLES))
         coarse = np.tile(u0[:nc, None], (1, SAMPLES))
-        rng = RngKey(SEED, "forward", 0, level, 0, 0).generator()
+        rng = RngKey(SEED, "forward", 0, level, 0).generator()
         cout, fout = propagate_pairs(coarse, fine, level, model, hier, rng, solver)
         gap = fout.copy()
         gap[:nc] -= cout
@@ -45,7 +45,7 @@ for solver in ("exact", "expeuler"):
 model, hier, _, u0 = build_example(1, "exact", n_ref=256)
 fine = np.tile(u0[:32, None], (1, 4))
 coarse = fine[:16].copy()
-rng = RngKey(SEED, "forward", 0, 5, 0, 0).generator()
+rng = RngKey(SEED, "forward", 0, 5, 0).generator()
 cout, fout = propagate_pairs(coarse, fine, 5, model, hier, rng, "exact")
 print("nested pair stays nested under the exact flow:",
       np.array_equal(cout, fout[:16]))

@@ -31,7 +31,7 @@ data = synthesize_truth_and_obs(cfg)
 ref = data.ref_qoi
 
 # single-level EnKF with a flat ensemble at the finest scheduled level
-enkf_sched = Schedule(0.0625, 4, 500, 1.0, "enkf")
+enkf_sched = Schedule(0.0625, 4, 500, "enkf")
 enkf_track = run_filter_realization(cfg, enkf_sched, data.ys, 0)
 
 # multilevel EnKF with the scheduled level sizes for the same target

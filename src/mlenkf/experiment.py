@@ -28,7 +28,7 @@ from .filters import (
     kalman_step,
     mlenkf_step,
 )
-from .model import ModelConfig, exact_noise_var, propagator
+from .model import SOLVERS, ModelConfig, exact_noise_var, propagator
 from .rng import RngKey
 from .spectral import LevelHierarchy, eigenvalues
 
@@ -70,7 +70,6 @@ class Schedule:
     epsilon: float
     L: int
     M: object
-    base_constant: float
     method: str
 
     def __post_init__(self):
@@ -111,6 +110,14 @@ class ExperimentConfig:
             raise ValueError("need at least one observation time")
         if self.method not in ("enkf", "mlenkf"):
             raise ValueError("method must be 'enkf' or 'mlenkf'")
+        if self.solver not in SOLVERS:
+            raise ValueError("solver must be 'exact' or 'expeuler'")
+        # propagate_pairs runs the solver, make_schedule and psi_cost read the ladder
+        if (self.solver == "expeuler") != (self.hierarchy.gamma_t > 0.0):
+            raise ValueError(
+                f"solver {self.solver!r} does not match the ladder "
+                f"(gamma_t={self.hierarchy.gamma_t!r}; expeuler needs gamma_t > 0)"
+            )
         if not 0.0 < self.base_constant < math.inf:
             raise ValueError("base_constant must be finite and > 0")
         if self.realizations < 2:
@@ -165,7 +172,7 @@ class TruthData:
     ref_qoi: np.ndarray
 
 
-def build_example(example, solver, n_ref=2 ** 13, n0=1, j0=1, T=0.25):
+def build_example(example, solver, n_ref=2 ** 13, n0=1):
     """Model, ladder, observation model and initial data of one example.
 
     Example 1 observes a smoothness-limit combination of the odd modes;
@@ -175,7 +182,7 @@ def build_example(example, solver, n_ref=2 ** 13, n0=1, j0=1, T=0.25):
     """
     if example not in (1, 2):
         raise ValueError("example must be 1 or 2")
-    if solver not in ("exact", "expeuler"):
+    if solver not in SOLVERS:
         raise ValueError("solver must be 'exact' or 'expeuler'")
     j = np.arange(1, n_ref + 1, dtype=float)
     if example == 1:
@@ -194,10 +201,10 @@ def build_example(example, solver, n_ref=2 ** 13, n0=1, j0=1, T=0.25):
         h[np.abs(h) < 1e-12] = 0.0
         qoi = np.ones(n_ref)
         u0 = j ** (-2.0 + UPSILON)
-    model = ModelConfig(T=T, b=b, r1=r1, r2=r2)
+    model = ModelConfig(T=0.25, b=b, r1=r1, r2=r2)
     gamma_t = 0.0 if solver == "exact" else 2.0 * (r2 - r1)
     hierarchy = LevelHierarchy.from_equilibration(
-        r1, r2, n0=n0, j0=j0, T=T, beta=4.0 * (r2 - r1), gamma_x=1.0, gamma_t=gamma_t
+        r1, r2, n0=n0, j0=1, T=0.25, beta=4.0 * (r2 - r1), gamma_t=gamma_t
     )
     obs = ObservationModel(H=h[None, :], Gamma=np.array([[0.25]]), qoi=qoi)
     return model, hierarchy, obs, u0
@@ -234,18 +241,18 @@ def make_config(
 
 
 def _level_count(eps, hierarchy):
-    """Finest level ``L = ceil(2 d log_kappa(1/eps) / beta)``, at least 0."""
+    """Finest level ``L = ceil(2 log_kappa(1/eps) / beta)``, at least 0."""
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     # guard the ceil against float fuzz in log ratios
-    raw = 2.0 * hierarchy.d * math.log(1.0 / eps) / math.log(hierarchy.kappa) / hierarchy.beta
+    raw = 2.0 * math.log(1.0 / eps) / math.log(hierarchy.kappa) / hierarchy.beta
     return max(0, math.ceil(round(raw, 9)))
 
 
 def balanced_rates(hierarchy):
     """Whether the coupling rate beta equals the cost rate
-    d*gamma_x + gamma_t, the branch with the L^2 factor in the sizes."""
-    s = hierarchy.d * hierarchy.gamma_x + hierarchy.gamma_t
+    1 + gamma_t, the branch with the L^2 factor in the sizes."""
+    s = 1.0 + hierarchy.gamma_t
     return abs(hierarchy.beta - s) <= _BRANCH_TOL
 
 
@@ -254,18 +261,18 @@ def make_schedule(eps, hierarchy, method, base_constant=1.0):
 
     ``L`` comes from :func:`_level_count`; the MLEnKF sizes follow the
     three-branch balance between the coupling rate beta and the cost
-    rate d*gamma_x + gamma_t, the EnKF uses ``M = ceil(c eps^{-2})``.
+    rate 1 + gamma_t, the EnKF uses ``M = ceil(c eps^{-2})``.
     """
     L = _level_count(eps, hierarchy)
     if method not in ("enkf", "mlenkf"):
         raise ValueError("method must be 'enkf' or 'mlenkf'")
-    d, beta = hierarchy.d, hierarchy.beta
+    beta = hierarchy.beta
     if method == "enkf":
         m = math.ceil(base_constant / eps ** 2)
         if m < 2:
             warnings.warn("ensemble size clamped to 2 for this eps")
-        return Schedule(eps, L, max(2, m), base_constant, method)
-    s = d * hierarchy.gamma_x + hierarchy.gamma_t
+        return Schedule(eps, L, max(2, m), method)
+    s = 1.0 + hierarchy.gamma_t
     h_top = hierarchy.level_params(L)[2]
     if balanced_rates(hierarchy):
         x = max(L, 1) ** 2 * h_top ** -beta
@@ -282,7 +289,7 @@ def make_schedule(eps, hierarchy, method, base_constant=1.0):
         sizes.append(max(2, m_l))
     if clamped:
         warnings.warn("ensemble sizes clamped to 2 for this eps")
-    return Schedule(eps, L, tuple(sizes), base_constant, method)
+    return Schedule(eps, L, tuple(sizes), method)
 
 
 def psi_cost(hierarchy, level):
@@ -327,10 +334,10 @@ def synthesize_truth_and_obs(cfg):
     truth = [u.copy()]
     ys = []
     for n in range(1, cfg.n_steps + 1):
-        z = RngKey(cfg.master_seed, "truth", 0, 0, 0, n).generator().standard_normal(n_ref)
+        z = RngKey(cfg.master_seed, "truth", 0, 0, n).generator().standard_normal(n_ref)
         u = a * u + std * z
         truth.append(u.copy())
-        rng = RngKey(cfg.master_seed, "data-noise", 0, 0, 0, n).generator()
+        rng = RngKey(cfg.master_seed, "data-noise", 0, 0, n).generator()
         eta = obs.Gamma_factor @ rng.standard_normal(obs.m)
         ys.append(obs.H @ u + eta)
     state = GaussianState.deterministic(cfg.u0)
@@ -447,7 +454,7 @@ def fit_loglog_slope(records):
 
 
 def normalized_series(records):
-    """``mse * cost / L^3`` per record, for the beta = d gamma_x + gamma_t
+    """``mse * cost / L^3`` per record, for the beta = 1 + gamma_t
     branch where boundedness (not a slope) is the prediction."""
     out = []
     for r in records:

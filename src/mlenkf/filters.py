@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import model
 from .model import propagate_pairs, propagator, exact_noise_var
@@ -47,9 +46,9 @@ def _psd_factor(a):
     if not np.any(a):
         return np.zeros_like(a)
     try:
-        return scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError:
-        w, q = scipy.linalg.eigh(a)
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        w, q = np.linalg.eigh(a)
         w = np.clip(w, 0.0, None)
         return q * np.sqrt(w)
 
@@ -85,7 +84,7 @@ class ObservationModel:
             raise ValueError("qoi must have n_ref entries")
         if not np.allclose(G, G.T):
             raise ValueError("Gamma must be symmetric")
-        w = scipy.linalg.eigvalsh(G)
+        w = np.linalg.eigvalsh(G)
         if w.size and w[0] < -1e-12 * max(1.0, w[-1]):
             raise ValueError("Gamma must be positive semi-definite")
         object.__setattr__(self, "Gamma_factor", _psd_factor(G))
@@ -160,10 +159,6 @@ class MultilevelEnsemble:
     def L(self):
         return self.levels[-1].level
 
-    @property
-    def sizes(self):
-        return tuple(pe.size for pe in self.levels)
-
 
 def _centered(v):
     # X_M = (members - mean) / sqrt(M - 1), so Cov = X X^T
@@ -221,7 +216,7 @@ def positive_part(a):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     sym = 0.5 * (a + a.T)
-    w, q = scipy.linalg.eigh(sym)
+    w, q = np.linalg.eigh(sym)
     keep = w >= 0.0
     qk = q[:, keep]
     return (qk * w[keep]) @ qk.T
@@ -233,10 +228,10 @@ def ml_gain(r, obs):
         raise ValueError("covariance action has non-finite entries")
     s = positive_part(obs.observe(r)) + obs.Gamma
     try:
-        cf = scipy.linalg.cho_factor(s)
-    except scipy.linalg.LinAlgError as exc:
+        low = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError("innovation covariance not positive definite") from exc
-    return scipy.linalg.cho_solve(cf, r.T).T
+    return np.linalg.solve(low.T, np.linalg.solve(low, r.T)).T
 
 
 def _updated(v, k, obs, ytilde):
@@ -255,7 +250,7 @@ def ml_update(ml, k, y, obs, seed, realization, step):
     y = np.asarray(y, dtype=float).reshape(obs.m)
     out = []
     for pe in ml.levels:
-        rng = RngKey(seed, "obs-perturbation", realization, pe.level, 0, step).generator()
+        rng = RngKey(seed, "obs-perturbation", realization, pe.level, step).generator()
         eta = obs.Gamma_factor @ rng.standard_normal((obs.m, pe.size))
         ytilde = y[:, None] + eta
         fine = _updated(pe.fine, k, obs, ytilde)
@@ -268,7 +263,7 @@ def ml_predict(ml, cfg, hierarchy, seed, realization, step, solver):
     """Propagate every pair one interval with level-keyed coupled noise."""
     out = []
     for pe in ml.levels:
-        rng = RngKey(seed, "forward", realization, pe.level, 0, step).generator()
+        rng = RngKey(seed, "forward", realization, pe.level, step).generator()
         coarse, fine = propagate_pairs(
             pe.coarse, pe.fine, pe.level, cfg, hierarchy, rng, solver
         )
@@ -334,10 +329,6 @@ class GaussianState:
         n = u0.size
         return cls(u0.copy(), np.zeros(n), np.zeros((n, 0)))
 
-    @property
-    def rank(self):
-        return self.factors.shape[1]
-
     def cov_action(self, w):
         """``cov @ w`` for an (n, p) probe without forming the covariance."""
         w = np.asarray(w, dtype=float)
@@ -372,13 +363,13 @@ def kalman_update(state, y, obs):
     s = obs.observe(ch) + obs.Gamma
     s = 0.5 * (s + s.T)
     try:
-        low = scipy.linalg.cholesky(s, lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        low = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError as exc:
         raise RuntimeError("innovation covariance not positive definite") from exc
-    k = scipy.linalg.cho_solve((low, True), ch.T).T
+    # (I - KH)C = C - G G^T with G = C H* L^{-T}, and K = G L^{-1}
+    g = np.linalg.solve(low, ch.T).T
+    k = np.linalg.solve(low.T, g.T).T
     mean = state.mean + k @ (y - obs.observe(state.mean))
-    # (I - KH)C = C - G G^T with G = C H* L^{-T}
-    g = scipy.linalg.solve_triangular(low, ch.T, lower=True).T
     return GaussianState(mean, state.cov_diag.copy(), np.hstack([state.factors, g]))
 
 

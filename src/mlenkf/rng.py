@@ -3,8 +3,9 @@
 Every random draw in the library is tied to an :class:`RngKey`.  Distinct
 key tuples give statistically independent streams and identical tuples
 give identical streams, so coupling within a coarse/fine pair (same key)
-and independence across particles, levels, steps and realizations
-(different keys) is structural rather than an accident of call order.
+and independence across levels, steps and realizations (different keys)
+is structural rather than an accident of call order.  The particles of
+one level read disjoint draws of one stream.
 
 Streams are consumed sequentially and numpy fills arrays in C order, so
 two consumers of the same key that read different amounts see the same
@@ -34,7 +35,7 @@ class RngKey:
     purpose : str
         One of :data:`PURPOSES`; separates forward noise, observation
         perturbations, the synthetic truth path and the data noise.
-    realization, level, particle, step : int
+    realization, level, step : int
         Coordinates of the consumer.  Unused coordinates stay 0.
     """
 
@@ -42,13 +43,12 @@ class RngKey:
     purpose: str
     realization: int = 0
     level: int = 0
-    particle: int = 0
     step: int = 0
 
     def __post_init__(self):
         if self.purpose not in PURPOSES:
             raise ValueError(f"unknown purpose {self.purpose!r}")
-        for name in ("seed", "realization", "level", "particle", "step"):
+        for name in ("seed", "realization", "level", "step"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -60,7 +60,7 @@ class RngKey:
                 PURPOSES.index(self.purpose),
                 self.realization,
                 self.level,
-                self.particle,
+                0,  # fixed slot; removing it would change every seeded stream
                 self.step,
             ),
         )

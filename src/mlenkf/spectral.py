@@ -28,25 +28,24 @@ class LevelHierarchy:
     """Geometric resolution ladder plus the rate constants attached to it.
 
     ``N_l = round(n0 * kappa^l)`` (ties up), ``J_l = j0 * 2^l``,
-    ``h_l = N_l^{-1/d}`` and ``dt_l = T / J_l``.  ``beta`` is the strong
-    coupling rate, ``gamma_x``/``gamma_t`` the spatial and temporal cost
-    exponents (``gamma_t = 0`` for the exact-in-time solver).
+    ``h_l = 1 / N_l`` and ``dt_l = T / J_l``.  ``beta`` is the strong
+    coupling rate and ``gamma_t`` the temporal cost exponent (0 for the
+    exact-in-time solver); the spatial cost exponent is 1, one unit per
+    mode, so the cost rate is ``1 + gamma_t``.
     """
 
     kappa: float
     n0: int = 1
     j0: int = 1
-    d: int = 1
     T: float = 0.25
     beta: float = 2.0
-    gamma_x: float = 1.0
     gamma_t: float = 0.0
 
     def __post_init__(self):
         if self.kappa <= 1.0:
             raise ValueError("kappa must exceed 1")
-        if self.n0 < 1 or self.j0 < 1 or self.d < 1:
-            raise ValueError("n0, j0, d must be positive integers")
+        if self.n0 < 1 or self.j0 < 1:
+            raise ValueError("n0, j0 must be positive integers")
         if self.T <= 0.0:
             raise ValueError("T must be positive")
 
@@ -63,14 +62,9 @@ class LevelHierarchy:
         # round half up so ties go to the larger grid
         return int(math.floor(self.n0 * self.kappa ** level + 0.5))
 
-    def n_substeps(self, level):
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        return self.j0 * 2 ** level
-
     def level_params(self, level):
         """``(N_l, J_l, h_l, dt_l)`` for one level."""
         n = self.n_modes(level)
-        j = self.n_substeps(level)
-        return n, j, float(n) ** (-1.0 / self.d), self.T / j
+        j = self.j0 * 2 ** level
+        return n, j, float(n) ** -1.0, self.T / j
 

@@ -10,7 +10,6 @@ engine run with one level.
 """
 
 import numpy as np
-import scipy.linalg
 
 from mlenkf.filters import ml_gain, sample_cov_action
 from mlenkf.model import exact_noise_var, g_factor, propagate_pairs, propagator, substep_noise_var
@@ -79,10 +78,10 @@ def enkf_step(v, level, y, obs, cfg, hierarchy, seed, realization, step, solver)
     perturbed datum ``y + Gamma^{1/2} z``.
     """
     m_size = v.shape[1]
-    rng = RngKey(seed, "forward", realization, level, 0, step).generator()
+    rng = RngKey(seed, "forward", realization, level, step).generator()
     _, pred = propagate_pairs(np.zeros((0, m_size)), v, level, cfg, hierarchy, rng, solver)
     k = ml_gain(sample_cov_action(pred, obs), obs)
-    rng = RngKey(seed, "obs-perturbation", realization, level, 0, step).generator()
-    eta = scipy.linalg.cholesky(obs.Gamma, lower=True) @ rng.standard_normal((obs.m, m_size))
+    rng = RngKey(seed, "obs-perturbation", realization, level, step).generator()
+    eta = np.linalg.cholesky(obs.Gamma) @ rng.standard_normal((obs.m, m_size))
     y = np.asarray(y, dtype=float).reshape(obs.m)
     return pred + k @ (y[:, None] + eta - obs.H[:, : pred.shape[0]] @ pred)

@@ -104,11 +104,11 @@ def test_criterion_2_single_level_run_reproduces_enkf():
             eps_grid=(1.0,), master_seed=SEED,
         )
         data = synthesize_truth_and_obs(cfg)
-        ml_track = run_filter_realization(cfg, Schedule(1.0, 0, (8,), 1.0, "mlenkf"),
+        ml_track = run_filter_realization(cfg, Schedule(1.0, 0, (8,), "mlenkf"),
                                           data.ys, 0)
         from dataclasses import replace
         en_track = run_filter_realization(replace(cfg, method="enkf"),
-                                          Schedule(1.0, 0, 8, 1.0, "enkf"), data.ys, 0)
+                                          Schedule(1.0, 0, 8, "enkf"), data.ys, 0)
         worst = max(worst, float(np.max(np.abs(ml_track - en_track))))
     dt = time.perf_counter() - t0
     _gate("criterion 2", worst <= 1e-14 and dt < 5.0,
@@ -126,7 +126,7 @@ def test_criterion_3_coarse_increment_variance():
         pooled = {jj: [] for jj in (1, 4, 16)}
         damp = np.exp(-eigenvalues(n) * dt)
         for i in range(blocks):
-            blk = draw_noise_block(level, cfg, hier, RngKey(SEED, "forward", i, level, 0, 0))
+            blk = draw_noise_block(level, cfg, hier, RngKey(SEED, "forward", i, level, 0))
             v = damp[None, :] * blk[0::2] + blk[1::2]
             for jj in pooled:
                 pooled[jj].append(v[:, jj - 1])
@@ -153,7 +153,7 @@ def test_criterion_4_pair_coupling_rate():
             nc = hier.n_modes(level - 1)
             fine = np.tile(u0[:n, None], (1, 1000))
             coarse = np.tile(u0[:nc, None], (1, 1000))
-            key = RngKey(SEED, "forward", 0, level, 0, 0)
+            key = RngKey(SEED, "forward", 0, level, 0)
             cout, fout = propagate_pairs(coarse, fine, level, model, hier,
                                          key.generator(), solver)
             diff = fout.copy()

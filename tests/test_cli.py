@@ -1,4 +1,5 @@
 import csv
+import os
 import subprocess
 import sys
 from importlib.metadata import PathDistribution
@@ -171,7 +172,7 @@ def test_run_rejects_unknown_choice_in_config(tmp_path, monkeypatch, capsys, key
 
 
 def test_summary_reports_balanced_branch_only_when_rates_balance(tmp_path):
-    # example 1: beta = 2 equals d gamma_x + gamma_t for expeuler only
+    # example 1: beta = 2 equals 1 + gamma_t for expeuler only
     for solver, balanced in (("exact", False), ("expeuler", True)):
         out = tmp_path / solver
         cfg = tiny_config(tmp_path, solver=solver)
@@ -281,3 +282,28 @@ def test_console_script_is_registered(tmp_path):
     ep = scripts["mlenkf"]
     assert ep.value == "mlenkf.cli:main"
     assert ep.load() is main
+
+
+# scipy is not a dependency: with every scipy import made to fail, the
+# library still imports, verifies and runs a study
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from mlenkf.cli import main
+codes = (main(["verify"]),
+         main(["run", "--out", sys.argv[1], "--eps", "0.5,0.25",
+               "--realizations", "2", "--n-ref", "32"]))
+print("exit codes", *codes)
+sys.exit(max(codes))
+"""
+
+
+def test_library_runs_without_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "exit codes 0 0" in proc.stdout, proc.stdout + proc.stderr
+    assert (tmp_path / "out" / "results.csv").is_file()

@@ -56,7 +56,7 @@ def test_schedule_sizes_expeuler_solver():
 
 def test_schedule_sizes_cost_dominated_branch():
     # beta = 1 < s = 2: sizes follow h_l^{3/2} h_L^{-3/2}
-    hier = LevelHierarchy(kappa=2.0, beta=1.0, gamma_x=1.0, gamma_t=1.0)
+    hier = LevelHierarchy(kappa=2.0, beta=1.0, gamma_t=1.0)
     with pytest.warns(UserWarning, match="clamped"):
         sched = make_schedule(0.5, hier, "mlenkf")
     assert sched.L == 2
@@ -67,7 +67,7 @@ def test_balanced_rates_is_the_schedule_branch_test():
     assert experiment.balanced_rates(build_example(1, "expeuler", n_ref=64)[1])
     assert not experiment.balanced_rates(build_example(1, "exact", n_ref=64)[1])
     # float fuzz far below any real rate gap still counts as balanced
-    hier = LevelHierarchy(kappa=2.0, beta=2.0 + 1e-12, gamma_x=1.0, gamma_t=1.0)
+    hier = LevelHierarchy(kappa=2.0, beta=2.0 + 1e-12, gamma_t=1.0)
     assert experiment.balanced_rates(hier)
     assert not experiment.balanced_rates(replace(hier, beta=2.1))
 
@@ -104,8 +104,8 @@ def test_schedule_clamp_warns():
 
 
 def test_level_sizes_pair_levels_with_sizes():
-    assert Schedule(0.5, 2, (6, 3, 2), 1.0, "mlenkf").level_sizes() == ((0, 6), (1, 3), (2, 2))
-    assert Schedule(0.5, 2, 9, 1.0, "enkf").level_sizes() == ((2, 9),)
+    assert Schedule(0.5, 2, (6, 3, 2), "mlenkf").level_sizes() == ((0, 6), (1, 3), (2, 2))
+    assert Schedule(0.5, 2, 9, "enkf").level_sizes() == ((2, 9),)
 
 
 def test_schedule_validation():
@@ -115,9 +115,9 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         make_schedule(0.1, hier, "ukf")
     with pytest.raises(ValueError):
-        Schedule(0.5, 1, (4, 1), 1.0, "mlenkf")
+        Schedule(0.5, 1, (4, 1), "mlenkf")
     with pytest.raises(ValueError):
-        Schedule(0.5, 1, (4, 8), 1.0, "mlenkf")
+        Schedule(0.5, 1, (4, 8), "mlenkf")
 
 
 def test_psi_cost_rates():
@@ -130,10 +130,10 @@ def test_psi_cost_rates():
 
 def test_theoretical_cost_hand_examples():
     hier = build_example(1, "exact", n_ref=64)[1]
-    enkf = Schedule(0.25, 2, 5, 1.0, "enkf")
+    enkf = Schedule(0.25, 2, 5, "enkf")
     # per step M (N_L + m N_L) = 5 * (4 + 4) = 40
     assert theoretical_cost(enkf, hier, "enkf", 2, 1) == 80.0
-    ml = Schedule(0.5, 1, (4, 2), 1.0, "mlenkf")
+    ml = Schedule(0.5, 1, (4, 2), "mlenkf")
     # level 0: 4 (1 + 1) = 8, level 1: 2 (2 + 1 + 2) = 10
     assert theoretical_cost(ml, hier, "mlenkf", 3, 1) == 54.0
     assert theoretical_cost(replace(enkf, M=10), hier, "enkf", 2, 1) == 160.0
@@ -174,7 +174,8 @@ def test_synthesize_is_deterministic_and_method_free():
     assert np.array_equal(a.truth, b.truth)
     assert np.array_equal(a.ys, b.ys)
     assert np.array_equal(a.ref_qoi, b.ref_qoi)
-    c = synthesize_truth_and_obs(replace(cfg, method="enkf", solver="expeuler"))
+    c = synthesize_truth_and_obs(make_config(
+        example=1, method="enkf", solver="expeuler", n_ref=32, n_steps=4, realizations=2))
     assert np.array_equal(a.ys, c.ys)
     assert np.array_equal(a.ref_qoi, c.ref_qoi)
     assert a.truth.shape == (5, 32) and a.ys.shape == (4, 1) and a.ref_qoi.shape == (5,)
@@ -190,12 +191,12 @@ def test_synthesize_noiseless_observations():
 
 def test_initial_ensembles_tile_projected_u0():
     cfg = make_config(example=1, n_ref=32, realizations=2)
-    e = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, 5, 1.0, "enkf"))
-    assert e.L == 2 and e.sizes == (5,)
+    e = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, 5, "enkf"))
+    assert e.L == 2 and tuple(pe.size for pe in e.levels) == (5,)
     assert e.levels[0].coarse.shape == (0, 5)
     assert np.array_equal(e.levels[0].fine, np.tile(cfg.u0[:4, None], (1, 5)))
-    ml = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, (6, 3, 2), 1.0, "mlenkf"))
-    assert ml.sizes == (6, 3, 2)
+    ml = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, (6, 3, 2), "mlenkf"))
+    assert tuple(pe.size for pe in ml.levels) == (6, 3, 2)
     assert np.array_equal(ml.levels[2].coarse, np.tile(cfg.u0[:2, None], (1, 2)))
     assert ml.levels[0].coarse.shape == (0, 6)
 
@@ -221,9 +222,9 @@ def test_single_level_schedule_degenerates_to_enkf():
     )
     data = synthesize_truth_and_obs(cfg)
     ml_track = run_filter_realization(
-        cfg, Schedule(1.0, 0, (6,), 1.0, "mlenkf"), data.ys, 3)
+        cfg, Schedule(1.0, 0, (6,), "mlenkf"), data.ys, 3)
     en_track = run_filter_realization(
-        replace(cfg, method="enkf"), Schedule(1.0, 0, 6, 1.0, "enkf"), data.ys, 3)
+        replace(cfg, method="enkf"), Schedule(1.0, 0, 6, "enkf"), data.ys, 3)
     assert np.array_equal(ml_track, en_track)
 
 
@@ -281,8 +282,8 @@ def test_enkf_error_scales_inversely_with_ensemble_size():
         eps_grid=(1.0,), master_seed=91, jobs=1,
     )
     data = synthesize_truth_and_obs(cfg)
-    small = estimate_mse(cfg, Schedule(0.5, 0, 20, 1.0, "enkf"), data)
-    large = estimate_mse(cfg, Schedule(0.5, 0, 80, 1.0, "enkf"), data)
+    small = estimate_mse(cfg, Schedule(0.5, 0, 20, "enkf"), data)
+    large = estimate_mse(cfg, Schedule(0.5, 0, 80, "enkf"), data)
     ratio = small.mse / large.mse
     assert 2.6 <= ratio <= 6.2
 
@@ -382,4 +383,14 @@ def test_config_validation():
     for bad in (float("nan"), float("inf"), 0.0, -3.0):
         with pytest.raises(ValueError, match="base_constant"):
             make_config(base_constant=bad, n_ref=32)
+    # the solver must match the ladder: propagate_pairs runs the solver,
+    # make_schedule and psi_cost read the ladder's gamma_t
+    exact = make_config(eps_grid=(0.5,), n_ref=32)
+    euler_ladder = build_example(1, "expeuler", n_ref=32)[1]
+    with pytest.raises(ValueError, match="does not match the ladder"):
+        replace(exact, hierarchy=euler_ladder)
+    with pytest.raises(ValueError, match="does not match the ladder"):
+        replace(exact, solver="expeuler")
+    with pytest.raises(ValueError, match="solver"):
+        replace(exact, solver="rk4")
     assert make_config(eps_grid=(0.5,), n_ref=32).eps_grid == (0.5,)

@@ -101,11 +101,11 @@ def test_ensemble_containers_validate():
     with pytest.raises(ValueError):
         MultilevelEnsemble((p0, PairEnsemble(np.zeros((2, 2)), np.zeros((2, 2)), 1)))
     ml = MultilevelEnsemble((p0, PairEnsemble(np.zeros((1, 3)), np.zeros((2, 3)), 1)))
-    assert ml.L == 1 and ml.sizes == (2, 3)
+    assert ml.L == 1 and tuple(pe.size for pe in ml.levels) == (2, 3)
     # any base level, as long as its members have no coarse partners
     p2 = PairEnsemble(np.zeros((0, 4)), np.zeros((4, 4)), 2)
     ml = MultilevelEnsemble((p2, PairEnsemble(np.zeros((4, 2)), np.zeros((8, 2)), 3)))
-    assert ml.L == 3 and ml.sizes == (4, 2)
+    assert ml.L == 3 and tuple(pe.size for pe in ml.levels) == (4, 2)
     with pytest.raises(ValueError):
         MultilevelEnsemble((PairEnsemble(np.zeros((2, 2)), np.zeros((4, 2)), 2),))
 
@@ -338,7 +338,7 @@ def test_enkf_two_member_hand_oracle():
     seed, realization, step = 11, 2, 4
     out = ml_update(pred, k, y, obs, seed, realization, step)
     # the perturbations are keyed by the ensemble's level, 1, not by its index
-    eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 1, 0, step)\
+    eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 1, step)\
         .generator().standard_normal((1, 2))
     want = np.empty((2, 2))
     for i in range(2):
@@ -417,7 +417,7 @@ def test_kalman_scalar_toy():
     out = kalman_update(state, np.array([1.0]), obs)
     assert out.mean[0] == pytest.approx(0.5, rel=1e-14)
     assert out.cov_matrix()[0, 0] == pytest.approx(0.5, rel=1e-12)
-    assert out.rank == 1
+    assert out.factors.shape[1] == 1
 
 
 def test_kalman_zero_innovation_keeps_mean():
@@ -444,7 +444,7 @@ def test_kalman_lowrank_matches_dense():
         mean, cov = kalman_dense_step(mean, cov, y, obs, CFG)
         assert np.allclose(state.mean, mean, rtol=0, atol=1e-11)
         assert np.allclose(state.cov_matrix(), cov, rtol=0, atol=1e-11)
-    assert state.rank == 4 * 2
+    assert state.factors.shape[1] == 4 * 2
     assert np.linalg.eigvalsh(state.cov_matrix()).min() >= -1e-10
 
 

@@ -90,7 +90,7 @@ def pair_step(coarse, fine, level, key, solver, hier=HIER):
 
 
 def test_exact_mode_step_linearity_and_draw_order():
-    key = RngKey(42, "forward", 0, 2, 0, 3)
+    key = RngKey(42, "forward", 0, 2, 3)
     u = np.array([1.0, -2.0, 0.5, 3.0])
     _, out_u = pair_step(np.zeros(0), u, 2, key, "exact")
     _, out_0 = pair_step(np.zeros(0), np.zeros(4), 2, key, "exact")
@@ -104,7 +104,7 @@ def test_exact_mode_step_linearity_and_draw_order():
 
 
 def test_exact_mode_step_coarse_shares_draw_prefix():
-    key = RngKey(7, "forward", 2, 3, 0, 0)
+    key = RngKey(7, "forward", 2, 3, 0)
     fine = np.linspace(1.0, 2.0, 8)
     coarse = fine[:4].copy()
     out_c, out_f = pair_step(coarse, fine, 3, key, "exact")
@@ -114,7 +114,7 @@ def test_exact_mode_step_coarse_shares_draw_prefix():
 
 def test_draw_noise_block_shape_and_determinism():
     hier = LevelHierarchy(kappa=2.0, n0=2, j0=4, T=0.25)
-    key = RngKey(3, "forward", 0, 1, 0, 0)
+    key = RngKey(3, "forward", 0, 1, 0)
     blk = draw_noise_block(1, CFG, hier, key)
     assert blk.shape == (8, 4)
     assert np.array_equal(blk, draw_noise_block(1, CFG, hier, key))
@@ -127,7 +127,7 @@ def test_draw_noise_block_variance_within_three_se():
     n_blocks = 12500  # 8 rows each -> 1e5 samples per mode
     cols = {1: [], 3: []}
     for i in range(n_blocks):
-        blk = draw_noise_block(0, CFG, hier, RngKey(77, "forward", i, 0, 0, 0))
+        blk = draw_noise_block(0, CFG, hier, RngKey(77, "forward", i, 0, 0))
         for j in cols:
             cols[j].append(blk[:, j - 1])
     _, _, _, dt = hier.level_params(0)
@@ -141,7 +141,7 @@ def test_draw_noise_block_variance_within_three_se():
 def test_expeuler_single_substep_is_g_times_u0():
     # level 0 of HIER has one substep: the noise is additive, so the
     # response to the initial data is g(lambda, T) u0
-    key = RngKey(4, "forward", 0, 0, 0, 1)
+    key = RngKey(4, "forward", 0, 0, 1)
     u0 = np.array([2.0])
     _, out_u = pair_step(np.zeros(0), u0, 0, key, "expeuler")
     _, out_0 = pair_step(np.zeros(0), np.zeros(1), 0, key, "expeuler")
@@ -151,7 +151,7 @@ def test_expeuler_single_substep_is_g_times_u0():
 
 def test_expeuler_matches_hand_iteration():
     rng = np.random.default_rng(8)
-    key = RngKey(8, "forward", 0, 2, 0, 1)
+    key = RngKey(8, "forward", 0, 2, 1)
     u0 = rng.standard_normal(4)
     _, out = pair_step(np.zeros(0), u0, 2, key, "expeuler")
     draws = draw_noise_block(2, CFG, HIER, key)
@@ -182,7 +182,7 @@ def test_expeuler_input_validation():
 
 def test_coupled_coarse_two_substeps_zero_noise():
     # level 1 of HIER: two fine substeps make one coarse substep of width T
-    key = RngKey(9, "forward", 0, 1, 0, 0)
+    key = RngKey(9, "forward", 0, 1, 0)
     fine = np.array([1.5, 0.0])
     c_u, _ = pair_step(fine[:1], fine, 1, key, "expeuler")
     c_0, _ = pair_step(np.zeros(1), np.zeros(2), 1, key, "expeuler")
@@ -192,7 +192,7 @@ def test_coupled_coarse_two_substeps_zero_noise():
 
 def test_coupled_coarse_matches_hand_iteration():
     rng = np.random.default_rng(13)
-    key = RngKey(13, "forward", 0, 2, 0, 0)
+    key = RngKey(13, "forward", 0, 2, 0)
     coarse = rng.standard_normal(2)
     out, _ = pair_step(coarse, rng.standard_normal(4), 2, key, "expeuler")
     draws = draw_noise_block(2, CFG, HIER, key)
@@ -209,7 +209,7 @@ def test_coupled_coarse_matches_hand_iteration():
 def test_coupled_coarse_never_reads_fine_tail():
     fine = np.zeros(4)
     fine[2:] = np.nan
-    out, _ = pair_step(np.zeros(2), fine, 2, RngKey(1, "forward", 0, 2, 0, 0), "expeuler")
+    out, _ = pair_step(np.zeros(2), fine, 2, RngKey(1, "forward", 0, 2, 0), "expeuler")
     assert np.all(np.isfinite(out))
     draws = np.ones((2, 4))
     draws[:, 2:] = np.nan
@@ -229,7 +229,7 @@ def test_coupled_coarse_validation():
 
 
 def test_forward_pair_level_zero_coarse_is_zero_field():
-    key = RngKey(1, "forward", 0, 0, 0, 0)
+    key = RngKey(1, "forward", 0, 0, 0)
     c, f = propagate_pairs(np.zeros((0, 1)), np.array([[0.3]]), 0, CFG, HIER,
                            key.generator(), "exact")
     assert c.shape == (0, 1) and f.shape == (1, 1)
@@ -239,7 +239,7 @@ def test_forward_pair_level_zero_coarse_is_zero_field():
 
 
 def test_forward_pair_exact_matches_single_mode_steps():
-    key = RngKey(21, "forward", 1, 2, 0, 4)
+    key = RngKey(21, "forward", 1, 2, 4)
     fine = np.array([1.0, -0.5, 0.25, 0.1])
     coarse = np.array([0.7, 0.2])
     c, f = pair_step(coarse, fine, 2, key, "exact")
@@ -248,14 +248,14 @@ def test_forward_pair_exact_matches_single_mode_steps():
 
 
 def test_forward_pair_exact_preserves_nesting():
-    key = RngKey(5, "forward", 0, 3, 0, 2)
+    key = RngKey(5, "forward", 0, 3, 2)
     fine = np.linspace(-1, 1, 8)
     c, f = pair_step(fine[:4].copy(), fine, 3, key, "exact")
     assert np.array_equal(c, f[:4])
 
 
 def test_forward_pair_expeuler_matches_block_route():
-    key = RngKey(31, "forward", 2, 2, 0, 1)
+    key = RngKey(31, "forward", 2, 2, 1)
     fine = np.array([0.9, -0.3, 0.2, 0.05])
     coarse = np.array([0.8, -0.25])
     c, f = pair_step(coarse, fine, 2, key, "expeuler")
@@ -275,7 +275,7 @@ def test_forward_pair_rejects_mismatched_t():
 
 
 def test_propagate_pairs_batch_replays_keyed_draws():
-    key = RngKey(12, "forward", 0, 2, 0, 0)
+    key = RngKey(12, "forward", 0, 2, 0)
     rng = np.random.default_rng(40)
     fine = rng.standard_normal((4, 3))
     coarse = fine[:2].copy()
@@ -306,7 +306,7 @@ def test_pair_difference_shrinks_with_level():
         nc = HIER.n_modes(level - 1)
         fine = np.tile(u0[:n, None], (1, 500))
         coarse = fine[:nc].copy()
-        key = RngKey(99, "forward", 0, level, 0, 0)
+        key = RngKey(99, "forward", 0, level, 0)
         cout, fout = propagate_pairs(coarse, fine, level, CFG, HIER, key.generator(), "expeuler")
         diff = fout.copy()
         diff[:nc] -= cout
