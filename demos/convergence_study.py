@@ -9,17 +9,18 @@ multilevel filter approaches slope -1.  A desk-scale grid will not give
 textbook-sharp slopes, but the ordering is already visible.
 """
 
-from mlenkf.experiment import fit_loglog_slope, make_config, run_experiment, synthesize_truth_and_obs
+from dataclasses import replace
+
+from mlenkf.experiment import ExperimentConfig, fit_loglog_slope, run_experiment, synthesize_truth_and_obs
 
 SEED = 20260823
 GRID = (0.25, 0.125, 0.0625, 0.03125)
 
-cfg = make_config(example=1, method="enkf", solver="exact", eps_grid=GRID,
-                  n_steps=10, realizations=10, master_seed=SEED, n_ref=256)
+cfg = ExperimentConfig(example=1, method="enkf", solver="exact", eps_grid=GRID,
+                       n_steps=10, realizations=10, master_seed=SEED, n_ref=256)
 data = synthesize_truth_and_obs(cfg)
 
 for method in ("enkf", "mlenkf"):
-    from dataclasses import replace
     records, schedules = run_experiment(replace(cfg, method=method), data=data)
     print(f"method = {method}")
     print(f"{'eps':>9} {'L':>3} {'sizes':>22} {'cost':>12} {'mse':>12}")

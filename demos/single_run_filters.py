@@ -9,12 +9,13 @@ ensemble methods track the reference up to sampling error, so the
 per-step table below is mostly a check that nothing drifts.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from mlenkf.experiment import (
+    ExperimentConfig,
     Schedule,
-    build_example,
-    make_config,
     make_schedule,
     run_filter_realization,
     synthesize_truth_and_obs,
@@ -23,8 +24,8 @@ from mlenkf.experiment import (
 SEED = 987
 STEPS = 8
 
-cfg = make_config(example=1, method="enkf", solver="exact", eps_grid=(0.0625,),
-                  n_steps=STEPS, realizations=2, master_seed=SEED, n_ref=512)
+cfg = ExperimentConfig(example=1, method="enkf", solver="exact", eps_grid=(0.0625,),
+                       n_steps=STEPS, realizations=2, master_seed=SEED, n_ref=512)
 data = synthesize_truth_and_obs(cfg)
 
 # reference: exact filter QoI, computed alongside the data record
@@ -35,7 +36,6 @@ enkf_sched = Schedule(0.0625, 4, 500, "enkf")
 enkf_track = run_filter_realization(cfg, enkf_sched, data.ys, 0)
 
 # multilevel EnKF with the scheduled level sizes for the same target
-from dataclasses import replace
 ml_cfg = replace(cfg, method="mlenkf")
 ml_sched = make_schedule(0.0625, cfg.hierarchy, "mlenkf")
 ml_track = run_filter_realization(ml_cfg, ml_sched, data.ys, 0)

@@ -32,7 +32,6 @@ from .experiment import (
     build_example,
     estimate_mse,
     fit_loglog_slope,
-    make_config,
     make_schedule,
     run_experiment,
     synthesize_truth_and_obs,

@@ -68,19 +68,6 @@ def load_config(path):
     return settings
 
 
-def _validate(settings):
-    n = settings["n_ref"]
-    if n < 2 or n & (n - 1):
-        raise ConfigError("n_ref must be a power of two >= 2")
-    try:
-        settings["eps"] = tuple(
-            float(tok) for tok in str(settings["eps"]).split(",") if tok.strip()
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad eps list: {exc}") from exc
-    return settings
-
-
 def _fmt(value):
     return repr(float(value)) if isinstance(value, float) else str(value)
 
@@ -122,14 +109,17 @@ def _cmd_run(args):
         value = getattr(args, key.replace("-", "_"))
         if value is not None:
             settings[key] = value
-    settings = _validate(settings)
     try:
-        # ExperimentConfig checks every grid point before any compute
-        cfg = experiment.make_config(
+        eps = tuple(float(tok) for tok in str(settings["eps"]).split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad eps list: {exc}") from exc
+    try:
+        # ExperimentConfig checks every setting and grid point before any compute
+        cfg = experiment.ExperimentConfig(
             example=settings["example"],
             method=settings["method"],
             solver=settings["solver"],
-            eps_grid=settings["eps"],
+            eps_grid=eps,
             n_steps=settings["n_steps"],
             realizations=settings["realizations"],
             master_seed=settings["seed"],
@@ -210,11 +200,13 @@ def _cmd_slope(args):
     print(f"{'method':>8} {'example':>7} {'solver':>8} {'points':>6} {'slope':>9} {'stderr':>8}")
     for key in sorted(groups):
         pts = groups[key]
-        if len(pts) < 3 or len({c for c, _ in pts}) < 3:
-            print(f"{key[0]:>8} {key[1]:>7} {key[2]:>8} {len(pts):>6} {'(needs >= 3 distinct points)':>20}")
+        head = f"{key[0]:>8} {key[1]:>7} {key[2]:>8} {len(pts):>6}"
+        try:
+            slope, _, stderr = experiment.fit_loglog_slope(pts)
+        except ValueError as exc:
+            print(f"{head} ({exc})")
             continue
-        slope, _, stderr = experiment.fit_loglog_slope(pts)
-        print(f"{key[0]:>8} {key[1]:>7} {key[2]:>8} {len(pts):>6} {slope:>+9.4f} {stderr:>8.4f}")
+        print(f"{head} {slope:>+9.4f} {stderr:>8.4f}")
         fitted += 1
     return 0 if fitted else 1
 

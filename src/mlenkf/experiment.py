@@ -14,7 +14,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "RunRecord",
     "TruthData",
     "build_example",
-    "make_config",
     "make_schedule",
     "balanced_rates",
     "psi_cost",
@@ -89,35 +88,41 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one convergence study needs."""
+    """The settings of one convergence study.
 
-    model: ModelConfig
-    hierarchy: LevelHierarchy
-    obs: ObservationModel
-    u0: np.ndarray
-    example: int
-    solver: str
-    method: str
-    n_steps: int
-    realizations: int
-    eps_grid: tuple
-    master_seed: int
+    ``model``, ``hierarchy``, ``obs`` and ``u0`` are not settings: they
+    follow from ``example``, ``solver``, ``n_ref`` and ``n0`` through
+    :func:`build_example`, on construction and again on
+    ``dataclasses.replace``.  ``n0`` is the base mode count of the ladder.
+    """
+
+    example: int = 1
+    method: str = "mlenkf"
+    solver: str = "exact"
+    eps_grid: tuple = (0.25, 0.125, 0.0625)
+    n_steps: int = 10
+    realizations: int = 20
+    master_seed: int = 20260823
+    n_ref: int = 2 ** 13
     base_constant: float = 1.0
     jobs: int = 1
+    n0: int = 1
+    model: ModelConfig = field(init=False, repr=False, compare=False)
+    hierarchy: LevelHierarchy = field(init=False, repr=False, compare=False)
+    obs: ObservationModel = field(init=False, repr=False, compare=False)
+    u0: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "eps_grid", tuple(float(e) for e in self.eps_grid))
+        if self.n_ref < 2 or self.n_ref & (self.n_ref - 1):
+            raise ValueError("n_ref must be a power of two >= 2")
+        parts = build_example(self.example, self.solver, self.n_ref, self.n0)
+        for name, part in zip(("model", "hierarchy", "obs", "u0"), parts):
+            object.__setattr__(self, name, part)
         if self.n_steps < 1:
             raise ValueError("need at least one observation time")
         if self.method not in ("enkf", "mlenkf"):
             raise ValueError("method must be 'enkf' or 'mlenkf'")
-        if self.solver not in SOLVERS:
-            raise ValueError("solver must be 'exact' or 'expeuler'")
-        # propagate_pairs runs the solver, make_schedule and psi_cost read the ladder
-        if (self.solver == "expeuler") != (self.hierarchy.gamma_t > 0.0):
-            raise ValueError(
-                f"solver {self.solver!r} does not match the ladder "
-                f"(gamma_t={self.hierarchy.gamma_t!r}; expeuler needs gamma_t > 0)"
-            )
         if not 0.0 < self.base_constant < math.inf:
             raise ValueError("base_constant must be finite and > 0")
         if self.realizations < 2:
@@ -126,8 +131,6 @@ class ExperimentConfig:
             raise ValueError("master seed must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.model.T != self.hierarchy.T:
-            raise ValueError("model and hierarchy disagree on T")
         if not self.eps_grid:
             raise ValueError("eps grid must be nonempty")
         for eps in self.eps_grid:
@@ -137,10 +140,10 @@ class ExperimentConfig:
                     f"eps={eps!r} gives N_L={n_top}, which must exceed the "
                     f"observation dimension m={self.obs.m}"
                 )
-            if n_top > self.obs.n_ref:
+            if n_top > self.n_ref:
                 raise ValueError(
                     f"eps={eps!r} gives N_L={n_top}, which must not exceed the "
-                    f"reference dimension n_ref={self.obs.n_ref}"
+                    f"reference dimension n_ref={self.n_ref}"
                 )
 
 
@@ -208,36 +211,6 @@ def build_example(example, solver, n_ref=2 ** 13, n0=1):
     )
     obs = ObservationModel(H=h[None, :], Gamma=np.array([[0.25]]), qoi=qoi)
     return model, hierarchy, obs, u0
-
-
-def make_config(
-    example=1,
-    method="mlenkf",
-    solver="exact",
-    eps_grid=(0.25, 0.125, 0.0625),
-    n_steps=10,
-    realizations=20,
-    master_seed=20260823,
-    n_ref=2 ** 13,
-    base_constant=1.0,
-    jobs=1,
-):
-    model, hierarchy, obs, u0 = build_example(example, solver, n_ref=n_ref)
-    return ExperimentConfig(
-        model=model,
-        hierarchy=hierarchy,
-        obs=obs,
-        u0=u0,
-        example=example,
-        solver=solver,
-        method=method,
-        n_steps=n_steps,
-        realizations=realizations,
-        eps_grid=tuple(float(e) for e in eps_grid),
-        master_seed=master_seed,
-        base_constant=base_constant,
-        jobs=jobs,
-    )
 
 
 def _level_count(eps, hierarchy):
@@ -395,7 +368,8 @@ def estimate_mse(cfg, schedule, data):
     t0 = time.perf_counter()
     jobs = [(cfg, schedule, data.ys, data.ref_qoi, r) for r in range(cfg.realizations)]
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # the pool starts all its workers up front, so never more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations)) as pool:
             errs = np.array(list(pool.map(_squared_error, jobs)))
     else:
         errs = np.array([_squared_error(j) for j in jobs])
@@ -434,18 +408,18 @@ def fit_loglog_slope(records):
     """Least-squares slope of log(mse) against log(cost).
 
     Accepts RunRecords or (cost, mse) pairs; returns (slope, intercept,
-    stderr) with the standard error from the residual variance.
+    stderr) with the standard error from the residual variance.  Every
+    cost and MSE must be finite and > 0, and the costs must take at
+    least 3 distinct values.
     """
-    if len(records) < 3:
-        raise ValueError("need at least 3 records to fit a slope")
-    if isinstance(records[0], RunRecord):
-        pts = [(r.cost_units, r.mse) for r in records]
-    else:
-        pts = [(float(c), float(m)) for c, m in records]
-    x = np.log(np.array([p[0] for p in pts]))
-    y = np.log(np.array([p[1] for p in pts]))
-    if np.unique(x).size < 3:
-        raise ValueError("need at least 3 distinct cost values")
+    pts = [(r.cost_units, r.mse) if isinstance(r, RunRecord) else r for r in records]
+    pts = np.array(pts, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pts) & (pts > 0.0)):
+        raise ValueError("every cost and mse must be finite and > 0")
+    cost, mse = pts.T
+    if np.unique(cost).size < 3:
+        raise ValueError("needs >= 3 distinct points")
+    x, y = np.log(cost), np.log(mse)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     dof = max(x.size - 2, 1)

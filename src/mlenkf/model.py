@@ -136,8 +136,7 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     gf = g_factor(lam, dt)
     gc = g_factor(lam[:nc], 2.0 * dt)
     damp = np.exp(-lam[:nc] * dt)
-    fine_out = fine.copy()
-    coarse_out = coarse.copy()
+    fine_out, coarse_out = fine, coarse
     held = None
     for k in range(j):
         r = std[:, None] * rng.standard_normal((n, m))

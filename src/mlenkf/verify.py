@@ -250,7 +250,7 @@ def check_cost_counter(seed):
     """theoretical_cost agrees with the instrumented counter (<= 5%)."""
     results = []
     for method, solver in (("mlenkf", "exact"), ("mlenkf", "expeuler"), ("enkf", "expeuler")):
-        cfg = experiment.make_config(
+        cfg = experiment.ExperimentConfig(
             example=1, method=method, solver=solver, eps_grid=(0.25,),
             n_steps=3, realizations=2, master_seed=seed, n_ref=2 ** 7,
         )

@@ -237,6 +237,22 @@ def test_slope_error_paths(tmp_path, capsys):
         w.writerow(RESULT_COLUMNS)
         w.writerow(["enkf", 1, "exact", 0.5, 0, 10.0, 0.0, 1.0, 2])
     assert main(["slope", "--in", str(short)]) == 1
+    # a zero or NaN mse or a negative cost is refused in its row, not fitted
+    for name, bad_row in (("zero", (0, 1.0, 0.0)), ("nan", (0, 1.0, float("nan"))),
+                          ("negative", (1, -400.0, 0.5))):
+        path = tmp_path / f"{name}.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(RESULT_COLUMNS)
+            for k in range(3):
+                w.writerow(["enkf", 1, "exact", 0.5 ** k, k, 10.0 ** (k + 1),
+                            0.0, 10.0 ** -k, 2])
+            k, cost, mse = bad_row
+            w.writerow(["enkf", 1, "exact", 0.5 ** k, k, cost, 0.0, mse, 2])
+        capsys.readouterr()
+        assert main(["slope", "--in", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "must be finite and > 0" in out and "nan" not in out.split("\n", 1)[1]
     capsys.readouterr()
 
 

@@ -14,7 +14,6 @@ from mlenkf.experiment import (
     estimate_mse,
     fit_loglog_slope,
     initial_multilevel_ensemble,
-    make_config,
     make_schedule,
     normalized_series,
     psi_cost,
@@ -23,8 +22,8 @@ from mlenkf.experiment import (
     synthesize_truth_and_obs,
     theoretical_cost,
 )
-from mlenkf.filters import ObservationModel
 from mlenkf.model import reset_unit_counter, unit_counter
+from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy
 
 
@@ -168,29 +167,30 @@ def test_build_example_coefficients():
 
 
 def test_synthesize_is_deterministic_and_method_free():
-    cfg = make_config(example=1, n_ref=32, n_steps=4, realizations=2)
+    cfg = ExperimentConfig(example=1, n_ref=32, n_steps=4, realizations=2)
     a = synthesize_truth_and_obs(cfg)
     b = synthesize_truth_and_obs(cfg)
     assert np.array_equal(a.truth, b.truth)
     assert np.array_equal(a.ys, b.ys)
     assert np.array_equal(a.ref_qoi, b.ref_qoi)
-    c = synthesize_truth_and_obs(make_config(
+    c = synthesize_truth_and_obs(ExperimentConfig(
         example=1, method="enkf", solver="expeuler", n_ref=32, n_steps=4, realizations=2))
     assert np.array_equal(a.ys, c.ys)
     assert np.array_equal(a.ref_qoi, c.ref_qoi)
     assert a.truth.shape == (5, 32) and a.ys.shape == (4, 1) and a.ref_qoi.shape == (5,)
 
 
-def test_synthesize_noiseless_observations():
-    cfg = make_config(example=1, n_ref=16, n_steps=3, realizations=2)
-    quiet = ObservationModel(cfg.obs.H, np.array([[0.0]]), cfg.obs.qoi)
-    data = synthesize_truth_and_obs(replace(cfg, obs=quiet))
+def test_synthesize_observations_are_keyed_noisy_truth():
+    cfg = ExperimentConfig(example=1, n_ref=16, n_steps=3, realizations=2)
+    data = synthesize_truth_and_obs(cfg)
     for n in range(3):
-        assert np.array_equal(data.ys[n], quiet.H @ data.truth[n + 1])
+        rng = RngKey(cfg.master_seed, "data-noise", 0, 0, n + 1).generator()
+        eta = cfg.obs.Gamma_factor @ rng.standard_normal(cfg.obs.m)
+        assert np.array_equal(data.ys[n], cfg.obs.H @ data.truth[n + 1] + eta)
 
 
 def test_initial_ensembles_tile_projected_u0():
-    cfg = make_config(example=1, n_ref=32, realizations=2)
+    cfg = ExperimentConfig(example=1, n_ref=32, realizations=2)
     e = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, 5, "enkf"))
     assert e.L == 2 and tuple(pe.size for pe in e.levels) == (5,)
     assert e.levels[0].coarse.shape == (0, 5)
@@ -202,7 +202,7 @@ def test_initial_ensembles_tile_projected_u0():
 
 
 def test_realizations_replay_deterministically():
-    cfg = make_config(example=1, n_ref=32, n_steps=3, realizations=2)
+    cfg = ExperimentConfig(example=1, n_ref=32, n_steps=3, realizations=2)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.25, cfg.hierarchy, "mlenkf")
     t1 = run_filter_realization(cfg, sched, data.ys, 0)
@@ -214,12 +214,8 @@ def test_realizations_replay_deterministically():
 
 def test_single_level_schedule_degenerates_to_enkf():
     # base level wide enough to observe through (m < N_0)
-    model, hier, obs, u0 = build_example(1, "exact", n_ref=32, n0=4)
-    cfg = ExperimentConfig(
-        model=model, hierarchy=hier, obs=obs, u0=u0, example=1,
-        solver="exact", method="mlenkf", n_steps=4, realizations=2,
-        eps_grid=(1.0,), master_seed=17,
-    )
+    cfg = ExperimentConfig(example=1, solver="exact", method="mlenkf", n_steps=4,
+                           realizations=2, eps_grid=(1.0,), master_seed=17, n_ref=32, n0=4)
     data = synthesize_truth_and_obs(cfg)
     ml_track = run_filter_realization(
         cfg, Schedule(1.0, 0, (6,), "mlenkf"), data.ys, 3)
@@ -229,7 +225,7 @@ def test_single_level_schedule_degenerates_to_enkf():
 
 
 def test_mse_zero_when_filter_reproduces_reference(monkeypatch):
-    cfg = make_config(example=1, n_ref=16, n_steps=3, realizations=4)
+    cfg = ExperimentConfig(example=1, n_ref=16, n_steps=3, realizations=4)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
     monkeypatch.setattr(experiment, "run_filter_realization",
@@ -241,7 +237,7 @@ def test_mse_zero_when_filter_reproduces_reference(monkeypatch):
 
 
 def test_mse_is_mean_of_per_realization_errors():
-    cfg = make_config(example=1, n_ref=32, n_steps=2, realizations=3)
+    cfg = ExperimentConfig(example=1, n_ref=32, n_steps=2, realizations=3)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
     errs = [np.sum((run_filter_realization(cfg, sched, data.ys, r) - data.ref_qoi) ** 2)
@@ -251,7 +247,7 @@ def test_mse_is_mean_of_per_realization_errors():
 
 
 def test_mse_excludes_diverged_realizations(monkeypatch):
-    cfg = make_config(example=1, n_ref=16, n_steps=2, realizations=3)
+    cfg = ExperimentConfig(example=1, n_ref=16, n_steps=2, realizations=3)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
 
@@ -275,12 +271,9 @@ def test_mse_excludes_diverged_realizations(monkeypatch):
 def test_enkf_error_scales_inversely_with_ensemble_size():
     # reference dimension equal to the filter dimension, so the sampling
     # error is the only error and quadrupling M divides the MSE by ~4
-    model, hier, obs, u0 = build_example(1, "exact", n_ref=8, n0=8)
-    cfg = ExperimentConfig(
-        model=model, hierarchy=hier, obs=obs, u0=u0, example=1,
-        solver="exact", method="enkf", n_steps=3, realizations=100,
-        eps_grid=(1.0,), master_seed=91, jobs=1,
-    )
+    cfg = ExperimentConfig(example=1, solver="exact", method="enkf", n_steps=3,
+                           realizations=100, eps_grid=(1.0,), master_seed=91, jobs=1,
+                           n_ref=8, n0=8)
     data = synthesize_truth_and_obs(cfg)
     small = estimate_mse(cfg, Schedule(0.5, 0, 20, "enkf"), data)
     large = estimate_mse(cfg, Schedule(0.5, 0, 80, "enkf"), data)
@@ -289,8 +282,8 @@ def test_enkf_error_scales_inversely_with_ensemble_size():
 
 
 def test_run_experiment_grid():
-    cfg = make_config(example=1, method="mlenkf", solver="exact",
-                      eps_grid=(0.5, 0.25), n_steps=2, realizations=2, n_ref=32)
+    cfg = ExperimentConfig(example=1, method="mlenkf", solver="exact",
+                           eps_grid=(0.5, 0.25), n_steps=2, realizations=2, n_ref=32)
     records, schedules = run_experiment(cfg)
     assert [r.L for r in records] == [1, 2]
     assert [s.L for s in schedules] == [1, 2]
@@ -303,8 +296,8 @@ def test_run_experiment_grid():
 def test_counted_units_match_theoretical_cost():
     for method in ("enkf", "mlenkf"):
         for solver in ("exact", "expeuler"):
-            cfg = make_config(example=1, method=method, solver=solver,
-                              n_ref=64, n_steps=3, realizations=2)
+            cfg = ExperimentConfig(example=1, method=method, solver=solver,
+                                   n_ref=64, n_steps=3, realizations=2)
             data = synthesize_truth_and_obs(cfg)
             sched = make_schedule(0.25, cfg.hierarchy, method)
             reset_unit_counter()
@@ -361,36 +354,76 @@ def test_normalized_series_formula():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        make_config(n_steps=0, realizations=2)
+        ExperimentConfig(n_steps=0, realizations=2)
     with pytest.raises(ValueError):
-        make_config(realizations=1)
+        ExperimentConfig(realizations=1)
     with pytest.raises(ValueError):
-        make_config(eps_grid=())
+        ExperimentConfig(eps_grid=())
     with pytest.raises(ValueError, match="seed"):
-        make_config(master_seed=-1)
+        ExperimentConfig(master_seed=-1)
     with pytest.raises(ValueError, match="jobs"):
-        make_config(jobs=0)
+        ExperimentConfig(jobs=0)
     with pytest.raises(ValueError, match="eps must be positive"):
-        make_config(eps_grid=(0.5, 0.0))
+        ExperimentConfig(eps_grid=(0.5, 0.0))
     # example 1: eps = 2 gives L = 0 and N_0 = 1 = m
     with pytest.raises(ValueError, match="N_L=1"):
-        make_config(eps_grid=(0.5, 2.0), n_ref=32)
+        ExperimentConfig(eps_grid=(0.5, 2.0), n_ref=32)
     # example 1: eps = 0.01 gives L = 7 and N_7 = 128 > n_ref = 32
     with pytest.raises(ValueError, match="n_ref=32"):
-        make_config(eps_grid=(0.5, 0.01), n_ref=32)
+        ExperimentConfig(eps_grid=(0.5, 0.01), n_ref=32)
     with pytest.raises(ValueError, match="method"):
-        make_config(method="foo", n_ref=32)
+        ExperimentConfig(method="foo", n_ref=32)
     for bad in (float("nan"), float("inf"), 0.0, -3.0):
         with pytest.raises(ValueError, match="base_constant"):
-            make_config(base_constant=bad, n_ref=32)
-    # the solver must match the ladder: propagate_pairs runs the solver,
-    # make_schedule and psi_cost read the ladder's gamma_t
-    exact = make_config(eps_grid=(0.5,), n_ref=32)
-    euler_ladder = build_example(1, "expeuler", n_ref=32)[1]
-    with pytest.raises(ValueError, match="does not match the ladder"):
-        replace(exact, hierarchy=euler_ladder)
-    with pytest.raises(ValueError, match="does not match the ladder"):
-        replace(exact, solver="expeuler")
+            ExperimentConfig(base_constant=bad, n_ref=32)
+    for bad in (0, 1, 100):
+        with pytest.raises(ValueError, match="n_ref must be a power of two >= 2"):
+            ExperimentConfig(eps_grid=(0.5,), n_ref=bad)
+    exact = ExperimentConfig(eps_grid=(0.5,), n_ref=32)
     with pytest.raises(ValueError, match="solver"):
         replace(exact, solver="rk4")
-    assert make_config(eps_grid=(0.5,), n_ref=32).eps_grid == (0.5,)
+    with pytest.raises(ValueError, match="example"):
+        replace(exact, example=3)
+    assert ExperimentConfig(eps_grid=[0.5], n_ref=32).eps_grid == (0.5,)
+
+
+def test_config_derives_its_parts_from_the_settings():
+    cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_steps=2, realizations=2, n_ref=32)
+    model, hier, obs, u0 = build_example(1, "exact", n_ref=32)
+    assert cfg.model == model and cfg.hierarchy == hier
+    assert np.array_equal(cfg.obs.H, obs.H) and np.array_equal(cfg.u0, u0)
+    # replace re-derives the parts, so a changed example brings its own physics
+    two = replace(cfg, example=2)
+    model2, _, obs2, _ = build_example(2, "exact", n_ref=32)
+    assert two.model.b == model2.b != cfg.model.b
+    assert np.array_equal(two.obs.H, obs2.H) and not np.array_equal(two.obs.H, cfg.obs.H)
+    euler = replace(cfg, solver="expeuler", n0=2)
+    assert euler.hierarchy.gamma_t > 0.0 and euler.hierarchy.n0 == 2
+    # the derived arrays take no part in ==
+    assert euler == replace(cfg, solver="expeuler", n0=2)
+
+
+def test_pool_never_has_more_workers_than_realizations(monkeypatch):
+    seen = {}
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen["max_workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    cfg = ExperimentConfig(example=1, n_ref=16, n_steps=2, realizations=3, jobs=64)
+    data = synthesize_truth_and_obs(cfg)
+    sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
+    pooled = estimate_mse(cfg, sched, data)
+    assert seen["max_workers"] == 3
+    serial = estimate_mse(replace(cfg, jobs=1), sched, data)
+    assert pooled.mse == serial.mse

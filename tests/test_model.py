@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mlenkf.experiment import ExperimentConfig, build_example
 from mlenkf.model import (
     ModelConfig,
     exact_noise_var,
@@ -262,16 +261,6 @@ def test_forward_pair_expeuler_matches_block_route():
     blk = draw_noise_block(2, CFG, HIER, key)
     assert np.array_equal(f, expeuler_fine_solve(fine, CFG, blk))
     assert np.array_equal(c, coupled_coarse_solve(coarse, CFG, blk))
-
-
-def test_forward_pair_rejects_mismatched_t():
-    # the T check moved from the single-pair driver into the study config
-    model, _, obs, u0 = build_example(1, "exact", n_ref=8)
-    hier = LevelHierarchy(kappa=2.0, n0=1, j0=1, T=0.5)
-    with pytest.raises(ValueError, match="disagree on T"):
-        ExperimentConfig(model=model, hierarchy=hier, obs=obs, u0=u0, example=1,
-                         solver="exact", method="enkf", n_steps=1, realizations=2,
-                         eps_grid=(0.5,), master_seed=0)
 
 
 def test_propagate_pairs_batch_replays_keyed_draws():
