@@ -3,11 +3,13 @@ Coupled coarse/fine forward solves
 ==================================
 
 A multilevel estimator only beats single-level sampling if the coarse
-and fine members of a pair stay close.  Both members here consume the
-same keyed noise: the exact flow shares the per-mode draws, the
-exponential Euler scheme folds two fine increments into one coarse
-increment.  The mean squared pair gap should then shrink like h^2 per
-level, i.e. by about 4x per refinement.
+and fine members of a pair stay close.  Both members here are drawn
+from one keyed stream: the exact flow shares the per-mode draws, and
+the exponential Euler pair (J_l fine substeps against J_l / 2 coarse
+substeps that each fold two fine increments into one) is drawn from the
+exact joint law of the two chains, one normal per mode for the fine
+noise and one for the pair difference.  The mean squared pair gap should
+then shrink like h^2 per level, i.e. by about 4x per refinement.
 """
 
 import numpy as np

@@ -4,10 +4,12 @@ The model is du = (Laplacian u + u) dt + dW on (0, 1) with Dirichlet
 conditions, driven by a B-Wiener process whose modes are damped by
 lambda_j^{-b}.  With linear forcing every mode evolves independently,
 so one observation interval T is either a single exact flow map or J_l
-exponential Euler substeps.  Coarse and fine solves of a coupled pair
-consume the same keyed noise: the exact solver shares the per-mode
-draws, the discrete solver combines two fine increments into one coarse
-increment.
+exponential Euler substeps.  The exact solver gives the coarse and fine
+member of a pair the same per-mode draws.  The discrete solver draws a
+pair from the exact joint law of J_l fine substeps and the J_l / 2
+coarse substeps that combine two fine increments each: per mode the
+fine noise and the pair difference are a bivariate Gaussian, so one
+normal per fine mode and one more per coarse mode replace J_l each.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ __all__ = [
 
 SOLVERS = ("exact", "expeuler")
 
-# cost-unit instrumentation: mode-substeps actually executed, bumped by
-# propagate_pairs and the moment accumulation (see
-# experiment.theoretical_cost)
+# cost units of the paper's cost model, bumped by propagate_pairs (N_l J_l
+# mode-substeps per expeuler member, though a pair is drawn in one go) and
+# the moment accumulation (see experiment.theoretical_cost)
 unit_counter = {"forward": 0.0, "moments": 0.0}
 
 
@@ -95,6 +97,47 @@ def substep_noise_var(lam, dt, b):
     return -np.expm1(-2.0 * lam * dt) / (2.0 * lam ** (1.0 + 2.0 * b))
 
 
+def _conj(p, s):
+    """``p s p^T`` for a lower-triangular ``p = (p11, p21, p22)`` and a
+    symmetric ``s = (s11, s21, s22)``, per mode."""
+    p11, p21, p22 = p
+    s11, s21, s22 = s
+    return (p11 * p11 * s11, p11 * (p21 * s11 + p22 * s21),
+            p21 * p21 * s11 + 2.0 * p21 * p22 * s21 + p22 * p22 * s22)
+
+
+def _pair_noise_moments(lam, dt, b, j):
+    """Per-mode (Var X, Cov(X, D), Var D) of the noise of j substeps.
+
+    X is the noise that j exponential Euler substeps of width dt add to
+    a fine member, D = X - X_c its difference from the noise that j / 2
+    coupled coarse substeps add to the coarse member.  One coarse step
+    maps (X, D) to A (X, D) + w with A = [[g^2, 0], [g^2 - G, G]], g and
+    G the fine and coarse factors, and adds w = (g R_0 + R_1, (g - e) R_0)
+    of covariance Q, e = e^{-lambda dt}; the j / 2 steps are summed by
+    binary doubling of (A^n, sum_{i<n} A^i Q A^{iT}).  The small entries
+    g^2 - G and g - e come from expm1, so no nearly equal numbers are
+    subtracted.  An odd j (no coarse partner) adds one fine substep.
+    """
+    e1 = -np.expm1(-lam * dt)  # 1 - e^{-lambda dt}
+    g = g_factor(lam, dt)
+    v = substep_noise_var(lam, dt, b)
+    a = (g * g, -e1 * e1 * (1.0 - 1.0 / lam) / lam, g_factor(lam, 2.0 * dt))
+    w = e1 / lam
+    q = (v * (g * g + 1.0), v * g * w, v * w * w)
+    one, zero = np.ones_like(lam), np.zeros_like(lam)
+    p, s = (one, zero, one), (zero, zero, zero)
+    for bit in bin(j // 2)[2:]:
+        s = tuple(x + y for x, y in zip(s, _conj(p, s)))
+        p = (p[0] * p[0], p[1] * (p[0] + p[2]), p[2] * p[2])
+        if bit == "1":
+            s = tuple(x + y for x, y in zip(q, _conj(a, s)))
+            p = (a[0] * p[0], a[1] * p[0] + a[2] * p[1], a[2] * p[2])
+    if j % 2:
+        s = (g * g * s[0] + v,) + s[1:]
+    return s
+
+
 def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     """One interval for a whole level of coupled pairs, particles as columns.
 
@@ -105,8 +148,11 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     fine : ndarray, shape (N_l, M)
         Fine members.
     rng : numpy.random.Generator
-        Keyed stream for this (realization, level, step); the pair
-        coupling comes from both members reading the same draws.
+        Keyed stream for this (realization, level, step).  The exact
+        solver draws N_l M normals and the coarse member reuses the
+        first N_{l-1} rows.  The expeuler solver draws the fine noise X
+        (N_l M normals), then the pair difference D given X (N_{l-1} M
+        more), from the joint law of the discrete scheme.
     solver : str
         "exact" or "expeuler".
 
@@ -132,19 +178,19 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
         coarse_out = a[:nc, None] * coarse + std[:nc, None] * z[:nc]
         unit_counter["forward"] += m * (n + nc)
         return coarse_out, fine_out
-    std = np.sqrt(substep_noise_var(lam, dt, cfg.b))
-    gf = g_factor(lam, dt)
-    gc = g_factor(lam[:nc], 2.0 * dt)
-    damp = np.exp(-lam[:nc] * dt)
-    fine_out, coarse_out = fine, coarse
-    held = None
-    for k in range(j):
-        r = std[:, None] * rng.standard_normal((n, m))
-        fine_out = gf[:, None] * fine_out + r
-        if k % 2 == 0:
-            held = r
-        else:
-            coarse_out = gc[:, None] * coarse_out + damp[:, None] * held[:nc] + r[:nc]
+    var_x, cov_xd, var_d = _pair_noise_moments(lam, dt, cfg.b, j)
+    std_x = np.sqrt(var_x)
+    z = rng.standard_normal((n, m))
+    fine_out = (g_factor(lam, dt) ** j)[:, None] * fine + std_x[:, None] * z
+    # coarse = G^{J/2} coarse + X - D, where D given X is
+    # (cov / var_x) X plus an independent normal; corr(X, D)^2 <= 0.19,
+    # so the conditional variance does not cancel
+    beta = cov_xd[:nc] / std_x[:nc]
+    std_d = np.sqrt(var_d[:nc] - beta * beta)
+    coarse_out = (
+        (g_factor(lam[:nc], 2.0 * dt) ** (j // 2))[:, None] * coarse
+        + (std_x[:nc] - beta)[:, None] * z[:nc]
+        - std_d[:, None] * rng.standard_normal((nc, m))
+    )
     unit_counter["forward"] += m * (n * j + nc * (j // 2))
     return coarse_out, fine_out
-

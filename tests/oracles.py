@@ -4,7 +4,10 @@ checked against.
 ``propagate_pairs`` advances a whole level of coupled pairs with
 particles as columns; the functions here do the same work for one
 member at a time, as the plain recursions of the paper, with the noise
-of a coupled pair drawn as one explicit block.  ``enkf_step`` is the
+of a coupled pair drawn as one explicit block.
+``expeuler_pairs_substeps`` runs the J_l exponential Euler substeps of
+a whole level one by one, the reference for the joint law that
+``propagate_pairs`` samples in one draw.  ``enkf_step`` is the
 single-level EnKF written out directly, the reference for the ensemble
 engine run with one level.
 """
@@ -68,6 +71,33 @@ def coupled_coarse_solve(u0, cfg, draws):
     for k in range(jf // 2):
         u = g * u + damp * draws[2 * k, :nc] + draws[2 * k + 1, :nc]
     return u
+
+
+def expeuler_pairs_substeps(coarse, fine, level, cfg, hierarchy, rng):
+    """``propagate_pairs(..., "expeuler")`` as J_l batched substeps.
+
+    Each substep draws an (N_l, M) block R; the fine members take
+    ``U <- g(lambda, dt) U + R`` and, after every second substep, the
+    coarse members take ``U <- g(lambda, 2 dt) U + e^{-lambda dt}
+    R_{2k} + R_{2k+1}`` on their first N_{l-1} modes.
+    """
+    n, j, _, dt = hierarchy.level_params(level)
+    nc, m = coarse.shape
+    lam = eigenvalues(n)
+    std = np.sqrt(substep_noise_var(lam, dt, cfg.b))
+    gf = g_factor(lam, dt)
+    gc = g_factor(lam[:nc], 2.0 * dt)
+    damp = np.exp(-lam[:nc] * dt)
+    fine_out, coarse_out = fine, coarse
+    held = None
+    for k in range(j):
+        r = std[:, None] * rng.standard_normal((n, m))
+        fine_out = gf[:, None] * fine_out + r
+        if k % 2 == 0:
+            held = r
+        else:
+            coarse_out = gc[:, None] * coarse_out + damp[:, None] * held[:nc] + r[:nc]
+    return coarse_out, fine_out
 
 
 def enkf_step(v, level, y, obs, cfg, hierarchy, seed, realization, step, solver):

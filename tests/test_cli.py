@@ -264,6 +264,22 @@ def test_module_entry_point_runs():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # `mlenkf verify | head -1` with the reader already gone: the first
+    # write meets a closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlenkf", "verify"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 

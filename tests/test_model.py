@@ -5,6 +5,7 @@ import pytest
 
 from mlenkf.model import (
     ModelConfig,
+    _pair_noise_moments,
     exact_noise_var,
     g_factor,
     propagate_pairs,
@@ -15,11 +16,19 @@ from mlenkf.model import (
 )
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy, eigenvalues
-from oracles import coupled_coarse_solve, draw_noise_block, exact_mode_step, expeuler_fine_solve
+from oracles import (
+    coupled_coarse_solve,
+    draw_noise_block,
+    exact_mode_step,
+    expeuler_fine_solve,
+    expeuler_pairs_substeps,
+)
 
 LAM1 = math.pi ** 2
 CFG = ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
 HIER = LevelHierarchy(kappa=2.0, n0=1, j0=1, T=0.25)
+# J_l = 3 * 2^l: the J_l / 2 coarse substeps are not a power of two
+HIER3 = LevelHierarchy(kappa=2.0, n0=1, j0=3, T=0.25)
 
 
 def test_config_validation():
@@ -148,20 +157,71 @@ def test_expeuler_single_substep_is_g_times_u0():
     assert np.allclose(out_u - out_0, want, rtol=1e-15)
 
 
+class ImpulseDraws:
+    """Generator stand-in for a linear solve run on as many columns as it
+    makes draw calls: call c of ``standard_normal`` returns ones in
+    column c and zeros elsewhere (zeros everywhere with ``zero=True``).
+
+    Every mode reads only its own row of each call, so column c of the
+    output is each mode's response to the draws of call c, and the sum
+    of the squared columns is the variance of the output's noise.
+    """
+
+    def __init__(self, zero=False):
+        self.calls = 0
+        self.zero = zero
+
+    def standard_normal(self, shape):
+        out = np.zeros(shape)
+        if not self.zero:
+            out[:, self.calls] = 1.0
+        self.calls += 1
+        return out
+
+
+def expeuler_routes(coarse, fine, level, hier, rng):
+    """(law, substeps): the joint-law draw and the substep oracle."""
+    law = propagate_pairs(coarse, fine, level, CFG, hier, rng(), "expeuler")
+    return law, expeuler_pairs_substeps(coarse, fine, level, CFG, hier, rng())
+
+
+def impulse_variances(outputs, nc):
+    """Per-mode Var coarse, Var fine and Var (fine - coarse) from the
+    impulse responses of one solve."""
+    coarse, fine = outputs
+    return (coarse ** 2).sum(axis=1), (fine ** 2).sum(axis=1), ((fine[:nc] - coarse) ** 2).sum(axis=1)
+
+
+def ladder_cases():
+    """(hierarchy, level, coarse modes) for levels 0-6 of both ladders,
+    with and without coarse rows."""
+    for hier in (HIER, HIER3):
+        for level in range(7):
+            for nc in {0, hier.n_modes(level - 1) if level else 0}:
+                yield hier, level, nc
+
+
 def test_expeuler_matches_hand_iteration():
+    # mean response: with zero draws both routes are G^{J/2} coarse and
+    # g^J fine
     rng = np.random.default_rng(8)
-    key = RngKey(8, "forward", 0, 2, 1)
-    u0 = rng.standard_normal(4)
-    _, out = pair_step(np.zeros(0), u0, 2, key, "expeuler")
-    draws = draw_noise_block(2, CFG, HIER, key)
-    lam = eigenvalues(4)
-    dt = 0.25 / 4
-    e = np.exp(-lam * dt)
-    w = (1.0 - e) / lam
-    u = u0.copy()
-    for k in range(4):
-        u = e * u + w * u + draws[k]
-    assert np.allclose(out, u, rtol=0, atol=1e-14)
+    for hier, level, nc in ladder_cases():
+        n, m = hier.n_modes(level), 3
+        coarse, fine = rng.standard_normal((nc, m)), rng.standard_normal((n, m))
+        law, loop = expeuler_routes(coarse, fine, level, hier, lambda: ImpulseDraws(zero=True))
+        for got, want in zip(law, loop):
+            assert np.allclose(got, want, rtol=0, atol=1e-14), (hier.j0, level, nc)
+
+
+def test_coupled_coarse_matches_hand_iteration():
+    # law: the per-mode variances of the one-draw route are the substep
+    # oracle's impulse-response sums
+    for hier, level, nc in ladder_cases():
+        n, j = hier.n_modes(level), hier.level_params(level)[1]
+        m = max(j, 2)  # one column per draw call of either route
+        law, loop = expeuler_routes(np.zeros((nc, m)), np.zeros((n, m)), level, hier, ImpulseDraws)
+        for got, want in zip(impulse_variances(law, nc), impulse_variances(loop, nc)):
+            assert np.allclose(got, want, rtol=1e-12, atol=0), (hier.j0, level, nc)
 
 
 def test_expeuler_zero_in_zero_noise_out():
@@ -187,22 +247,6 @@ def test_coupled_coarse_two_substeps_zero_noise():
     c_0, _ = pair_step(np.zeros(1), np.zeros(2), 1, key, "expeuler")
     want = g_factor(LAM1, 0.25) * 1.5
     assert c_u[0] - c_0[0] == pytest.approx(want, rel=1e-14)
-
-
-def test_coupled_coarse_matches_hand_iteration():
-    rng = np.random.default_rng(13)
-    key = RngKey(13, "forward", 0, 2, 0)
-    coarse = rng.standard_normal(2)
-    out, _ = pair_step(coarse, rng.standard_normal(4), 2, key, "expeuler")
-    draws = draw_noise_block(2, CFG, HIER, key)
-    lam = eigenvalues(2)
-    dt_f = 0.25 / 4
-    g = g_factor(lam, 2.0 * dt_f)
-    damp = np.exp(-lam * dt_f)
-    u = coarse.copy()
-    for k in range(2):
-        u = g * u + damp * draws[2 * k, :2] + draws[2 * k + 1, :2]
-    assert np.allclose(out, u, rtol=0, atol=1e-14)
 
 
 def test_coupled_coarse_never_reads_fine_tail():
@@ -257,10 +301,66 @@ def test_forward_pair_expeuler_matches_block_route():
     key = RngKey(31, "forward", 2, 2, 1)
     fine = np.array([0.9, -0.3, 0.2, 0.05])
     coarse = np.array([0.8, -0.25])
-    c, f = pair_step(coarse, fine, 2, key, "expeuler")
+    # the substep oracle is the paper's per-member recursion on one noise block
+    c, f = expeuler_pairs_substeps(coarse[:, None], fine[:, None], 2, CFG, HIER, key.generator())
     blk = draw_noise_block(2, CFG, HIER, key)
-    assert np.array_equal(f, expeuler_fine_solve(fine, CFG, blk))
-    assert np.array_equal(c, coupled_coarse_solve(coarse, CFG, blk))
+    assert np.array_equal(f[:, 0], expeuler_fine_solve(fine, CFG, blk))
+    assert np.array_equal(c[:, 0], coupled_coarse_solve(coarse, CFG, blk))
+    # Monte Carlo: 2e5 zero-state pairs of the one-draw route put every
+    # mode's variances within 4 SE of the oracle's impulse-response sums
+    level, m = 3, 200_000
+    n, nc = HIER.n_modes(level), HIER.n_modes(level - 1)
+    j = HIER.level_params(level)[1]
+    sample = propagate_pairs(np.zeros((nc, m)), np.zeros((n, m)), level, CFG, HIER,
+                             RngKey(31, "forward", 0, level, 0).generator(), "expeuler")
+    impulses = expeuler_pairs_substeps(np.zeros((nc, j)), np.zeros((n, j)), level, CFG, HIER,
+                                       ImpulseDraws())
+    for got, want in zip(impulse_variances(sample, nc), impulse_variances(impulses, nc)):
+        se = want * math.sqrt(2.0 / m)  # zero-mean samples: Var(x^2) = 2 sigma^4
+        assert np.all(np.abs(got / m - want) <= 4.0 * se)
+
+
+def test_pair_moments_match_long_double_sums_at_level_13():
+    # low modes at J = 8192: g is within 3e-4 of 1, where differencing
+    # variances, or fine and coarse weights, would cancel
+    level = 13
+    n, j, _, dt = HIER.level_params(level)
+    var_x, cov_xd, var_d = _pair_noise_moments(eigenvalues(n), dt, CFG.b, j)
+    lam = eigenvalues(4).astype(np.longdouble)[:, None]
+    dt = np.longdouble(dt)
+    e1 = -np.expm1(-lam * dt)  # 1 - e^{-lambda dt}
+    g = 1 - e1 + e1 / lam
+    big_g = (1 - e1) ** 2 + e1 * (2 - e1) / lam
+    g2_minus_g = -e1 * e1 * (1 - 1 / lam) / lam
+    # the identity resolves g^2 - G where long double subtraction cannot
+    assert np.allclose(g * g - big_g, g2_minus_g, rtol=1e-9, atol=0)
+    v = e1 * (2 - e1) / (2 * lam ** (1 + 2 * np.longdouble(CFG.b)))
+    # weights of R_{2i} and R_{2i+1} with p = J/2 - 1 - i coarse steps
+    # left: fine g^{2p+1} and g^{2p}, difference g d_p + (g - e) G^p and
+    # d_p = g^{2p} - G^p, built as d_{p+1} = g^2 d_p + (g^2 - G) G^p
+    # from terms of one sign
+    p = np.arange(j // 2)
+    fine_w = g ** (2 * p)
+    coarse_w = big_g ** p
+    d = np.zeros_like(fine_w)
+    for i in range(1, j // 2):
+        d[:, i:i + 1] = g * g * d[:, i - 1:i] + g2_minus_g * coarse_w[:, i - 1:i]
+    w_fine = np.concatenate((g * fine_w, fine_w), axis=1)
+    w_diff = np.concatenate((g * d + e1 / lam * coarse_w, d), axis=1)
+    for got, want in ((var_x, w_fine * w_fine), (cov_xd, w_fine * w_diff), (var_d, w_diff * w_diff)):
+        want = (v[:, 0] * want.sum(axis=1)).astype(float)
+        assert np.allclose(got[:4], want, rtol=1e-12, atol=0)
+
+
+def test_expeuler_draws_one_normal_per_mode_and_member():
+    level, m = 4, 3
+    n, nc = HIER.n_modes(level), HIER.n_modes(level - 1)
+    for rows in (0, nc):
+        rng = RngKey(5, "forward", 0, level, 1).generator()
+        propagate_pairs(np.zeros((rows, m)), np.zeros((n, m)), level, CFG, HIER, rng, "expeuler")
+        fresh = RngKey(5, "forward", 0, level, 1).generator()
+        fresh.standard_normal((n + rows) * m)
+        assert rng.standard_normal() == fresh.standard_normal()
 
 
 def test_propagate_pairs_batch_replays_keyed_draws():
