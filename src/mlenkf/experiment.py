@@ -355,7 +355,11 @@ def run_filter_realization(cfg, schedule, ys, realization):
 
 def _squared_error(args):
     cfg, schedule, ys, ref_qoi, realization = args
-    track = run_filter_realization(cfg, schedule, ys, realization)
+    try:
+        track = run_filter_realization(cfg, schedule, ys, realization)
+    except FloatingPointError:
+        # a diverged ensemble fails this realization; estimate_mse excludes it
+        return float("nan")
     return float(np.sum((track - ref_qoi) ** 2))
 
 

@@ -7,7 +7,10 @@ which is the same engine with one pair ensemble at level L and no
 coarse partners.  The exact Kalman recursion serves as the mean-field
 reference in the linear-Gaussian setting.  Sample covariances are never
 materialized as N x N matrices; everything goes through the action on
-the m observation directions.
+the m observation directions.  A step applies H to each level's
+predicted members once, and the moments, the update and the QoI are
+``np.einsum`` or broadcast kernels: no member array reaches BLAS, so
+seeded results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -98,9 +101,15 @@ class ObservationModel:
         return self.H.shape[1]
 
     def observe(self, v):
-        """Apply H to coefficients at any truncation: ``H[:, :n] v``."""
+        """Apply H to coefficients at any truncation: ``H[:, :n] v``.
+
+        ``v`` is one coefficient vector or an (n, M) member array.  The
+        contraction is an ``np.einsum`` kernel, not a BLAS call: with m
+        rows it is tiny work per member, and BLAS would wake its threads
+        for it and sum in an order that depends on their number.
+        """
         n = v.shape[0]
-        return self.H[:, :n] @ v
+        return np.einsum("kn,n...->k...", self.H[:, :n], v)
 
     def qoi_value(self, v):
         n = v.shape[0]
@@ -160,15 +169,24 @@ class MultilevelEnsemble:
         return self.levels[-1].level
 
 
-def _centered(v):
-    # X_M = (members - mean) / sqrt(M - 1), so Cov = X X^T
-    m = v.shape[1]
-    return (v - v.mean(axis=1, keepdims=True)) / np.sqrt(m - 1.0)
+def _cov_action(v, hv):
+    # Cov_M[v, Hv] = v (Hv - mean Hv)^T / (M - 1): exact because the
+    # centred factor sums to zero over the particles, so v needs no copy
+    d = hv - hv.mean(axis=1, keepdims=True)
+    return np.einsum("np,kp->nk", v, d) / (v.shape[1] - 1)
 
 
-def _cov_action(v, obs):
-    x = _centered(v)
-    return x @ (obs.observe(x)).T
+def _project(ml, obs):
+    """``(H coarse, H fine)`` of every level, each (m, M_l), with ``None``
+    for coarse members without rows (the lowest level's).
+
+    One assimilation step applies H to its predicted members once; the
+    covariance action and the update both read these projections.
+    """
+    return tuple(
+        (obs.observe(pe.coarse) if pe.coarse.shape[0] else None, obs.observe(pe.fine))
+        for pe in ml.levels
+    )
 
 
 def sample_cov_action(v, obs):
@@ -179,29 +197,33 @@ def sample_cov_action(v, obs):
     """
     if v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("sample covariance needs (N, M) members with M >= 2")
-    r = _cov_action(v, obs)
+    r = _cov_action(v, obs.observe(v))
     model.unit_counter["moments"] += obs.m * v.shape[0] * v.shape[1]
     return r
 
 
-def compute_R_ml(ml, obs):
+def compute_R_ml(ml, obs, hv=None):
     """Multilevel covariance action R^ML, accumulated level by level.
 
     Adds ``Cov_{M_l}[v^l, Hv^l] - Cov_{M_{l+1}}[v^l, Hv^l]`` into the
     first N_l rows for every level below the top, then the top-level
     fine covariance; the second term of each difference comes from the
     coarse members of the level above, which live at level l.  With one
-    level this is the single-level sample covariance action.  Cost
-    O(m sum_l M_l N_l).
+    level this is the single-level sample covariance action.  ``hv``
+    holds the members' projections (see :func:`_project`) when the caller
+    has them already.  Cost O(m sum_l M_l N_l).
     """
+    if hv is None:
+        hv = _project(ml, obs)
+    levels = tuple(zip(ml.levels, hv))
     top = ml.levels[-1].fine
     r = np.zeros((top.shape[0], obs.m))
-    for pe, up in zip(ml.levels, ml.levels[1:]):
+    for (pe, (_, h_fine)), (up, (h_coarse, _)) in zip(levels, levels[1:]):
         fine = pe.fine
-        r[: fine.shape[0]] += _cov_action(fine, obs)
-        r[: up.coarse.shape[0]] -= _cov_action(up.coarse, obs)
+        r[: fine.shape[0]] += _cov_action(fine, h_fine)
+        r[: up.coarse.shape[0]] -= _cov_action(up.coarse, h_coarse)
         model.unit_counter["moments"] += obs.m * fine.shape[0] * fine.shape[1]
-    r += _cov_action(top, obs)
+    r += _cov_action(top, hv[-1][1])
     model.unit_counter["moments"] += obs.m * top.shape[0] * top.shape[1]
     return r
 
@@ -223,38 +245,52 @@ def positive_part(a):
 
 
 def ml_gain(r, obs):
-    """Gain ``K = R S^{-1}`` from a covariance action R, S = (HR)^+ + Gamma."""
+    """Gain ``K = R S^{-1}`` from a covariance action R, S = (HR)^+ + Gamma.
+
+    A diverged ensemble (non-finite R, or S not positive definite)
+    raises ``FloatingPointError``.
+    """
     if not np.all(np.isfinite(r)):
-        raise ValueError("covariance action has non-finite entries")
+        raise FloatingPointError("covariance action has non-finite entries")
     s = positive_part(obs.observe(r)) + obs.Gamma
     try:
         low = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError("innovation covariance not positive definite") from exc
+        raise FloatingPointError("innovation covariance not positive definite") from exc
     return np.linalg.solve(low.T, np.linalg.solve(low, r.T)).T
 
 
-def _updated(v, k, obs, ytilde):
-    # (I - P K H) v + P K ytilde, P the truncation to v's height
+def _updated(v, k, innovation):
+    # v + P K (ytilde - Hv), P the truncation to v's height: the rank-m
+    # product is broadcast one observed direction at a time into one
+    # fresh array, never a BLAS call
     n = v.shape[0]
-    return v + k[:n] @ (ytilde - obs.observe(v))
+    out = k[:n, 0, None] * innovation[0]
+    for j in range(1, innovation.shape[0]):
+        out += k[:n, j, None] * innovation[j]
+    out += v
+    return out
 
 
-def ml_update(ml, k, y, obs, seed, realization, step):
+def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
     """Perturbed-observation update of every pair.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
     pair and is independent across particles and levels; each member is
     corrected with the gain ``k`` truncated to its own resolution.
+    ``hv`` holds the members' projections (see :func:`_project`) when the
+    caller has them already.
     """
+    if hv is None:
+        hv = _project(ml, obs)
     y = np.asarray(y, dtype=float).reshape(obs.m)
     out = []
-    for pe in ml.levels:
+    for pe, (h_coarse, h_fine) in zip(ml.levels, hv):
         rng = RngKey(seed, "obs-perturbation", realization, pe.level, step).generator()
-        eta = obs.Gamma_factor @ rng.standard_normal((obs.m, pe.size))
-        ytilde = y[:, None] + eta
-        fine = _updated(pe.fine, k, obs, ytilde)
-        coarse = _updated(pe.coarse, k, obs, ytilde)
+        ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
+        ytilde += y[:, None]
+        fine = _updated(pe.fine, k, ytilde - h_fine)
+        coarse = pe.coarse if h_coarse is None else _updated(pe.coarse, k, ytilde - h_coarse)
         out.append(PairEnsemble(coarse, fine, pe.level))
     return MultilevelEnsemble(tuple(out))
 
@@ -284,8 +320,9 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
     pred = ml_predict(ml, cfg, hierarchy, seed, realization, step, solver)
-    k = ml_gain(compute_R_ml(pred, obs), obs)
-    return ml_update(pred, k, y, obs, seed, realization, step)
+    hv = _project(pred, obs)
+    k = ml_gain(compute_R_ml(pred, obs, hv), obs)
+    return ml_update(pred, k, y, obs, seed, realization, step, hv)
 
 
 # No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.
@@ -304,9 +341,9 @@ def empirical_qoi(ml, qoi):
     qoi = np.asarray(qoi, dtype=float)
     total = 0.0
     for pe in ml.levels:
-        total += np.mean(qoi[: pe.fine.shape[0]] @ pe.fine)
+        total += np.mean(np.einsum("n,np->p", qoi[: pe.fine.shape[0]], pe.fine))
         if pe.coarse.shape[0]:
-            total -= np.mean(qoi[: pe.coarse.shape[0]] @ pe.coarse)
+            total -= np.mean(np.einsum("n,np->p", qoi[: pe.coarse.shape[0]], pe.coarse))
     return float(total)
 
 

@@ -10,6 +10,7 @@ from mlenkf.experiment import (
     ExperimentConfig,
     RunRecord,
     Schedule,
+    TruthData,
     build_example,
     estimate_mse,
     fit_loglog_slope,
@@ -266,6 +267,33 @@ def test_mse_excludes_diverged_realizations(monkeypatch):
     with pytest.warns(UserWarning, match="diverged"):
         with pytest.raises(RuntimeError):
             estimate_mse(cfg, sched, data)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_nan_datum_fails_realizations_not_the_study(jobs):
+    # a NaN datum makes the next step's covariance action non-finite; the
+    # gain raises FloatingPointError, which fails only that realization
+    cfg = ExperimentConfig(example=1, n_ref=16, n_steps=2, realizations=3, jobs=jobs)
+    data = synthesize_truth_and_obs(cfg)
+    ys = data.ys.copy()
+    ys[0] = np.nan
+    sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
+    with pytest.warns(UserWarning, match="excluded 3 diverged"):
+        with pytest.raises(RuntimeError, match="all realizations diverged"):
+            estimate_mse(cfg, sched, TruthData(data.truth, ys, data.ref_qoi))
+
+
+def test_other_realization_errors_still_propagate(monkeypatch):
+    cfg = ExperimentConfig(example=1, n_ref=16, n_steps=2, realizations=2)
+    data = synthesize_truth_and_obs(cfg)
+    sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
+
+    def broken(c, s, ys, r):
+        raise ValueError("not a divergence")
+
+    monkeypatch.setattr(experiment, "run_filter_realization", broken)
+    with pytest.raises(ValueError, match="not a divergence"):
+        estimate_mse(cfg, sched, data)
 
 
 def test_enkf_error_scales_inversely_with_ensemble_size():
