@@ -74,11 +74,15 @@ def _fmt(value):
 
 
 def _write_csv(path, columns, rows):
-    with open(path, "w", newline="") as fh:
+    # write a sibling temp file, then rename it over the target, so a
+    # reader never sees a half-written table
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    os.replace(tmp, path)
 
 
 def _summary_text(records, hierarchy):
@@ -139,24 +143,24 @@ def _cmd_run(args):
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 1
-    records, schedules = experiment.run_experiment(cfg)
-    _write_csv(
-        out_dir / "results.csv",
-        RESULT_COLUMNS,
-        [
-            (r.method, r.example, r.solver, r.epsilon, r.L,
-             r.cost_units, round(r.wall_seconds, 6), r.mse, r.realizations)
-            for r in records
-        ],
-    )
-    sched_rows = []
-    for sched in schedules:
+    result_rows, sched_rows = [], []
+
+    def save(r, sched):
+        # rewrite both tables after every target, so a failure later in
+        # the grid keeps the rows already computed
+        result_rows.append((r.method, r.example, r.solver, r.epsilon, r.L,
+                            r.cost_units, round(r.wall_seconds, 6), r.mse, r.realizations))
         for level, m_l in sched.level_sizes():
             n_l, j_l, _, _ = cfg.hierarchy.level_params(level)
             sched_rows.append(
                 (cfg.method, cfg.example, cfg.solver, sched.epsilon, level, m_l, n_l, j_l)
             )
-    _write_csv(out_dir / "schedule.csv", SCHEDULE_COLUMNS, sched_rows)
+        _write_csv(out_dir / "results.csv", RESULT_COLUMNS, result_rows)
+        _write_csv(out_dir / "schedule.csv", SCHEDULE_COLUMNS, sched_rows)
+
+    # the callback goes in positionally: perfbench/setup_probe.py stops
+    # the run here with a stand-in taking (cfg, data=None)
+    records, _ = experiment.run_experiment(cfg, save)
     (out_dir / "summary.txt").write_text(_summary_text(records, cfg.hierarchy))
     for r in records:
         print(

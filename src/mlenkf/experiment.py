@@ -396,8 +396,12 @@ def estimate_mse(cfg, schedule, data):
     )
 
 
-def run_experiment(cfg, data=None):
-    """Records and schedules for every target in the eps grid."""
+def run_experiment(cfg, on_record=None, *, data=None):
+    """Records and schedules for every target in the eps grid.
+
+    ``on_record(record, schedule)`` is called as each target finishes,
+    so a caller can save finished rows before a later target fails.
+    """
     if data is None:
         data = synthesize_truth_and_obs(cfg)
     records, schedules = [], []
@@ -405,6 +409,8 @@ def run_experiment(cfg, data=None):
         schedule = make_schedule(eps, cfg.hierarchy, cfg.method, cfg.base_constant)
         records.append(estimate_mse(cfg, schedule, data))
         schedules.append(schedule)
+        if on_record is not None:
+            on_record(records[-1], schedule)
     return records, schedules
 
 

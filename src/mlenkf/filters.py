@@ -277,16 +277,19 @@ def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
 
     One perturbed datum ``y + eta`` is shared by the two members of a
     pair and is independent across particles and levels; each member is
-    corrected with the gain ``k`` truncated to its own resolution.
-    ``hv`` holds the members' projections (see :func:`_project`) when the
-    caller has them already.
+    corrected with the gain ``k`` truncated to its own resolution.  The
+    step's one perturbation stream, ``RngKey(seed, "obs-perturbation",
+    realization, 0, step)``, is read in level order: each level takes
+    the next m M_l normals, so levels get disjoint blocks.  ``hv`` holds
+    the members' projections (see :func:`_project`) when the caller has
+    them already.
     """
     if hv is None:
         hv = _project(ml, obs)
     y = np.asarray(y, dtype=float).reshape(obs.m)
+    rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
     out = []
     for pe, (h_coarse, h_fine) in zip(ml.levels, hv):
-        rng = RngKey(seed, "obs-perturbation", realization, pe.level, step).generator()
         ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
         ytilde += y[:, None]
         fine = _updated(pe.fine, k, ytilde - h_fine)
@@ -296,10 +299,16 @@ def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
 
 
 def ml_predict(ml, cfg, hierarchy, seed, realization, step, solver):
-    """Propagate every pair one interval with level-keyed coupled noise."""
+    """Propagate every pair one interval with coupled noise.
+
+    The step's one forward stream, ``RngKey(seed, "forward",
+    realization, 0, step)``, is read in level order: each level's
+    :func:`~mlenkf.model.propagate_pairs` call draws the next block, so
+    levels get disjoint draws and the two members of a pair share theirs.
+    """
+    rng = RngKey(seed, "forward", realization, 0, step).generator()
     out = []
     for pe in ml.levels:
-        rng = RngKey(seed, "forward", realization, pe.level, step).generator()
         coarse, fine = propagate_pairs(
             pe.coarse, pe.fine, pe.level, cfg, hierarchy, rng, solver
         )

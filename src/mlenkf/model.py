@@ -10,11 +10,14 @@ pair from the exact joint law of J_l fine substeps and the J_l / 2
 coarse substeps that combine two fine increments each: per mode the
 fine noise and the pair difference are a bivariate Gaussian, so one
 normal per fine mode and one more per coarse mode replace J_l each.
+A level's coefficients depend only on its sizes and the model
+parameters, so they are built once and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -138,6 +141,38 @@ def _pair_noise_moments(lam, dt, b, j):
     return s
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _exact_coefficients(n, T, b):
+    """Read-only ``(a, std)`` of the exact flow on the first n modes: the
+    mode factor and the increment deviation over one interval T."""
+    lam = eigenvalues(n)
+    return _frozen(propagator(lam, T), np.sqrt(exact_noise_var(lam, T, b)))
+
+
+@lru_cache(maxsize=32)
+def _expeuler_coefficients(n, nc, j, dt, b):
+    """Read-only ``(g^j, std_x, G^{j/2}, std_x - beta, std_d)`` of a pair
+    of j fine substeps of width dt on n modes, the last three on the
+    first nc (coarse) modes; see :func:`propagate_pairs`."""
+    lam = eigenvalues(n)
+    var_x, cov_xd, var_d = _pair_noise_moments(lam, dt, b, j)
+    std_x = np.sqrt(var_x)
+    beta = cov_xd[:nc] / std_x[:nc]
+    return _frozen(
+        g_factor(lam, dt) ** j,
+        std_x,
+        g_factor(lam[:nc], 2.0 * dt) ** (j // 2),
+        std_x[:nc] - beta,
+        np.sqrt(var_d[:nc] - beta * beta),
+    )
+
+
 def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     """One interval for a whole level of coupled pairs, particles as columns.
 
@@ -148,9 +183,9 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     fine : ndarray, shape (N_l, M)
         Fine members.
     rng : numpy.random.Generator
-        Keyed stream for this (realization, level, step).  The exact
-        solver draws N_l M normals and the coarse member reuses the
-        first N_{l-1} rows.  The expeuler solver draws the fine noise X
+        Stream positioned at this level's block.  The exact solver
+        draws N_l M normals and the coarse member reuses the first
+        N_{l-1} rows.  The expeuler solver draws the fine noise X
         (N_l M normals), then the pair difference D given X (N_{l-1} M
         more), from the joint law of the discrete scheme.
     solver : str
@@ -169,27 +204,22 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
         raise ValueError("coarse ensemble does not match level - 1")
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    lam = eigenvalues(n)
     if solver == "exact":
-        a = propagator(lam, cfg.T)
-        std = np.sqrt(exact_noise_var(lam, cfg.T, cfg.b))
+        a, std = _exact_coefficients(n, cfg.T, cfg.b)
         z = rng.standard_normal((n, m))
         fine_out = a[:, None] * fine + std[:, None] * z
         coarse_out = a[:nc, None] * coarse + std[:nc, None] * z[:nc]
         unit_counter["forward"] += m * (n + nc)
         return coarse_out, fine_out
-    var_x, cov_xd, var_d = _pair_noise_moments(lam, dt, cfg.b, j)
-    std_x = np.sqrt(var_x)
+    g_j, std_x, g_coarse, std_xc, std_d = _expeuler_coefficients(n, nc, j, dt, cfg.b)
     z = rng.standard_normal((n, m))
-    fine_out = (g_factor(lam, dt) ** j)[:, None] * fine + std_x[:, None] * z
-    # coarse = G^{J/2} coarse + X - D, where D given X is
-    # (cov / var_x) X plus an independent normal; corr(X, D)^2 <= 0.19,
-    # so the conditional variance does not cancel
-    beta = cov_xd[:nc] / std_x[:nc]
-    std_d = np.sqrt(var_d[:nc] - beta * beta)
+    fine_out = g_j[:, None] * fine + std_x[:, None] * z
+    # coarse = G^{J/2} coarse + X - D with X = std_x z: D given X is
+    # beta z, beta = cov / std_x, plus an independent normal of deviation
+    # std_d; corr(X, D)^2 <= 0.19, so std_d does not cancel
     coarse_out = (
-        (g_factor(lam[:nc], 2.0 * dt) ** (j // 2))[:, None] * coarse
-        + (std_x[:nc] - beta)[:, None] * z[:nc]
+        g_coarse[:, None] * coarse
+        + std_xc[:, None] * z[:nc]
         - std_d[:, None] * rng.standard_normal((nc, m))
     )
     unit_counter["forward"] += m * (n * j + nc * (j // 2))

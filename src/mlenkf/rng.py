@@ -2,15 +2,18 @@
 
 Every random draw in the library is tied to an :class:`RngKey`.  Distinct
 key tuples give statistically independent streams and identical tuples
-give identical streams, so coupling within a coarse/fine pair (same key)
-and independence across levels, steps and realizations (different keys)
-is structural rather than an accident of call order.  The particles of
-one level read disjoint draws of one stream.
+give identical streams.  A filter step opens one stream per purpose,
+``(seed, purpose, realization, 0, step)``, and reads it in level order:
+each level takes the next consecutive block, so the levels' draws are
+disjoint, hence independent, and the particles of one level read
+disjoint draws of their block.  Opening a stream costs a
+``SeedSequence`` hash, so one per step rather than one per level and
+step keeps that cost independent of the number of levels.
 
 Streams are consumed sequentially and numpy fills arrays in C order, so
-two consumers of the same key that read different amounts see the same
-draw prefix.  This is what lets a coarse solve share the first N_{l-1}
-draws of its fine partner.
+two consumers that read different amounts from the same position see
+the same draw prefix.  This is what lets a coarse solve share the first
+N_{l-1} rows of its fine partner's block.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ class RngKey:
         One of :data:`PURPOSES`; separates forward noise, observation
         perturbations, the synthetic truth path and the data noise.
     realization, level, step : int
-        Coordinates of the consumer.  Unused coordinates stay 0.
+        Coordinates of the consumer.  Unused coordinates stay 0; the
+        filter steps leave ``level`` at 0 and read the levels as blocks
+        of one stream.
     """
 
     seed: int

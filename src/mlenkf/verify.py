@@ -164,10 +164,11 @@ def check_degeneracy(seed):
     for step in range(1, 6):
         y = rng.standard_normal(1)
         ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, 0, step, "exact")
-        fwd = RngKey(seed, "forward", 0, level, step).generator()
+        # one level reads the first block of each of the step's streams
+        fwd = RngKey(seed, "forward", 0, 0, step).generator()
         _, v = model.propagate_pairs(empty, v, level, cfg, hier, fwd, "exact")
         k = filters.ml_gain(filters.sample_cov_action(v, obs), obs)
-        pert = RngKey(seed, "obs-perturbation", 0, level, step).generator()
+        pert = RngKey(seed, "obs-perturbation", 0, 0, step).generator()
         ytilde = y[:, None] + obs.Gamma_factor @ pert.standard_normal((1, m_size))
         v = v + k @ (ytilde - obs.H @ v)
     gap = np.max(np.abs(v - ml.levels[0].fine))

@@ -9,7 +9,8 @@ of a coupled pair drawn as one explicit block.
 a whole level one by one, the reference for the joint law that
 ``propagate_pairs`` samples in one draw.  ``enkf_step`` is the
 single-level EnKF written out directly, the reference for the ensemble
-engine run with one level.
+engine run with one level.  ``dense_r_ml`` is the brute-force multilevel
+covariance action, from full N x N sample covariances.
 """
 
 import numpy as np
@@ -108,10 +109,28 @@ def enkf_step(v, level, y, obs, cfg, hierarchy, seed, realization, step, solver)
     perturbed datum ``y + Gamma^{1/2} z``.
     """
     m_size = v.shape[1]
-    rng = RngKey(seed, "forward", realization, level, step).generator()
+    # the step's streams have level slot 0; one level reads the first block
+    rng = RngKey(seed, "forward", realization, 0, step).generator()
     _, pred = propagate_pairs(np.zeros((0, m_size)), v, level, cfg, hierarchy, rng, solver)
     k = ml_gain(sample_cov_action(pred, obs), obs)
-    rng = RngKey(seed, "obs-perturbation", realization, level, step).generator()
+    rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
     eta = np.linalg.cholesky(obs.Gamma) @ rng.standard_normal((obs.m, m_size))
     y = np.asarray(y, dtype=float).reshape(obs.m)
     return pred + k @ (y[:, None] + eta - obs.H[:, : pred.shape[0]] @ pred)
+
+
+def dense_cov_action(v, obs):
+    """``Cov_M[v, Hv]`` by forming the full N x N sample covariance."""
+    c = np.atleast_2d(np.cov(v, ddof=1))
+    return c @ obs.H[:, : v.shape[0]].T
+
+
+def dense_r_ml(ml, obs):
+    """Multilevel covariance action R^ML as the telescoping sum of dense
+    covariance actions, each truncation difference added by hand."""
+    top = ml.levels[-1].fine
+    r = np.zeros((top.shape[0], obs.m))
+    for pe, up in zip(ml.levels, ml.levels[1:]):
+        r[: pe.fine.shape[0]] += dense_cov_action(pe.fine, obs)
+        r[: up.coarse.shape[0]] -= dense_cov_action(up.coarse, obs)
+    return r + dense_cov_action(top, obs)

@@ -40,7 +40,7 @@ from mlenkf.filters import (
 from mlenkf.model import ModelConfig, propagate_pairs, substep_noise_var
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy, eigenvalues
-from oracles import draw_noise_block
+from oracles import dense_r_ml, draw_noise_block
 
 SEED = 20260823
 EPS_GRID = tuple(2.0 ** -k for k in range(2, 7))
@@ -49,20 +49,6 @@ EPS_GRID = tuple(2.0 ** -k for k in range(2, 7))
 def _gate(label, ok, detail):
     print(f"[{label}] {detail} -> {'PASS' if ok else 'FAIL'}")
     assert ok, f"{label}: {detail}"
-
-
-def _dense_r_ml(ml, obs):
-    top = ml.levels[-1].fine
-    r = np.zeros((top.shape[0], obs.m))
-    for pe, up in zip(ml.levels, ml.levels[1:]):
-        fine = pe.fine
-        c = np.atleast_2d(np.cov(fine, ddof=1))
-        r[: fine.shape[0]] += c @ obs.H[:, : fine.shape[0]].T
-        down = up.coarse
-        c = np.atleast_2d(np.cov(down, ddof=1))
-        r[: down.shape[0]] -= c @ obs.H[:, : down.shape[0]].T
-    c = np.atleast_2d(np.cov(top, ddof=1))
-    return r + c @ obs.H[:, : top.shape[0]].T
 
 
 def test_criterion_1_multilevel_covariance_matches_dense_oracle():
@@ -85,7 +71,7 @@ def test_criterion_1_multilevel_covariance_matches_dense_oracle():
                                       rng.standard_normal((hier.n_modes(l), size)), l))
         ml = MultilevelEnsemble(tuple(pairs))
         got = compute_R_ml(ml, obs)
-        want = _dense_r_ml(ml, obs)
+        want = dense_r_ml(ml, obs)
         worst = max(worst, np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
         assert got.shape == (n_top, m)
     dt = time.perf_counter() - t0

@@ -54,6 +54,29 @@ def test_run_writes_results_schedule_summary(tmp_path, capsys):
     assert "wrote" in screen and "mse=" in screen
 
 
+def test_failure_at_last_eps_keeps_finished_rows(tmp_path, monkeypatch):
+    full = tmp_path / "full"
+    assert main(["run", "--config", str(tiny_config(tmp_path)), "--out", str(full)]) == 0
+    estimate = mlenkf.experiment.estimate_mse
+
+    def fail_last(cfg, schedule, data):
+        if schedule.epsilon == 0.25:
+            raise RuntimeError("injected failure at the last eps")
+        return estimate(cfg, schedule, data)
+
+    monkeypatch.setattr(mlenkf.experiment, "estimate_mse", fail_last)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="injected"):
+        main(["run", "--config", str(tiny_config(tmp_path)), "--out", str(out)])
+    # the eps 0.5 rows were on disk before eps 0.25 started, no temp file is left
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv", "schedule.csv"]
+    wall = RESULT_COLUMNS.index("wall_seconds")
+    rows = [[c for i, c in enumerate(r) if i != wall] for r in read_rows(out / "results.csv")]
+    want = [[c for i, c in enumerate(r) if i != wall] for r in read_rows(full / "results.csv")]
+    assert rows == want[:2]
+    assert read_rows(out / "schedule.csv") == read_rows(full / "schedule.csv")[:3]
+
+
 def test_run_numeric_fields_use_period_decimals(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(tiny_config(tmp_path)), "--out", str(out)]) == 0

@@ -21,10 +21,10 @@ from mlenkf.filters import (
     positive_part,
     sample_cov_action,
 )
-from mlenkf.model import ModelConfig
+from mlenkf.model import ModelConfig, _exact_coefficients, _expeuler_coefficients
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy
-from oracles import enkf_step
+from oracles import dense_cov_action, dense_r_ml, enkf_step
 
 CFG = ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
 HIER = LevelHierarchy(kappa=2.0, n0=1, j0=1, T=0.25)
@@ -34,23 +34,6 @@ def obs_1d(n_ref, gamma=0.25):
     h = np.zeros(n_ref)
     h[0] = 1.0
     return ObservationModel(h[None, :], np.array([[gamma]]), np.ones(n_ref))
-
-
-def dense_cov_action(v, obs):
-    # independent route: form the full N x N covariance, then apply H^T
-    c = np.atleast_2d(np.cov(v, ddof=1))
-    n = v.shape[0]
-    return c @ obs.H[:, :n].T
-
-
-def dense_r_ml(ml, obs):
-    top = ml.levels[-1].fine
-    r = np.zeros((top.shape[0], obs.m))
-    for pe, up in zip(ml.levels, ml.levels[1:]):
-        r[: pe.fine.shape[0]] += dense_cov_action(pe.fine, obs)
-        r[: up.coarse.shape[0]] -= dense_cov_action(up.coarse, obs)
-    r += dense_cov_action(top, obs)
-    return r
 
 
 def one_level(fine, level):
@@ -337,8 +320,9 @@ def test_enkf_two_member_hand_oracle():
     y = np.array([0.6])
     seed, realization, step = 11, 2, 4
     out = ml_update(pred, k, y, obs, seed, realization, step)
-    # the perturbations are keyed by the ensemble's level, 1, not by its index
-    eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 1, step)\
+    # the step's perturbation stream has level slot 0 whatever the
+    # ensemble's level; its one level reads the first block
+    eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 0, step)\
         .generator().standard_normal((1, 2))
     want = np.empty((2, 2))
     for i in range(2):
@@ -415,9 +399,10 @@ def test_ml_update_three_directions_matches_matmul_formula():
     seed, realization, step = 12, 1, 3
     out = ml_update(ml, k, y, obs, seed, realization, step)
     chol = np.linalg.cholesky(obs.Gamma)
+    # the levels read consecutive blocks of the step's one stream
+    rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
     for pe, got in zip(ml.levels, out.levels):
-        z = RngKey(seed, "obs-perturbation", realization, pe.level, step)\
-            .generator().standard_normal((3, pe.size))
+        z = rng.standard_normal((3, pe.size))
         ytilde = y[:, None] + chol @ z
         for v, v_new in ((pe.fine, got.fine), (pe.coarse, got.coarse)):
             n = v.shape[0]
@@ -431,6 +416,77 @@ def test_empirical_qoi_three_directions_matches_matmul_formula():
     want = sum(np.mean(q[: pe.fine.shape[0]] @ pe.fine)
                - np.mean(q[: pe.coarse.shape[0]] @ pe.coarse) for pe in ml.levels)
     assert empirical_qoi(ml, q) == pytest.approx(want, rel=0, abs=1e-14)
+
+
+def hand_step(ml, y, obs, seed, realization, step, solver):
+    """An MLEnKF step assembled by hand from the documented stream layout:
+    one forward draw split into the levels' blocks in level order (N_l M_l
+    normals, then N_{l-1} M_l more for the expeuler pair difference), and
+    one perturbation draw split into m M_l blocks."""
+    sizes = [(pe.fine.shape[0], pe.coarse.shape[0], pe.size) for pe in ml.levels]
+    per_level = [(n + (nc if solver == "expeuler" else 0)) * m for n, nc, m in sizes]
+    flat = RngKey(seed, "forward", realization, 0, step).generator()\
+        .standard_normal(sum(per_level))
+    blocks = np.split(flat, np.cumsum(per_level)[:-1])
+    pred = []
+    for pe, block in zip(ml.levels, blocks):
+        n, j, _, dt = HIER.level_params(pe.level)
+        nc, m = pe.coarse.shape
+        z = block[: n * m].reshape(n, m)
+        if solver == "exact":
+            a, std = _exact_coefficients(n, CFG.T, CFG.b)
+            fine = a[:, None] * pe.fine + std[:, None] * z
+            coarse = a[:nc, None] * pe.coarse + std[:nc, None] * z[:nc]
+        else:
+            g_j, std_x, g_c, std_xc, std_d = _expeuler_coefficients(n, nc, j, dt, CFG.b)
+            fine = g_j[:, None] * pe.fine + std_x[:, None] * z
+            coarse = (g_c[:, None] * pe.coarse + std_xc[:, None] * z[:nc]
+                      - std_d[:, None] * block[n * m:].reshape(nc, m))
+        pred.append(PairEnsemble(coarse, fine, pe.level))
+    pred = MultilevelEnsemble(tuple(pred))
+    k = ml_gain(compute_R_ml(pred, obs), obs)
+    per_level = [obs.m * m for _, _, m in sizes]
+    flat = RngKey(seed, "obs-perturbation", realization, 0, step).generator()\
+        .standard_normal(sum(per_level))
+    chol = np.linalg.cholesky(obs.Gamma)
+    out = []
+    for pe, block in zip(pred.levels, np.split(flat, np.cumsum(per_level)[:-1])):
+        ytilde = y[:, None] + chol @ block.reshape(obs.m, pe.size)
+        fine, coarse = (v + k[: v.shape[0]] @ (ytilde - obs.H[:, : v.shape[0]] @ v)
+                        for v in (pe.fine, pe.coarse))
+        out.append(PairEnsemble(coarse, fine, pe.level))
+    return pred, MultilevelEnsemble(tuple(out))
+
+
+@pytest.mark.parametrize("solver", ["exact", "expeuler"])
+@pytest.mark.parametrize("L", [2, 3])
+def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, monkeypatch):
+    rng = np.random.default_rng(107 + L)
+    b = rng.standard_normal((2, 2))
+    obs = ObservationModel(rng.standard_normal((2, 8)), b @ b.T + 0.1 * np.eye(2),
+                           np.zeros(8))
+    ml = random_multilevel(rng, HIER, L, sizes=(9, 6, 4, 3)[: L + 1])
+    y = rng.standard_normal(2)
+    seed, realization, step = 23, 4, 2
+    opened = []
+    generator = RngKey.generator
+
+    def counted(key):
+        opened.append(key)
+        return generator(key)
+
+    monkeypatch.setattr(RngKey, "generator", counted)
+    got = mlenkf_step(ml, y, obs, CFG, HIER, seed, realization, step, solver)
+    assert opened == [RngKey(seed, "forward", realization, 0, step),
+                      RngKey(seed, "obs-perturbation", realization, 0, step)]
+    monkeypatch.undo()
+    pred, want = hand_step(ml, y, obs, seed, realization, step, solver)
+    engine_pred = ml_predict(ml, CFG, HIER, seed, realization, step, solver)
+    for pe, hand, upd, ref in zip(engine_pred.levels, pred.levels, got.levels, want.levels):
+        assert np.array_equal(pe.fine, hand.fine) and np.array_equal(pe.coarse, hand.coarse)
+        tol = 1e-13 * max(1.0, np.max(np.abs(ref.fine)))
+        for v, w in ((upd.fine, ref.fine), (upd.coarse, ref.coarse)):
+            assert np.allclose(v, w, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("solver", ["exact", "expeuler"])

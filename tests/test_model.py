@@ -5,6 +5,8 @@ import pytest
 
 from mlenkf.model import (
     ModelConfig,
+    _exact_coefficients,
+    _expeuler_coefficients,
     _pair_noise_moments,
     exact_noise_var,
     g_factor,
@@ -418,3 +420,31 @@ def test_unit_counter_tracks_mode_substeps():
     propagate_pairs(np.zeros((2, 5)), np.zeros((4, 5)), 2, CFG, HIER, rng, "exact")
     assert unit_counter["forward"] == 5 * 6
     reset_unit_counter()
+
+
+@pytest.mark.parametrize("hier", [HIER, HIER3], ids=["j0=1", "j0=3"])
+def test_level_coefficients_are_cached_read_only_formula_values(hier):
+    # propagate_pairs reads each level's coefficients from a memo; they
+    # must be the direct formulas bit for bit, built once, and read-only
+    # because every caller shares them
+    for level in (0, 1, 3, 6):
+        n, j, _, dt = hier.level_params(level)
+        lam = eigenvalues(n)
+        exact = _exact_coefficients(n, CFG.T, CFG.b)
+        want = (propagator(lam, CFG.T), np.sqrt(exact_noise_var(lam, CFG.T, CFG.b)))
+        cases = [(exact, want, _exact_coefficients(n, CFG.T, CFG.b))]
+        for nc in {0, hier.n_modes(level - 1) if level else 0}:
+            got = _expeuler_coefficients(n, nc, j, dt, CFG.b)
+            var_x, cov_xd, var_d = _pair_noise_moments(lam, dt, CFG.b, j)
+            std_x = np.sqrt(var_x)
+            beta = cov_xd[:nc] / std_x[:nc]
+            want = (g_factor(lam, dt) ** j, std_x, g_factor(lam[:nc], 2.0 * dt) ** (j // 2),
+                    std_x[:nc] - beta, np.sqrt(var_d[:nc] - beta * beta))
+            cases.append((got, want, _expeuler_coefficients(n, nc, j, dt, CFG.b)))
+        for got, want, again in cases:
+            assert again is got
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), (level, n)
+                with pytest.raises(ValueError, match="read-only"):
+                    g[...] = 0.0
