@@ -17,7 +17,7 @@ from mlenkf.experiment import (
     ExperimentConfig,
     Schedule,
     make_schedule,
-    run_filter_realization,
+    run_filter_realizations,
     synthesize_truth_and_obs,
 )
 
@@ -33,12 +33,12 @@ ref = data.ref_qoi
 
 # single-level EnKF with a flat ensemble at the finest scheduled level
 enkf_sched = Schedule(0.0625, 4, 500, "enkf")
-enkf_track = run_filter_realization(cfg, enkf_sched, data.ys, 0)
+enkf_track = run_filter_realizations(cfg, enkf_sched, data.ys, [0])[0]
 
 # multilevel EnKF with the scheduled level sizes for the same target
 ml_cfg = replace(cfg, method="mlenkf")
 ml_sched = make_schedule(0.0625, cfg.hierarchy, "mlenkf")
-ml_track = run_filter_realization(ml_cfg, ml_sched, data.ys, 0)
+ml_track = run_filter_realizations(ml_cfg, ml_sched, data.ys, [0])[0]
 
 print(f"multilevel schedule: L={ml_sched.L}, sizes {ml_sched.M}")
 print(f"{'step':>4} {'datum':>9} {'reference':>10} {'enkf':>9} {'mlenkf':>9} "

@@ -233,7 +233,7 @@ def main(argv=None):
     p_run.add_argument("--realizations", type=int)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--n-ref", dest="n_ref", type=int, help="reference dimension (power of two)")
-    p_run.add_argument("--jobs", type=int, help="max concurrent realizations")
+    p_run.add_argument("--jobs", type=int, help="worker processes for the realization batches")
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run the property battery")

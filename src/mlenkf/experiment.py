@@ -10,6 +10,7 @@ MSE-versus-cost slopes are machine independent.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 import warnings
@@ -44,7 +45,8 @@ __all__ = [
     "theoretical_cost",
     "synthesize_truth_and_obs",
     "initial_multilevel_ensemble",
-    "run_filter_realization",
+    "run_filter_realizations",
+    "realization_batches",
     "estimate_mse",
     "run_experiment",
     "fit_loglog_slope",
@@ -282,12 +284,10 @@ def theoretical_cost(schedule, hierarchy, method, n_steps, m):
     """
     if method != schedule.method:
         raise ValueError("schedule was made for another method")
-    sizes = schedule.level_sizes()
-    base = sizes[0][0]
     per_step = 0.0
-    for l, m_l in sizes:
-        fwd = psi_cost(hierarchy, l) + (psi_cost(hierarchy, l - 1) if l > base else 0.0)
-        per_step += m_l * (fwd + m * hierarchy.n_modes(l))
+    for l, n_f, n_c, m_l in _level_rows(schedule, hierarchy):
+        fwd = psi_cost(hierarchy, l) + (psi_cost(hierarchy, l - 1) if n_c else 0.0)
+        per_step += m_l * (fwd + m * n_f)
     return float(per_step * n_steps)
 
 
@@ -321,62 +321,103 @@ def synthesize_truth_and_obs(cfg):
     return TruthData(np.array(truth), np.array(ys), np.array(ref))
 
 
-def initial_multilevel_ensemble(cfg, schedule):
-    """All members start at the projected deterministic initial state."""
+def _level_rows(schedule, hierarchy):
+    """``(level, N_l, N_{l-1} or 0, M_l)`` of each ensemble the filter runs."""
     sizes = schedule.level_sizes()
     base = sizes[0][0]
-    pairs = []
-    for l, m_l in sizes:
-        n_f = cfg.hierarchy.n_modes(l)
-        n_c = cfg.hierarchy.n_modes(l - 1) if l > base else 0
-        pairs.append(
-            PairEnsemble(
-                np.tile(cfg.u0[:n_c, None], (1, m_l)),
-                np.tile(cfg.u0[:n_f, None], (1, m_l)),
-                l,
-            )
+    return tuple(
+        (l, hierarchy.n_modes(l), hierarchy.n_modes(l - 1) if l > base else 0, m_l)
+        for l, m_l in sizes
+    )
+
+
+def initial_multilevel_ensemble(cfg, schedule, blocks=1):
+    """All members of ``blocks`` realizations start at the projected
+    deterministic initial state."""
+    pairs = tuple(
+        PairEnsemble(
+            np.tile(cfg.u0[:n_c, None], (1, blocks * m_l)),
+            np.tile(cfg.u0[:n_f, None], (1, blocks * m_l)),
+            l,
         )
-    return MultilevelEnsemble(tuple(pairs))
+        for l, n_f, n_c, m_l in _level_rows(schedule, cfg.hierarchy)
+    )
+    return MultilevelEnsemble(pairs, blocks)
 
 
-def run_filter_realization(cfg, schedule, ys, realization):
-    """QoI track of one filter realization over steps 0..N."""
-    track = np.empty(cfg.n_steps + 1)
-    ml = initial_multilevel_ensemble(cfg, schedule)
-    track[0] = empirical_qoi(ml, cfg.obs.qoi)
-    for n in range(1, cfg.n_steps + 1):
-        ml = mlenkf_step(
-            ml, ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
-            cfg.master_seed, realization, n, cfg.solver,
-        )
-        track[n] = empirical_qoi(ml, cfg.obs.qoi)
-    return track
+def run_filter_realizations(cfg, schedule, ys, realizations):
+    """QoI tracks over steps 0..N, one row per realization.
 
-
-def _squared_error(args):
-    cfg, schedule, ys, ref_qoi, realization = args
+    The realizations run as the column blocks of one ensemble; each row
+    equals the realization's track run alone.  A realization whose filter
+    diverges gets a row of NaN.
+    """
+    realizations = tuple(realizations)
+    tracks = np.empty((len(realizations), cfg.n_steps + 1))
+    ml = initial_multilevel_ensemble(cfg, schedule, len(realizations))
+    tracks[:, 0] = empirical_qoi(ml, cfg.obs.qoi)
     try:
-        track = run_filter_realization(cfg, schedule, ys, realization)
+        for n in range(1, cfg.n_steps + 1):
+            ml = mlenkf_step(
+                ml, ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
+                cfg.master_seed, realizations, n, cfg.solver,
+            )
+            tracks[:, n] = empirical_qoi(ml, cfg.obs.qoi)
     except FloatingPointError:
-        # a diverged ensemble fails this realization; estimate_mse excludes it
-        return float("nan")
-    return float(np.sum((track - ref_qoi) ** 2))
+        # ml_gain raises once every block has diverged
+        tracks[:] = np.nan
+    tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan
+    return tracks
 
 
-def estimate_mse(cfg, schedule, data):
+def realization_batches(cfg, schedule):
+    """The realization indices cut into consecutive batches, each run as
+    one ensemble by :func:`run_filter_realizations`.
+
+    A batch holds at most ceil(R / jobs) realizations, so every worker
+    gets one.  Its member entries, sum_l (N_l + N_{l-1}) M_l B, stay
+    within those of one realization of the grid's finest target, so a
+    batch needs no more memory than that target, which runs at B = 1.
+    """
+    def entries(sched):
+        return sum((n_f + n_c) * m_l for _, n_f, n_c, m_l in _level_rows(sched, cfg.hierarchy))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # make_schedule warned for it already
+        finest = make_schedule(min(cfg.eps_grid), cfg.hierarchy, cfg.method, cfg.base_constant)
+    size = max(1, min(-(-cfg.realizations // cfg.jobs), entries(finest) // entries(schedule)))
+    return [range(i, min(i + size, cfg.realizations)) for i in range(0, cfg.realizations, size)]
+
+
+def _squared_errors(args):
+    cfg, schedule, ys, ref_qoi, realizations = args
+    tracks = run_filter_realizations(cfg, schedule, ys, realizations)
+    return [float(np.sum((track - ref_qoi) ** 2)) for track in tracks]
+
+
+def _pool(cfg):
+    # the pool starts all its workers up front, so never more than there are realizations
+    return ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations))
+
+
+def estimate_mse(cfg, schedule, data, pool=None):
     """Average squared QoI error against the reference over realizations.
 
-    Non-finite realizations (filter divergence) are excluded with a
-    warning; the record carries the number actually averaged.
+    The realizations run in the batches of :func:`realization_batches`,
+    mapped over ``pool`` when given, else over a pool of their own when
+    ``cfg.jobs > 1``.  Non-finite realizations (filter divergence) are
+    excluded with a warning; the record carries the number actually
+    averaged.
     """
+    if pool is None and cfg.jobs > 1:
+        with _pool(cfg) as pool:
+            return estimate_mse(cfg, schedule, data, pool)
     t0 = time.perf_counter()
-    jobs = [(cfg, schedule, data.ys, data.ref_qoi, r) for r in range(cfg.realizations)]
-    if cfg.jobs > 1:
-        # the pool starts all its workers up front, so never more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations)) as pool:
-            errs = np.array(list(pool.map(_squared_error, jobs)))
-    else:
-        errs = np.array([_squared_error(j) for j in jobs])
+    tasks = [
+        (cfg, schedule, data.ys, data.ref_qoi, batch)
+        for batch in realization_batches(cfg, schedule)
+    ]
+    errs = np.concatenate(list((map if pool is None else pool.map)(_squared_errors, tasks)))
     ok = np.isfinite(errs)
     if not np.all(ok):
         warnings.warn(f"excluded {int(np.sum(~ok))} diverged realizations")
@@ -401,16 +442,19 @@ def run_experiment(cfg, on_record=None, *, data=None):
 
     ``on_record(record, schedule)`` is called as each target finishes,
     so a caller can save finished rows before a later target fails.
+    With ``cfg.jobs > 1`` every target's batches go through one process
+    pool, opened once for the study.
     """
     if data is None:
         data = synthesize_truth_and_obs(cfg)
     records, schedules = [], []
-    for eps in cfg.eps_grid:
-        schedule = make_schedule(eps, cfg.hierarchy, cfg.method, cfg.base_constant)
-        records.append(estimate_mse(cfg, schedule, data))
-        schedules.append(schedule)
-        if on_record is not None:
-            on_record(records[-1], schedule)
+    with _pool(cfg) if cfg.jobs > 1 else contextlib.nullcontext() as pool:
+        for eps in cfg.eps_grid:
+            schedule = make_schedule(eps, cfg.hierarchy, cfg.method, cfg.base_constant)
+            records.append(estimate_mse(cfg, schedule, data, pool))
+            schedules.append(schedule)
+            if on_record is not None:
+                on_record(records[-1], schedule)
     return records, schedules
 
 

@@ -11,6 +11,15 @@ the m observation directions.  A step applies H to each level's
 predicted members once, and the moments, the update and the QoI are
 ``np.einsum`` or broadcast kernels: no member array reaches BLAS, so
 seeded results do not depend on the BLAS thread count.
+
+An ensemble may carry a batch of B independent realizations as column
+blocks: each level array is (N_l, B M_l), realization i's particles in
+columns ``i M_l .. (i+1) M_l``.  Every step then runs once per level
+for the whole batch.  The moments, the gain and the QoI reduce per
+block, each block by the same kernel and in the same order as when it
+runs alone, and every block reads its realization's own streams (see
+:class:`~mlenkf.rng.ColumnBlocks`), so a realization's results do not
+depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 
 from . import model
 from .model import propagate_pairs, propagator, exact_noise_var
-from .rng import RngKey
+from .rng import ColumnBlocks, RngKey
 from .spectral import eigenvalues
 
 __all__ = [
@@ -40,7 +49,6 @@ __all__ = [
     "kalman_predict",
     "kalman_update",
     "kalman_step",
-    "kalman_dense_step",
 ]
 
 
@@ -148,14 +156,23 @@ class PairEnsemble:
 class MultilevelEnsemble:
     """Pair ensembles for contiguous levels, the lowest one without coarse
     partners: levels 0..L for the MLEnKF, the single level L for the EnKF.
+
+    ``blocks`` is the number B of realizations carried as column blocks;
+    every level holds B blocks of at least 2 particles each.
     """
 
     levels: tuple
+    blocks: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("need at least one level")
+        if self.blocks < 1:
+            raise ValueError("need at least one block")
+        for pe in self.levels:
+            if pe.size % self.blocks or pe.size // self.blocks < 2:
+                raise ValueError("every level needs blocks of M >= 2 particles")
         if self.levels[0].coarse.shape[0] != 0:
             raise ValueError("the lowest level has no coarse partners")
         for below, pe in zip(self.levels, self.levels[1:]):
@@ -169,11 +186,32 @@ class MultilevelEnsemble:
         return self.levels[-1].level
 
 
-def _cov_action(v, hv):
-    # Cov_M[v, Hv] = v (Hv - mean Hv)^T / (M - 1): exact because the
-    # centred factor sums to zero over the particles, so v needs no copy
-    d = hv - hv.mean(axis=1, keepdims=True)
-    return np.einsum("np,kp->nk", v, d) / (v.shape[1] - 1)
+def _blocks(a, b):
+    """(rows, B M) array viewed as (rows, B, M): column block i is ``[:, i]``."""
+    return a.reshape(a.shape[0], b, -1)
+
+
+def _block_means(a, b):
+    """Mean over each column block of a (..., B M) array, shape (..., B):
+    ``np.mean``'s sum and division without its Python overhead."""
+    a = a.reshape(a.shape[:-1] + (b, -1))
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
+
+
+def _cov_action(v, hv, b):
+    # Cov_M[v, Hv] = v (Hv - mean Hv)^T / (M - 1) per column block, shape
+    # (b, N, m): exact because the centred factor sums to zero over the
+    # particles, so v needs no copy
+    d = _blocks(hv, b) - _block_means(hv, b)[..., None]
+    v = _blocks(v, b)
+    m = v.shape[2]
+    if b == 1 or m <= np.getbufsize():
+        s = np.einsum("nbp,kbp->bnk", v, d)
+    else:
+        # einsum sums a particle axis longer than its buffer in pieces
+        # that depend on the other axes, so a long block is summed alone
+        s = np.stack([np.einsum("np,kp->nk", v[:, i], d[:, i]) for i in range(b)])
+    return s / (m - 1)
 
 
 def _project(ml, obs):
@@ -197,13 +235,13 @@ def sample_cov_action(v, obs):
     """
     if v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("sample covariance needs (N, M) members with M >= 2")
-    r = _cov_action(v, obs.observe(v))
+    r = _cov_action(v, obs.observe(v), 1)[0]
     model.unit_counter["moments"] += obs.m * v.shape[0] * v.shape[1]
     return r
 
 
 def compute_R_ml(ml, obs, hv=None):
-    """Multilevel covariance action R^ML, accumulated level by level.
+    """Multilevel covariance action R^ML of every block, shape (B, N_L, m).
 
     Adds ``Cov_{M_l}[v^l, Hv^l] - Cov_{M_{l+1}}[v^l, Hv^l]`` into the
     first N_l rows for every level below the top, then the top-level
@@ -217,59 +255,84 @@ def compute_R_ml(ml, obs, hv=None):
         hv = _project(ml, obs)
     levels = tuple(zip(ml.levels, hv))
     top = ml.levels[-1].fine
-    r = np.zeros((top.shape[0], obs.m))
+    b = ml.blocks
+    r = np.zeros((b, top.shape[0], obs.m))
     for (pe, (_, h_fine)), (up, (h_coarse, _)) in zip(levels, levels[1:]):
         fine = pe.fine
-        r[: fine.shape[0]] += _cov_action(fine, h_fine)
-        r[: up.coarse.shape[0]] -= _cov_action(up.coarse, h_coarse)
+        r[:, : fine.shape[0]] += _cov_action(fine, h_fine, b)
+        r[:, : up.coarse.shape[0]] -= _cov_action(up.coarse, h_coarse, b)
         model.unit_counter["moments"] += obs.m * fine.shape[0] * fine.shape[1]
-    r += _cov_action(top, hv[-1][1])
+    r += _cov_action(top, hv[-1][1], b)
     model.unit_counter["moments"] += obs.m * top.shape[0] * top.shape[1]
     return r
+
+
+def _mT(a):
+    return np.swapaxes(a, -1, -2)
 
 
 def positive_part(a):
     """Spectral positive part: keep eigenpairs with eigenvalue >= 0.
 
     The input is symmetrized first; the threshold is exactly zero, no
-    clipping tolerance.
+    clipping tolerance.  A stack (..., m, m) is taken matrix by matrix.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    sym = 0.5 * (a + a.T)
-    w, q = np.linalg.eigh(sym)
-    keep = w >= 0.0
-    qk = q[:, keep]
-    return (qk * w[keep]) @ qk.T
+    w, q = np.linalg.eigh(0.5 * (a + _mT(a)))
+    return (q * np.where(w >= 0.0, w, 0.0)[..., None, :]) @ _mT(q)
 
 
 def ml_gain(r, obs):
     """Gain ``K = R S^{-1}`` from a covariance action R, S = (HR)^+ + Gamma.
 
-    A diverged ensemble (non-finite R, or S not positive definite)
-    raises ``FloatingPointError``.
+    ``r`` is one (N, m) action or a (B, N, m) stack, one per block; the
+    gain has the same shape.  A diverged block (non-finite R) gets a NaN
+    gain and leaves the other blocks alone.  ``FloatingPointError`` is
+    raised when every block diverged, or when an S is not positive
+    definite.
     """
-    if not np.all(np.isfinite(r)):
-        raise FloatingPointError("covariance action has non-finite entries")
-    s = positive_part(obs.observe(r)) + obs.Gamma
+    r = np.asarray(r, dtype=float)
+    bad = ~np.isfinite(r).all(axis=(-2, -1))
+    if bad.any():
+        if bad.all():
+            raise FloatingPointError("covariance action has non-finite entries")
+        r = np.where(bad[..., None, None], 0.0, r)
+    hr = np.einsum("kn,...nj->...kj", obs.H[:, : r.shape[-2]], r)
+    s = positive_part(hr) + obs.Gamma
     try:
         low = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise FloatingPointError("innovation covariance not positive definite") from exc
-    return np.linalg.solve(low.T, np.linalg.solve(low, r.T)).T
+    k = _mT(np.linalg.solve(_mT(low), np.linalg.solve(low, _mT(r))))
+    k[bad] = np.nan
+    return k
 
 
-def _updated(v, k, innovation):
-    # v + P K (ytilde - Hv), P the truncation to v's height: the rank-m
-    # product is broadcast one observed direction at a time into one
-    # fresh array, never a BLAS call
-    n = v.shape[0]
-    out = k[:n, 0, None] * innovation[0]
+def _updated(v, kt, innovation):
+    # v + P K (ytilde - Hv) per column block, P the truncation to v's
+    # height and kt the gains as (N, m, B, 1): the rank-m product is
+    # broadcast one observed direction at a time into one fresh array,
+    # never a BLAS call
+    n, b = v.shape[0], kt.shape[2]
+    innovation = _blocks(innovation, b)
+    out = kt[:n, 0] * innovation[0]
     for j in range(1, innovation.shape[0]):
-        out += k[:n, j, None] * innovation[j]
-    out += v
-    return out
+        out += kt[:n, j] * innovation[j]
+    out += _blocks(v, b)
+    return out.reshape(n, -1)
+
+
+def _streams(ml, seed, purpose, realization, step):
+    """Reader over the step's stream of each block's realization: the one
+    stream of a one-block ensemble, else a column-block reader.
+    ``realization`` is one index per block, or an int for one block."""
+    rs = (realization,) if np.ndim(realization) == 0 else tuple(realization)
+    if len(rs) != ml.blocks:
+        raise ValueError(f"{ml.blocks} blocks need as many realizations, got {len(rs)}")
+    gens = [RngKey(seed, purpose, r, 0, step).generator() for r in rs]
+    return gens[0] if len(gens) == 1 else ColumnBlocks(gens)
 
 
 def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
@@ -277,50 +340,56 @@ def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
 
     One perturbed datum ``y + eta`` is shared by the two members of a
     pair and is independent across particles and levels; each member is
-    corrected with the gain ``k`` truncated to its own resolution.  The
-    step's one perturbation stream, ``RngKey(seed, "obs-perturbation",
-    realization, 0, step)``, is read in level order: each level takes
-    the next m M_l normals, so levels get disjoint blocks.  ``hv`` holds
-    the members' projections (see :func:`_project`) when the caller has
-    them already.
+    corrected with its block's gain, ``k[i]`` of a (B, N, m) stack (an
+    (N, m) gain for one block), truncated to its own resolution.  The
+    step's one perturbation stream of each block's realization,
+    ``RngKey(seed, "obs-perturbation", realization, 0, step)``, is read in
+    level order: each level takes the next m M_l normals, so levels get
+    disjoint blocks.  ``hv`` holds the members' projections (see
+    :func:`_project`) when the caller has them already.
     """
     if hv is None:
         hv = _project(ml, obs)
     y = np.asarray(y, dtype=float).reshape(obs.m)
-    rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
+    kt = np.reshape(k, (ml.blocks,) + np.shape(k)[-2:]).transpose(1, 2, 0)[..., None]
+    rng = _streams(ml, seed, "obs-perturbation", realization, step)
     out = []
     for pe, (h_coarse, h_fine) in zip(ml.levels, hv):
         ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
         ytilde += y[:, None]
-        fine = _updated(pe.fine, k, ytilde - h_fine)
-        coarse = pe.coarse if h_coarse is None else _updated(pe.coarse, k, ytilde - h_coarse)
+        fine = _updated(pe.fine, kt, ytilde - h_fine)
+        coarse = pe.coarse if h_coarse is None else _updated(pe.coarse, kt, ytilde - h_coarse)
         out.append(PairEnsemble(coarse, fine, pe.level))
-    return MultilevelEnsemble(tuple(out))
+    return MultilevelEnsemble(tuple(out), ml.blocks)
 
 
 def ml_predict(ml, cfg, hierarchy, seed, realization, step, solver):
     """Propagate every pair one interval with coupled noise.
 
-    The step's one forward stream, ``RngKey(seed, "forward",
-    realization, 0, step)``, is read in level order: each level's
-    :func:`~mlenkf.model.propagate_pairs` call draws the next block, so
-    levels get disjoint draws and the two members of a pair share theirs.
+    The step's one forward stream of each block's realization,
+    ``RngKey(seed, "forward", realization, 0, step)``, is read in level
+    order: each level's :func:`~mlenkf.model.propagate_pairs` call draws
+    the next block, so levels get disjoint draws and the two members of
+    a pair share theirs.  ``realization`` is one index per column block,
+    or an int for a one-block ensemble.
     """
-    rng = RngKey(seed, "forward", realization, 0, step).generator()
+    rng = _streams(ml, seed, "forward", realization, step)
     out = []
     for pe in ml.levels:
         coarse, fine = propagate_pairs(
             pe.coarse, pe.fine, pe.level, cfg, hierarchy, rng, solver
         )
         out.append(PairEnsemble(coarse, fine, pe.level))
-    return MultilevelEnsemble(tuple(out))
+    return MultilevelEnsemble(tuple(out), ml.blocks)
 
 
 def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
     """One assimilation step of the ensemble engine: predict, gain, update.
 
     A multilevel ensemble makes this an MLEnKF step; a single level L
-    without coarse partners makes it an EnKF step at level L.
+    without coarse partners makes it an EnKF step at level L.  A batch
+    of realizations steps as one ensemble, ``realization`` naming one
+    per column block.
     """
     n_top = ml.levels[-1].fine.shape[0]
     if obs.m >= n_top:
@@ -341,19 +410,21 @@ enkf_update = ml_update
 
 
 def empirical_qoi(ml, qoi):
-    """QoI of the empirical measure.
+    """QoI of the empirical measure of every block, shape (B,).
 
     The telescoping sum of fine-minus-coarse averages per level; with
     one level, the ensemble average of ``phi(v_i)``.  ``phi`` is the
     truncated inner product with the ``qoi`` coefficients.
     """
     qoi = np.asarray(qoi, dtype=float)
-    total = 0.0
+    total = np.zeros(ml.blocks)
     for pe in ml.levels:
-        total += np.mean(np.einsum("n,np->p", qoi[: pe.fine.shape[0]], pe.fine))
+        phi = np.einsum("n,np->p", qoi[: pe.fine.shape[0]], pe.fine)
+        total += _block_means(phi, ml.blocks)
         if pe.coarse.shape[0]:
-            total -= np.mean(np.einsum("n,np->p", qoi[: pe.coarse.shape[0]], pe.coarse))
-    return float(total)
+            phi = np.einsum("n,np->p", qoi[: pe.coarse.shape[0]], pe.coarse)
+            total -= _block_means(phi, ml.blocks)
+    return total
 
 
 @dataclass(frozen=True)
@@ -379,10 +450,6 @@ class GaussianState:
         """``cov @ w`` for an (n, p) probe without forming the covariance."""
         w = np.asarray(w, dtype=float)
         return self.cov_diag[:, None] * w - self.factors @ (self.factors.T @ w)
-
-    def cov_matrix(self):
-        """Dense covariance; for tests and small dimensions only."""
-        return np.diag(self.cov_diag) - self.factors @ self.factors.T
 
 
 def kalman_predict(state, cfg):
@@ -423,22 +490,3 @@ def kalman_step(state, y, obs, cfg):
     """Predict then update; the exact filtering recursion."""
     return kalman_update(kalman_predict(state, cfg), y, obs)
 
-
-def kalman_dense_step(mean, cov, y, obs, cfg):
-    """Dense-matrix Kalman recursion, the oracle for the low-rank path.
-
-    Returns the updated ``(mean, cov)``; quadratic memory, use only for
-    small reference dimensions.
-    """
-    y = np.asarray(y, dtype=float).reshape(obs.m)
-    n = mean.size
-    lam = eigenvalues(n)
-    a = propagator(lam, cfg.T)
-    mean = a * mean
-    cov = a[:, None] * cov * a[None, :] + np.diag(exact_noise_var(lam, cfg.T, cfg.b))
-    h = obs.H[:, :n]
-    s = h @ cov @ h.T + obs.Gamma
-    k = np.linalg.solve(s, h @ cov).T
-    mean = mean + k @ (y - h @ mean)
-    cov = cov - k @ h @ cov
-    return mean, 0.5 * (cov + cov.T)

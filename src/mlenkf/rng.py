@@ -10,6 +10,13 @@ disjoint draws of their block.  Opening a stream costs a
 ``SeedSequence`` hash, so one per step rather than one per level and
 step keeps that cost independent of the number of levels.
 
+A batch of realizations runs as one ensemble, realization i's particles
+in column block i of every level array.  Each realization still opens
+and reads its own streams: a :class:`ColumnBlocks` reader fills column
+block i of every draw from realization i's stream, in the order and
+amounts that the realization would read alone, so its draws do not
+depend on the batch it runs in.
+
 Streams are consumed sequentially and numpy fills arrays in C order, so
 two consumers that read different amounts from the same position see
 the same draw prefix.  This is what lets a coarse solve share the first
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PURPOSES", "RngKey"]
+__all__ = ["PURPOSES", "RngKey", "ColumnBlocks"]
 
 PURPOSES = ("forward", "obs-perturbation", "truth", "data-noise")
 
@@ -70,3 +77,24 @@ class RngKey:
             ),
         )
         return np.random.default_rng(seq)
+
+
+class ColumnBlocks:
+    """Draws for a batch of realizations, one stream per column block.
+
+    ``standard_normal((rows, B * M))`` fills columns ``i M .. (i+1) M``
+    with the next ``rows x M`` normals of stream i, in C order, exactly
+    as ``generators[i].standard_normal((rows, M))`` would.
+    """
+
+    def __init__(self, generators):
+        self.generators = tuple(generators)
+
+    def standard_normal(self, size):
+        rows, cols = size
+        b = len(self.generators)
+        if cols % b:
+            raise ValueError(f"{cols} columns do not split into {b} blocks")
+        return np.concatenate(
+            [g.standard_normal((rows, cols // b)) for g in self.generators], axis=1
+        )

@@ -20,7 +20,7 @@ from mlenkf.experiment import (
     fit_loglog_slope,
     normalized_series,
     run_experiment,
-    run_filter_realization,
+    run_filter_realizations,
     synthesize_truth_and_obs,
 )
 from mlenkf.filters import (
@@ -28,7 +28,6 @@ from mlenkf.filters import (
     ObservationModel,
     PairEnsemble,
     compute_R_ml,
-    kalman_dense_step,
     kalman_predict,
     kalman_step,
     kalman_update,
@@ -40,6 +39,7 @@ from mlenkf.filters import (
 from mlenkf.model import ModelConfig, propagate_pairs, substep_noise_var
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy, eigenvalues
+from mlenkf.verify import _cov_matrix, _kalman_dense_step
 from oracles import dense_r_ml, draw_noise_block
 
 SEED = 20260823
@@ -70,7 +70,7 @@ def test_criterion_1_multilevel_covariance_matches_dense_oracle():
             pairs.append(PairEnsemble(rng.standard_normal((nc, size)),
                                       rng.standard_normal((hier.n_modes(l), size)), l))
         ml = MultilevelEnsemble(tuple(pairs))
-        got = compute_R_ml(ml, obs)
+        (got,) = compute_R_ml(ml, obs)  # one action per block
         want = dense_r_ml(ml, obs)
         worst = max(worst, np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
         assert got.shape == (n_top, m)
@@ -87,10 +87,10 @@ def test_criterion_2_single_level_run_reproduces_enkf():
                                realizations=2, eps_grid=(1.0,), master_seed=SEED,
                                n_ref=64, n0=4)
         data = synthesize_truth_and_obs(cfg)
-        ml_track = run_filter_realization(cfg, Schedule(1.0, 0, (8,), "mlenkf"),
-                                          data.ys, 0)
-        en_track = run_filter_realization(replace(cfg, method="enkf"),
-                                          Schedule(1.0, 0, 8, "enkf"), data.ys, 0)
+        ml_track = run_filter_realizations(cfg, Schedule(1.0, 0, (8,), "mlenkf"),
+                                           data.ys, [0])
+        en_track = run_filter_realizations(replace(cfg, method="enkf"),
+                                           Schedule(1.0, 0, 8, "enkf"), data.ys, [0])
         worst = max(worst, float(np.max(np.abs(ml_track - en_track))))
     dt = time.perf_counter() - t0
     _gate("criterion 2", worst <= 1e-14 and dt < 5.0,
@@ -165,7 +165,7 @@ def test_criterion_5_ensemble_gain_approaches_kalman_gain():
     worst_gain = 0.0
     for n in range(1, 4):
         pred = ml_predict(ens, model, hier, SEED, 0, n, "exact")
-        k = ml_gain(compute_R_ml(pred, obs), obs)
+        (k,) = ml_gain(compute_R_ml(pred, obs), obs)
         state = kalman_predict(state, model)
         k_ref = ml_gain(state.cov_action(obs.H.T), obs)
         rel = np.linalg.norm(k - k_ref) / np.linalg.norm(k_ref)
@@ -184,10 +184,10 @@ def test_criterion_5_ensemble_gain_approaches_kalman_gain():
     worst_dense = 0.0
     for n in range(5):
         st = kalman_step(st, data64.ys[n], obs64, model64)
-        mean, cov = kalman_dense_step(mean, cov, data64.ys[n], obs64, model64)
+        mean, cov = _kalman_dense_step(mean, cov, data64.ys[n], obs64, model64)
         worst_dense = max(worst_dense,
                           float(np.max(np.abs(st.mean - mean))),
-                          float(np.max(np.abs(st.cov_matrix() - cov))))
+                          float(np.max(np.abs(_cov_matrix(st) - cov))))
     dt = time.perf_counter() - t0
     _gate("criterion 5", worst_gain <= 0.05 and worst_dense <= 1e-10 and dt < 30.0,
           f"M=1e4 gain within {worst_gain * 100:.2f}% of the exact gain over 3 steps "

@@ -59,10 +59,10 @@ def test_failure_at_last_eps_keeps_finished_rows(tmp_path, monkeypatch):
     assert main(["run", "--config", str(tiny_config(tmp_path)), "--out", str(full)]) == 0
     estimate = mlenkf.experiment.estimate_mse
 
-    def fail_last(cfg, schedule, data):
+    def fail_last(cfg, schedule, data, pool):
         if schedule.epsilon == 0.25:
             raise RuntimeError("injected failure at the last eps")
-        return estimate(cfg, schedule, data)
+        return estimate(cfg, schedule, data, pool)
 
     monkeypatch.setattr(mlenkf.experiment, "estimate_mse", fail_last)
     out = tmp_path / "out"
@@ -386,6 +386,28 @@ def test_seeded_results_do_not_depend_on_blas_threads(tmp_path):
     wall = RESULT_COLUMNS.index("wall_seconds")
     rows_1, rows_2 = (read_rows(o / "results.csv") for o in outs)
     assert len(rows_1) == len(rows_2) == 2
+    for r1, r2 in zip(rows_1, rows_2):
+        del r1[wall], r2[wall]
+        assert r1 == r2
+    for name in ("schedule.csv", "summary.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+POOL_STUDY = ["run", "--method", "mlenkf", "--solver", "expeuler",
+              "--eps", "0.25,0.125,0.0625", "--realizations", "5", "--n-ref", "256"]
+
+
+def test_real_pool_writes_the_serial_outputs(tmp_path):
+    # jobs 2 maps batches of up to 3 realizations over two worker
+    # processes; jobs 1 runs them in this process
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([*POOL_STUDY, "--jobs", jobs, "--out", str(out)]) == 0
+        outs.append(out)
+    wall = RESULT_COLUMNS.index("wall_seconds")
+    rows_1, rows_2 = (read_rows(o / "results.csv") for o in outs)
+    assert len(rows_1) == len(rows_2) == 4
     for r1, r2 in zip(rows_1, rows_2):
         del r1[wall], r2[wall]
         assert r1 == r2

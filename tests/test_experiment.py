@@ -19,7 +19,8 @@ from mlenkf.experiment import (
     normalized_series,
     psi_cost,
     run_experiment,
-    run_filter_realization,
+    realization_batches,
+    run_filter_realizations,
     synthesize_truth_and_obs,
     theoretical_cost,
 )
@@ -206,10 +207,10 @@ def test_realizations_replay_deterministically():
     cfg = ExperimentConfig(example=1, n_ref=32, n_steps=3, realizations=2)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.25, cfg.hierarchy, "mlenkf")
-    t1 = run_filter_realization(cfg, sched, data.ys, 0)
-    t2 = run_filter_realization(cfg, sched, data.ys, 0)
+    t1 = run_filter_realizations(cfg, sched, data.ys, [0])
+    t2 = run_filter_realizations(cfg, sched, data.ys, [0])
     assert np.array_equal(t1, t2)
-    t3 = run_filter_realization(cfg, sched, data.ys, 1)
+    t3 = run_filter_realizations(cfg, sched, data.ys, [1])
     assert not np.array_equal(t1, t3)
 
 
@@ -218,10 +219,10 @@ def test_single_level_schedule_degenerates_to_enkf():
     cfg = ExperimentConfig(example=1, solver="exact", method="mlenkf", n_steps=4,
                            realizations=2, eps_grid=(1.0,), master_seed=17, n_ref=32, n0=4)
     data = synthesize_truth_and_obs(cfg)
-    ml_track = run_filter_realization(
-        cfg, Schedule(1.0, 0, (6,), "mlenkf"), data.ys, 3)
-    en_track = run_filter_realization(
-        replace(cfg, method="enkf"), Schedule(1.0, 0, 6, "enkf"), data.ys, 3)
+    ml_track = run_filter_realizations(
+        cfg, Schedule(1.0, 0, (6,), "mlenkf"), data.ys, [3])
+    en_track = run_filter_realizations(
+        replace(cfg, method="enkf"), Schedule(1.0, 0, 6, "enkf"), data.ys, [3])
     assert np.array_equal(ml_track, en_track)
 
 
@@ -229,8 +230,8 @@ def test_mse_zero_when_filter_reproduces_reference(monkeypatch):
     cfg = ExperimentConfig(example=1, n_ref=16, n_steps=3, realizations=4)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
-    monkeypatch.setattr(experiment, "run_filter_realization",
-                        lambda c, s, ys, r: data.ref_qoi.copy())
+    monkeypatch.setattr(experiment, "run_filter_realizations",
+                        lambda c, s, ys, rs: np.tile(data.ref_qoi, (len(rs), 1)))
     rec = estimate_mse(cfg, sched, data)
     assert rec.mse == 0.0
     assert rec.realizations == 4
@@ -241,7 +242,7 @@ def test_mse_is_mean_of_per_realization_errors():
     cfg = ExperimentConfig(example=1, n_ref=32, n_steps=2, realizations=3)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
-    errs = [np.sum((run_filter_realization(cfg, sched, data.ys, r) - data.ref_qoi) ** 2)
+    errs = [np.sum((run_filter_realizations(cfg, sched, data.ys, [r])[0] - data.ref_qoi) ** 2)
             for r in range(3)]
     rec = estimate_mse(cfg, sched, data)
     assert rec.mse == pytest.approx(np.mean(errs), rel=1e-12)
@@ -252,18 +253,17 @@ def test_mse_excludes_diverged_realizations(monkeypatch):
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
 
-    def flaky(c, s, ys, r):
-        out = data.ref_qoi.copy()
-        if r == 0:
-            out[0] = np.nan
+    def flaky(c, s, ys, rs):
+        out = np.tile(data.ref_qoi, (len(rs), 1))
+        out[np.asarray(rs) == 0, 0] = np.nan
         return out
 
-    monkeypatch.setattr(experiment, "run_filter_realization", flaky)
+    monkeypatch.setattr(experiment, "run_filter_realizations", flaky)
     with pytest.warns(UserWarning, match="diverged"):
         rec = estimate_mse(cfg, sched, data)
     assert rec.realizations == 2 and rec.mse == 0.0
-    monkeypatch.setattr(experiment, "run_filter_realization",
-                        lambda c, s, ys, r: np.full_like(data.ref_qoi, np.nan))
+    monkeypatch.setattr(experiment, "run_filter_realizations",
+                        lambda c, s, ys, rs: np.full((len(rs), data.ref_qoi.size), np.nan))
     with pytest.warns(UserWarning, match="diverged"):
         with pytest.raises(RuntimeError):
             estimate_mse(cfg, sched, data)
@@ -288,10 +288,10 @@ def test_other_realization_errors_still_propagate(monkeypatch):
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
 
-    def broken(c, s, ys, r):
+    def broken(c, s, ys, rs):
         raise ValueError("not a divergence")
 
-    monkeypatch.setattr(experiment, "run_filter_realization", broken)
+    monkeypatch.setattr(experiment, "run_filter_realizations", broken)
     with pytest.raises(ValueError, match="not a divergence"):
         estimate_mse(cfg, sched, data)
 
@@ -329,7 +329,7 @@ def test_counted_units_match_theoretical_cost():
             data = synthesize_truth_and_obs(cfg)
             sched = make_schedule(0.25, cfg.hierarchy, method)
             reset_unit_counter()
-            run_filter_realization(cfg, sched, data.ys, 0)
+            run_filter_realizations(cfg, sched, data.ys, [0])
             measured = unit_counter["forward"] + unit_counter["moments"]
             want = theoretical_cost(sched, cfg.hierarchy, method, cfg.n_steps, cfg.obs.m)
             assert abs(measured - want) <= 0.05 * want
@@ -455,3 +455,106 @@ def test_pool_never_has_more_workers_than_realizations(monkeypatch):
     assert seen["max_workers"] == 3
     serial = estimate_mse(replace(cfg, jobs=1), sched, data)
     assert pooled.mse == serial.mse
+
+
+def test_run_experiment_opens_one_pool_per_study(monkeypatch):
+    opened = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    cfg = ExperimentConfig(example=1, eps_grid=(0.5, 0.25), n_ref=16, n_steps=2,
+                           realizations=3, jobs=64)
+    pooled, _ = run_experiment(cfg)
+    assert opened == [3]
+    serial, _ = run_experiment(replace(cfg, jobs=1))
+    assert opened == [3]
+    assert [r.mse for r in pooled] == [r.mse for r in serial]
+
+
+def test_realization_batches_follow_the_batch_rule():
+    # the finest target (L = 7) runs alone; coarser ones fill batches up
+    # to its member entries, at most ceil(R / jobs) realizations each
+    cfg = ExperimentConfig(example=1, eps_grid=tuple(2.0 ** -k for k in range(2, 8)),
+                           realizations=20, n_ref=1024)
+    sizes = [[len(b) for b in realization_batches(
+        cfg, make_schedule(eps, cfg.hierarchy, "mlenkf"))] for eps in cfg.eps_grid]
+    assert sizes == [[20], [20], [20], [17, 3], [4] * 5, [1] * 20]
+    pooled = replace(cfg, solver="expeuler", eps_grid=cfg.eps_grid[:5], realizations=10, jobs=2)
+    sched = make_schedule(0.25, pooled.hierarchy, "mlenkf")
+    assert [list(b) for b in realization_batches(pooled, sched)] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+
+
+# Each case holds a level whose blocks are longer than einsum's buffer
+# (np.getbufsize(), 8192) and levels whose blocks are shorter; the MLEnKF
+# cases have an N_0 = 1 base level.
+BATCH_CASES = {
+    ("mlenkf", "exact"): 2.0 ** -7,  # M_0 = 16384
+    ("mlenkf", "expeuler"): 2.0 ** -5,  # M_0 = 25600
+    ("enkf", "exact"): None,
+    ("enkf", "expeuler"): None,
+}
+
+
+@pytest.mark.parametrize("method,solver", sorted(BATCH_CASES))
+def test_batched_realizations_match_solo_runs(method, solver):
+    cfg = ExperimentConfig(example=1, method=method, solver=solver, eps_grid=(0.25,),
+                           n_steps=2, realizations=5, n_ref=128)
+    data = synthesize_truth_and_obs(cfg)
+    eps = BATCH_CASES[method, solver]
+    if eps is None:
+        schedules = (Schedule(0.25, 2, 40, "enkf"), Schedule(0.25, 2, 9000, "enkf"))
+    else:
+        schedules = (make_schedule(eps, cfg.hierarchy, method),)
+    for sched in schedules:
+        batch = run_filter_realizations(cfg, sched, data.ys, range(5))
+        solo = np.vstack([run_filter_realizations(cfg, sched, data.ys, [r]) for r in range(5)])
+        assert np.all(np.isfinite(batch))
+        assert np.array_equal(batch, solo)
+        # a batch reads each realization's own streams, wherever it sits
+        assert np.array_equal(run_filter_realizations(cfg, sched, data.ys, [3, 1]), solo[[3, 1]])
+
+
+def test_diverging_realization_leaves_its_batch_mates_alone(monkeypatch):
+    # realization 2's forward stream returns infinities at step 2, so its
+    # covariance action turns non-finite there
+    class Blowup:
+        def standard_normal(self, size):
+            return np.full(size, np.inf)
+
+    generator = RngKey.generator
+
+    def rigged(key):
+        if (key.purpose, key.realization, key.step) == ("forward", 2, 2):
+            return Blowup()
+        return generator(key)
+
+    cfg = ExperimentConfig(example=1, method="mlenkf", solver="exact", eps_grid=(0.25, 0.125),
+                           n_steps=3, realizations=4, n_ref=64)
+    data = synthesize_truth_and_obs(cfg)
+    sched = make_schedule(0.25, cfg.hierarchy, "mlenkf")
+    assert [len(b) for b in realization_batches(cfg, sched)] == [4]
+    clean = run_filter_realizations(cfg, sched, data.ys, range(4))
+    monkeypatch.setattr(RngKey, "generator", rigged)
+    with np.errstate(invalid="ignore"):
+        batch = run_filter_realizations(cfg, sched, data.ys, range(4))
+        alone = run_filter_realizations(cfg, sched, data.ys, [2])
+    assert np.all(np.isnan(batch[2])) and np.all(np.isnan(alone))
+    keep = [0, 1, 3]
+    assert np.array_equal(batch[keep], clean[keep])
+    with pytest.warns(UserWarning, match="excluded 1 diverged"), np.errstate(invalid="ignore"):
+        rec = estimate_mse(cfg, sched, data)
+    assert rec.realizations == 3
+    errs = np.sum((clean[keep] - data.ref_qoi) ** 2, axis=1)
+    assert rec.mse == np.mean(errs)

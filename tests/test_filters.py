@@ -10,7 +10,6 @@ from mlenkf.filters import (
     PairEnsemble,
     compute_R_ml,
     empirical_qoi,
-    kalman_dense_step,
     kalman_predict,
     kalman_step,
     kalman_update,
@@ -24,6 +23,7 @@ from mlenkf.filters import (
 from mlenkf.model import ModelConfig, _exact_coefficients, _expeuler_coefficients
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy
+from mlenkf.verify import _cov_matrix, _kalman_dense_step
 from oracles import dense_cov_action, dense_r_ml, enkf_step
 
 CFG = ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
@@ -133,7 +133,7 @@ def test_compute_r_ml_single_level_degenerates():
     obs = obs_1d(8)
     for level, n in ((0, 4), (2, 8)):
         fine = rng.standard_normal((n, 6))
-        assert np.array_equal(compute_R_ml(one_level(fine, level), obs),
+        assert np.array_equal(compute_R_ml(one_level(fine, level), obs)[0],
                               sample_cov_action(fine, obs))
 
 
@@ -218,6 +218,31 @@ def test_ml_gain_failure_modes():
         ml_gain(np.array([[np.nan], [0.0]]), obs_1d(2))
 
 
+def test_ensemble_blocks_split_every_level():
+    p0 = PairEnsemble(np.zeros((0, 6)), np.zeros((1, 6)), 0)
+    assert MultilevelEnsemble((p0,), 3).blocks == 3
+    for blocks in (0, 4, 6):  # none, uneven, one particle each
+        with pytest.raises(ValueError, match="block"):
+            MultilevelEnsemble((p0,), blocks)
+    ml = MultilevelEnsemble((p0,), 2)
+    with pytest.raises(ValueError, match="2 blocks need as many realizations"):
+        ml_predict(ml, CFG, HIER, seed=1, realization=0, step=1, solver="exact")
+
+
+def test_ml_gain_stack_matches_each_block_and_isolates_a_diverged_one():
+    rng = np.random.default_rng(61)
+    g = rng.standard_normal((3, 3))
+    obs = ObservationModel(rng.standard_normal((3, 7)), g @ g.T + 0.1 * np.eye(3), np.zeros(7))
+    r = rng.standard_normal((4, 7, 3))
+    r[1, 2, 0] = np.inf
+    k = ml_gain(r, obs)
+    assert k.shape == r.shape and np.all(np.isnan(k[1]))
+    for i in (0, 2, 3):
+        assert np.array_equal(k[i], ml_gain(r[i], obs))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        ml_gain(np.full((2, 7, 3), np.nan), obs)
+
+
 def test_ml_update_zero_gain_is_identity():
     rng = np.random.default_rng(41)
     ml = random_multilevel(rng, HIER, L=1, sizes=(4, 3))
@@ -249,7 +274,7 @@ def test_ml_update_pair_coherence_under_coarse_supported_h():
     ))
     h = np.array([[0.3, -1.1, 0.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.5]]), np.zeros(4))
-    k = ml_gain(compute_R_ml(ml, obs), obs)
+    (k,) = ml_gain(compute_R_ml(ml, obs), obs)
     out = ml_update(ml, k, np.array([0.1]), obs, seed=3, realization=1, step=2)
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:2], atol=1e-13)
 
@@ -263,7 +288,7 @@ def test_ml_update_pair_residual_identity_general_h():
         PairEnsemble(coarse, fine, 1),
     ))
     obs = ObservationModel(rng.standard_normal((1, 4)), np.array([[0.5]]), np.zeros(4))
-    k = ml_gain(compute_R_ml(ml, obs), obs)
+    (k,) = ml_gain(compute_R_ml(ml, obs), obs)
     out = ml_update(ml, k, np.array([-0.3]), obs, seed=4, realization=0, step=1)
     got = out.levels[1].coarse - out.levels[1].fine[:2]
     want = (coarse - fine[:2]) + k[:2] @ (obs.observe(fine) - obs.observe(coarse))
@@ -281,7 +306,7 @@ def test_ml_update_shares_perturbation_within_pair():
     ))
     h = np.array([[1.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.25]]), np.zeros(2))
-    k = ml_gain(compute_R_ml(ml, obs), obs)
+    (k,) = ml_gain(compute_R_ml(ml, obs), obs)
     out = ml_update(ml, k, np.array([0.2]), obs, seed=5, realization=0, step=0)
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:1], atol=1e-13)
 
@@ -312,7 +337,7 @@ def test_ml_predict_keeps_nested_pairs_nested():
 def test_enkf_two_member_hand_oracle():
     pred = one_level(np.array([[1.0, 3.0], [2.0, 0.0]]), 1)
     obs = obs_1d(2, gamma=0.5)
-    r = compute_R_ml(pred, obs)
+    (r,) = compute_R_ml(pred, obs)
     assert np.allclose(r, [[2.0], [-2.0]], atol=1e-14)
     # S = 2.0 + 0.5 = 2.5, K = R / S
     k = ml_gain(r, obs)
@@ -336,7 +361,7 @@ def test_gain_norm_bounded_by_noise_floor():
     rng = np.random.default_rng(71)
     obs = ObservationModel(rng.standard_normal((2, 6)), 1e6 * np.eye(2), np.zeros(6))
     e = one_level(rng.standard_normal((6, 8)), 0)
-    r = compute_R_ml(e, obs)
+    (r,) = compute_R_ml(e, obs)
     k = ml_gain(r, obs)
     bound = np.linalg.norm(r, 2) / 1e6
     assert np.linalg.norm(k, 2) <= bound * (1 + 1e-12)
@@ -394,7 +419,7 @@ def test_compute_r_ml_three_directions_matches_dense():
 
 def test_ml_update_three_directions_matches_matmul_formula():
     obs, ml = three_direction_problem(97)
-    k = ml_gain(compute_R_ml(ml, obs), obs)
+    (k,) = ml_gain(compute_R_ml(ml, obs), obs)
     y = np.array([0.3, -0.8, 1.1])
     seed, realization, step = 12, 1, 3
     out = ml_update(ml, k, y, obs, seed, realization, step)
@@ -444,7 +469,7 @@ def hand_step(ml, y, obs, seed, realization, step, solver):
                       - std_d[:, None] * block[n * m:].reshape(nc, m))
         pred.append(PairEnsemble(coarse, fine, pe.level))
     pred = MultilevelEnsemble(tuple(pred))
-    k = ml_gain(compute_R_ml(pred, obs), obs)
+    (k,) = ml_gain(compute_R_ml(pred, obs), obs)
     per_level = [obs.m * m for _, _, m in sizes]
     flat = RngKey(seed, "obs-perturbation", realization, 0, step).generator()\
         .standard_normal(sum(per_level))
@@ -516,7 +541,7 @@ def test_kalman_scalar_toy():
     obs = ObservationModel(np.array([[1.0]]), np.array([[1.0]]), np.ones(1))
     out = kalman_update(state, np.array([1.0]), obs)
     assert out.mean[0] == pytest.approx(0.5, rel=1e-14)
-    assert out.cov_matrix()[0, 0] == pytest.approx(0.5, rel=1e-12)
+    assert _cov_matrix(out)[0, 0] == pytest.approx(0.5, rel=1e-12)
     assert out.factors.shape[1] == 1
 
 
@@ -528,7 +553,7 @@ def test_kalman_zero_innovation_keeps_mean():
     y = obs.observe(state.mean)
     out = kalman_update(state, y, obs)
     assert np.allclose(out.mean, state.mean, atol=1e-14)
-    assert out.cov_matrix()[0, 0] < state.cov_matrix()[0, 0] + 1e-15
+    assert _cov_matrix(out)[0, 0] < _cov_matrix(state)[0, 0] + 1e-15
 
 
 def test_kalman_lowrank_matches_dense():
@@ -541,11 +566,11 @@ def test_kalman_lowrank_matches_dense():
     for step in range(4):
         y = rng.standard_normal(2)
         state = kalman_step(state, y, obs, CFG)
-        mean, cov = kalman_dense_step(mean, cov, y, obs, CFG)
+        mean, cov = _kalman_dense_step(mean, cov, y, obs, CFG)
         assert np.allclose(state.mean, mean, rtol=0, atol=1e-11)
-        assert np.allclose(state.cov_matrix(), cov, rtol=0, atol=1e-11)
+        assert np.allclose(_cov_matrix(state), cov, rtol=0, atol=1e-11)
     assert state.factors.shape[1] == 4 * 2
-    assert np.linalg.eigvalsh(state.cov_matrix()).min() >= -1e-10
+    assert np.linalg.eigvalsh(_cov_matrix(state)).min() >= -1e-10
 
 
 def test_kalman_predict_is_mode_diagonal_affine():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlenkf.rng import PURPOSES, RngKey
+from mlenkf.rng import ColumnBlocks, PURPOSES, RngKey
 
 
 def test_same_key_replays_identically():
@@ -53,3 +53,15 @@ def test_indices_must_be_nonnegative():
         RngKey(1, "forward", level=-1)
     with pytest.raises(ValueError):
         RngKey(1, "forward", step=-3)
+
+
+def test_column_blocks_fill_block_i_from_stream_i():
+    keys = [RngKey(7, "forward", r, 0, 3) for r in (4, 0, 9)]
+    reader = ColumnBlocks(k.generator() for k in keys)
+    solo = [k.generator() for k in keys]
+    for rows in (1, 3, 0):
+        got = reader.standard_normal((rows, 3 * 5))
+        want = np.hstack([g.standard_normal((rows, 5)) for g in solo])
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="blocks"):
+        reader.standard_normal((2, 7))
