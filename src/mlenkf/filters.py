@@ -316,11 +316,16 @@ def _updated(v, kt, innovation):
     # broadcast one observed direction at a time into one fresh array,
     # never a BLAS call
     n, b = v.shape[0], kt.shape[2]
-    innovation = _blocks(innovation, b)
+    if b == 1:
+        # one block: the (N, m, 1) gain broadcasts against the (m, M)
+        # innovation as it is, without the block views' per-call cost
+        kt = kt[..., 0]
+    else:
+        innovation, v = _blocks(innovation, b), _blocks(v, b)
     out = kt[:n, 0] * innovation[0]
     for j in range(1, innovation.shape[0]):
         out += kt[:n, j] * innovation[j]
-    out += _blocks(v, b)
+    out += v
     return out.reshape(n, -1)
 
 

@@ -193,7 +193,11 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
 
     Returns
     -------
-    (coarse_out, fine_out) arrays of the input shapes.
+    (coarse_out, fine_out)
+        Fresh arrays of the input shapes that share no memory with the
+        inputs or with each other; the inputs are left unchanged.  The
+        fine member is built in its own scaled draw, so a call makes no
+        full-size temporary beyond the draw and one product per member.
     """
     n, j, _, dt = hierarchy.level_params(level)
     nc, m = coarse.shape
@@ -204,23 +208,30 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
         raise ValueError("coarse ensemble does not match level - 1")
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    # each in-place sum adds the same two products as the written-out
+    # a * x + s * z, and IEEE addition commutes, so results are bit-identical
     if solver == "exact":
         a, std = _exact_coefficients(n, cfg.T, cfg.b)
         z = rng.standard_normal((n, m))
-        fine_out = a[:, None] * fine + std[:, None] * z
-        coarse_out = a[:nc, None] * coarse + std[:nc, None] * z[:nc]
+        z *= std[:, None]
+        coarse_out = a[:nc, None] * coarse
+        coarse_out += z[:nc]
+        fine_out = z
+        fine_out += a[:, None] * fine
         unit_counter["forward"] += m * (n + nc)
         return coarse_out, fine_out
     g_j, std_x, g_coarse, std_xc, std_d = _expeuler_coefficients(n, nc, j, dt, cfg.b)
     z = rng.standard_normal((n, m))
-    fine_out = g_j[:, None] * fine + std_x[:, None] * z
     # coarse = G^{J/2} coarse + X - D with X = std_x z: D given X is
     # beta z, beta = cov / std_x, plus an independent normal of deviation
     # std_d; corr(X, D)^2 <= 0.19, so std_d does not cancel
-    coarse_out = (
-        g_coarse[:, None] * coarse
-        + std_xc[:, None] * z[:nc]
-        - std_d[:, None] * rng.standard_normal((nc, m))
-    )
+    coarse_out = g_coarse[:, None] * coarse
+    coarse_out += std_xc[:, None] * z[:nc]
+    w = rng.standard_normal((nc, m))
+    w *= std_d[:, None]
+    coarse_out -= w
+    z *= std_x[:, None]
+    fine_out = z
+    fine_out += g_j[:, None] * fine
     unit_counter["forward"] += m * (n * j + nc * (j // 2))
     return coarse_out, fine_out

@@ -515,6 +515,24 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
 
 
 @pytest.mark.parametrize("solver", ["exact", "expeuler"])
+@pytest.mark.parametrize("L", [2, None], ids=["mlenkf", "enkf"])
+def test_mlenkf_step_leaves_the_callers_batch_untouched(solver, L):
+    rng = np.random.default_rng(47)
+    if L is None:
+        ml = one_level(rng.standard_normal((HIER.n_modes(2), 8)), 2)
+    else:
+        ml = random_multilevel(rng, HIER, L, (8, 6, 4))
+    ml = MultilevelEnsemble(ml.levels, blocks=2)
+    inputs = [a for pe in ml.levels for a in (pe.coarse, pe.fine)]
+    kept = [a.copy() for a in inputs]
+    out = mlenkf_step(ml, np.array([0.3]), obs_1d(4), CFG, HIER, 11, (3, 5), 1, solver)
+    outputs = [a for pe in out.levels for a in (pe.coarse, pe.fine)]
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
+    for i, a in enumerate(outputs):
+        assert not any(np.shares_memory(a, b) for b in inputs + outputs[i + 1:])
+
+
+@pytest.mark.parametrize("solver", ["exact", "expeuler"])
 def test_one_level_engine_at_level_l_matches_reference_enkf(solver):
     # the EnKF is the ensemble engine with one level: at level 3, over 5
     # steps, it must reproduce the reference EnKF, whose update is the

@@ -1,0 +1,58 @@
+"""Seeded outputs of small studies against the pins in ``tests/golden/``.
+
+Strings, integers and schedules must match exactly.  Floats are held to
+1e-12 relative: numpy's SIMD ``exp``/``expm1`` may differ in the last
+bits on another CPU, while a change of the random streams moves ``mse``
+by about 1e-2.  ``tests/golden/regen.py`` regenerates the pins.
+"""
+
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from golden.regen import HERE, POOL_STUDIES, STUDIES, study_outputs, truth_record
+
+# a number with a fraction or an exponent; integers stay in the text
+_FLOAT = re.compile(r"([-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+))")
+REL = 1e-12
+
+
+def assert_text_close(actual, expected, what):
+    got, want = _FLOAT.split(actual), _FLOAT.split(expected)
+    assert len(got) == len(want), f"{what}: different layout"
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i % 2:
+            assert math.isclose(float(g), float(w), rel_tol=REL), f"{what}: {g} != {w}"
+        else:
+            assert g == w, f"{what}: {g!r} != {w!r}"
+
+
+@pytest.mark.parametrize(
+    "name, jobs",
+    [(name, 1) for name in STUDIES] + [(name, 2) for name in POOL_STUDIES],
+)
+def test_study_reproduces_its_pins(name, jobs):
+    outputs = study_outputs(name, jobs)
+    assert outputs["schedule.csv"] == (HERE / name / "schedule.csv").read_text()
+    for pin in ("results.csv", "summary.txt"):
+        assert_text_close(outputs[pin], (HERE / name / pin).read_text(), f"{name}/{pin}")
+
+
+def test_truth_record_reproduces_its_pins():
+    pinned = json.loads((HERE / "truth.json").read_text())
+    record = truth_record()
+    assert record.keys() == pinned.keys()
+    for example, series in pinned.items():
+        for key, values in series.items():
+            np.testing.assert_allclose(record[example][key], values, rtol=REL, atol=0)
+
+
+def test_float_tolerance_catches_a_moved_digit():
+    assert_text_close("mse 0.0651,5\n", "mse 0.0651,5\n", "same")
+    with pytest.raises(AssertionError):
+        assert_text_close("mse 0.06512,5\n", "mse 0.06511,5\n", "float")
+    with pytest.raises(AssertionError):
+        assert_text_close("L=3 0.5\n", "L=4 0.5\n", "integer")

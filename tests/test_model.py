@@ -379,6 +379,22 @@ def test_propagate_pairs_batch_replays_keyed_draws():
     assert np.array_equal(cout, fout[:2])
 
 
+@pytest.mark.parametrize("solver", ["exact", "expeuler"])
+@pytest.mark.parametrize("level, rows", [(0, 0), (3, 4), (3, 0)],
+                         ids=["level0", "pair", "single-level"])
+def test_propagate_pairs_returns_fresh_arrays_and_keeps_its_inputs(solver, level, rows):
+    # the kernels write into their own draws, never into the members
+    rng = np.random.default_rng(44)
+    coarse, fine = rng.standard_normal((rows, 6)), rng.standard_normal((HIER.n_modes(level), 6))
+    kept = coarse.copy(), fine.copy()
+    outs = propagate_pairs(coarse, fine, level, CFG, HIER,
+                           RngKey(3, "forward", 0, level, 1).generator(), solver)
+    assert np.array_equal(coarse, kept[0]) and np.array_equal(fine, kept[1])
+    for out in outs:
+        assert not any(np.shares_memory(out, arr) for arr in (coarse, fine))
+    assert not np.shares_memory(*outs)
+
+
 def test_propagate_pairs_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
