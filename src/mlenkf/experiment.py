@@ -356,16 +356,12 @@ def run_filter_realizations(cfg, schedule, ys, realizations):
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
     ml = initial_multilevel_ensemble(cfg, schedule, len(realizations))
     tracks[:, 0] = empirical_qoi(ml, cfg.obs.qoi)
-    try:
-        for n in range(1, cfg.n_steps + 1):
-            ml = mlenkf_step(
-                ml, ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
-                cfg.master_seed, realizations, n, cfg.solver,
-            )
-            tracks[:, n] = empirical_qoi(ml, cfg.obs.qoi)
-    except FloatingPointError:
-        # ml_gain raises once every block has diverged
-        tracks[:] = np.nan
+    for n in range(1, cfg.n_steps + 1):
+        ml = mlenkf_step(
+            ml, ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
+            cfg.master_seed, realizations, n, cfg.solver,
+        )
+        tracks[:, n] = empirical_qoi(ml, cfg.obs.qoi)
     tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan
     return tracks
 
@@ -395,23 +391,14 @@ def _squared_errors(args):
     return [float(np.sum((track - ref_qoi) ** 2)) for track in tracks]
 
 
-def _pool(cfg):
-    # the pool starts all its workers up front, so never more than there are realizations
-    return ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations))
-
-
 def estimate_mse(cfg, schedule, data, pool=None):
     """Average squared QoI error against the reference over realizations.
 
     The realizations run in the batches of :func:`realization_batches`,
-    mapped over ``pool`` when given, else over a pool of their own when
-    ``cfg.jobs > 1``.  Non-finite realizations (filter divergence) are
-    excluded with a warning; the record carries the number actually
-    averaged.
+    mapped over ``pool`` when given, else in this process.  Non-finite
+    realizations (filter divergence) are excluded with a warning; the
+    record carries the number actually averaged.
     """
-    if pool is None and cfg.jobs > 1:
-        with _pool(cfg) as pool:
-            return estimate_mse(cfg, schedule, data, pool)
     t0 = time.perf_counter()
     tasks = [
         (cfg, schedule, data.ys, data.ref_qoi, batch)
@@ -448,7 +435,9 @@ def run_experiment(cfg, on_record=None, *, data=None):
     if data is None:
         data = synthesize_truth_and_obs(cfg)
     records, schedules = [], []
-    with _pool(cfg) if cfg.jobs > 1 else contextlib.nullcontext() as pool:
+    # the pool starts all its workers up front, so never more than there are realizations
+    with (ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations))
+          if cfg.jobs > 1 else contextlib.nullcontext()) as pool:
         for eps in cfg.eps_grid:
             schedule = make_schedule(eps, cfg.hierarchy, cfg.method, cfg.base_constant)
             records.append(estimate_mse(cfg, schedule, data, pool))

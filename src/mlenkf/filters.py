@@ -205,7 +205,7 @@ def _cov_action(v, hv, b):
     d = _blocks(hv, b) - _block_means(hv, b)[..., None]
     v = _blocks(v, b)
     m = v.shape[2]
-    if b == 1 or m <= np.getbufsize():
+    if m <= np.getbufsize():
         s = np.einsum("nbp,kbp->bnk", v, d)
     else:
         # einsum sums a particle axis longer than its buffer in pieces
@@ -289,16 +289,13 @@ def ml_gain(r, obs):
 
     ``r`` is one (N, m) action or a (B, N, m) stack, one per block; the
     gain has the same shape.  A diverged block (non-finite R) gets a NaN
-    gain and leaves the other blocks alone.  ``FloatingPointError`` is
-    raised when every block diverged, or when an S is not positive
-    definite.
+    gain and leaves the other blocks alone, even when every block
+    diverged.  ``FloatingPointError`` is raised when an S is not positive
+    definite, which only a zero Gamma allows.
     """
     r = np.asarray(r, dtype=float)
     bad = ~np.isfinite(r).all(axis=(-2, -1))
-    if bad.any():
-        if bad.all():
-            raise FloatingPointError("covariance action has non-finite entries")
-        r = np.where(bad[..., None, None], 0.0, r)
+    r = np.where(bad[..., None, None], 0.0, r)
     hr = np.einsum("kn,...nj->...kj", obs.H[:, : r.shape[-2]], r)
     s = positive_part(hr) + obs.Gamma
     try:
@@ -316,12 +313,7 @@ def _updated(v, kt, innovation):
     # broadcast one observed direction at a time into one fresh array,
     # never a BLAS call
     n, b = v.shape[0], kt.shape[2]
-    if b == 1:
-        # one block: the (N, m, 1) gain broadcasts against the (m, M)
-        # innovation as it is, without the block views' per-call cost
-        kt = kt[..., 0]
-    else:
-        innovation, v = _blocks(innovation, b), _blocks(v, b)
+    innovation, v = _blocks(innovation, b), _blocks(v, b)
     out = kt[:n, 0] * innovation[0]
     for j in range(1, innovation.shape[0]):
         out += kt[:n, j] * innovation[j]
@@ -330,14 +322,13 @@ def _updated(v, kt, innovation):
 
 
 def _streams(ml, seed, purpose, realization, step):
-    """Reader over the step's stream of each block's realization: the one
-    stream of a one-block ensemble, else a column-block reader.
-    ``realization`` is one index per block, or an int for one block."""
+    """Column-block reader over the step's stream of each block's
+    realization.  ``realization`` is one index per block, or an int for
+    one block."""
     rs = (realization,) if np.ndim(realization) == 0 else tuple(realization)
     if len(rs) != ml.blocks:
         raise ValueError(f"{ml.blocks} blocks need as many realizations, got {len(rs)}")
-    gens = [RngKey(seed, purpose, r, 0, step).generator() for r in rs]
-    return gens[0] if len(gens) == 1 else ColumnBlocks(gens)
+    return ColumnBlocks(RngKey(seed, purpose, r, 0, step).generator() for r in rs)
 
 
 def ml_update(ml, k, y, obs, seed, realization, step, hv=None):

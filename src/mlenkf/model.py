@@ -32,7 +32,6 @@ __all__ = [
     "substep_noise_var",
     "propagate_pairs",
     "unit_counter",
-    "reset_unit_counter",
 ]
 
 SOLVERS = ("exact", "expeuler")
@@ -41,11 +40,6 @@ SOLVERS = ("exact", "expeuler")
 # mode-substeps per expeuler member, though a pair is drawn in one go) and
 # the moment accumulation (see experiment.theoretical_cost)
 unit_counter = {"forward": 0.0, "moments": 0.0}
-
-
-def reset_unit_counter():
-    for k in unit_counter:
-        unit_counter[k] = 0.0
 
 
 @dataclass(frozen=True)

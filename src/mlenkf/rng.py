@@ -11,11 +11,11 @@ disjoint draws of their block.  Opening a stream costs a
 step keeps that cost independent of the number of levels.
 
 A batch of realizations runs as one ensemble, realization i's particles
-in column block i of every level array.  Each realization still opens
-and reads its own streams: a :class:`ColumnBlocks` reader fills column
-block i of every draw from realization i's stream, in the order and
-amounts that the realization would read alone, so its draws do not
-depend on the batch it runs in.
+in column block i of every level array; a single realization is the
+batch of one.  Each realization opens and reads its own streams: a
+:class:`ColumnBlocks` reader fills column block i of every draw from
+realization i's stream, in the order and amounts that the realization
+would read alone, so its draws do not depend on the batch it runs in.
 
 Streams are consumed sequentially and numpy fills arrays in C order, so
 two consumers that read different amounts from the same position see
@@ -84,7 +84,9 @@ class ColumnBlocks:
 
     ``standard_normal((rows, B * M))`` fills columns ``i M .. (i+1) M``
     with the next ``rows x M`` normals of stream i, in C order, exactly
-    as ``generators[i].standard_normal((rows, M))`` would.
+    as ``generators[i].standard_normal((rows, M))`` would.  Each block is
+    drawn into its own contiguous slab, so one block (B = 1) returns the
+    slab itself and B > 1 blocks cost one interleaving copy.
     """
 
     def __init__(self, generators):
@@ -95,6 +97,7 @@ class ColumnBlocks:
         b = len(self.generators)
         if cols % b:
             raise ValueError(f"{cols} columns do not split into {b} blocks")
-        return np.concatenate(
-            [g.standard_normal((rows, cols // b)) for g in self.generators], axis=1
-        )
+        out = np.empty((b, rows, cols // b))
+        for g, block in zip(self.generators, out):
+            g.standard_normal(out=block)
+        return out.transpose(1, 0, 2).reshape(rows, cols)

@@ -24,7 +24,7 @@ from mlenkf.experiment import (
     synthesize_truth_and_obs,
     theoretical_cost,
 )
-from mlenkf.model import reset_unit_counter, unit_counter
+from mlenkf.model import unit_counter
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy
 
@@ -271,16 +271,16 @@ def test_mse_excludes_diverged_realizations(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_nan_datum_fails_realizations_not_the_study(jobs):
-    # a NaN datum makes the next step's covariance action non-finite; the
-    # gain raises FloatingPointError, which fails only that realization
-    cfg = ExperimentConfig(example=1, n_ref=16, n_steps=2, realizations=3, jobs=jobs)
+    # a NaN datum makes the next step's covariance action non-finite in
+    # every block; each gets a NaN gain and a NaN track, in a pool worker too
+    cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_ref=16, n_steps=2, realizations=3,
+                           jobs=jobs)
     data = synthesize_truth_and_obs(cfg)
     ys = data.ys.copy()
     ys[0] = np.nan
-    sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
     with pytest.warns(UserWarning, match="excluded 3 diverged"):
         with pytest.raises(RuntimeError, match="all realizations diverged"):
-            estimate_mse(cfg, sched, TruthData(data.truth, ys, data.ref_qoi))
+            run_experiment(cfg, data=TruthData(data.truth, ys, data.ref_qoi))
 
 
 def test_other_realization_errors_still_propagate(monkeypatch):
@@ -328,12 +328,11 @@ def test_counted_units_match_theoretical_cost():
                                    n_ref=64, n_steps=3, realizations=2)
             data = synthesize_truth_and_obs(cfg)
             sched = make_schedule(0.25, cfg.hierarchy, method)
-            reset_unit_counter()
+            before = sum(unit_counter.values())
             run_filter_realizations(cfg, sched, data.ys, [0])
-            measured = unit_counter["forward"] + unit_counter["moments"]
+            measured = sum(unit_counter.values()) - before
             want = theoretical_cost(sched, cfg.hierarchy, method, cfg.n_steps, cfg.obs.m)
             assert abs(measured - want) <= 0.05 * want
-    reset_unit_counter()
 
 
 def test_fit_loglog_slope_recovers_exact_power_law():
@@ -431,32 +430,6 @@ def test_config_derives_its_parts_from_the_settings():
     assert euler == replace(cfg, solver="expeuler", n0=2)
 
 
-def test_pool_never_has_more_workers_than_realizations(monkeypatch):
-    seen = {}
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            seen["max_workers"] = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
-    cfg = ExperimentConfig(example=1, n_ref=16, n_steps=2, realizations=3, jobs=64)
-    data = synthesize_truth_and_obs(cfg)
-    sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
-    pooled = estimate_mse(cfg, sched, data)
-    assert seen["max_workers"] == 3
-    serial = estimate_mse(replace(cfg, jobs=1), sched, data)
-    assert pooled.mse == serial.mse
-
-
 def test_run_experiment_opens_one_pool_per_study(monkeypatch):
     opened = []
 
@@ -530,13 +503,17 @@ def test_diverging_realization_leaves_its_batch_mates_alone(monkeypatch):
     # realization 2's forward stream returns infinities at step 2, so its
     # covariance action turns non-finite there
     class Blowup:
-        def standard_normal(self, size):
-            return np.full(size, np.inf)
+        def standard_normal(self, size=None, out=None):
+            if out is None:
+                return np.full(size, np.inf)
+            out[...] = np.inf
+            return out
 
     generator = RngKey.generator
+    blown = {2}
 
     def rigged(key):
-        if (key.purpose, key.realization, key.step) == ("forward", 2, 2):
+        if key.purpose == "forward" and key.step == 2 and key.realization in blown:
             return Blowup()
         return generator(key)
 
@@ -558,3 +535,8 @@ def test_diverging_realization_leaves_its_batch_mates_alone(monkeypatch):
     assert rec.realizations == 3
     errs = np.sum((clean[keep] - data.ref_qoi) ** 2, axis=1)
     assert rec.mse == np.mean(errs)
+    # every block blows up: every track is NaN, and nothing raises
+    blown.update(range(4))
+    with np.errstate(invalid="ignore"):
+        batch = run_filter_realizations(cfg, sched, data.ys, range(4))
+    assert batch.shape == clean.shape and np.all(np.isnan(batch))

@@ -214,8 +214,9 @@ def test_ml_gain_failure_modes():
     obs = ObservationModel(np.ones((1, 2)), np.array([[0.0]]), np.zeros(2))
     with pytest.raises(FloatingPointError, match="not positive definite"):
         ml_gain(np.zeros((2, 1)), obs)
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        ml_gain(np.array([[np.nan], [0.0]]), obs_1d(2))
+    # a diverged action is no error: its gain is NaN
+    k = ml_gain(np.array([[np.nan], [0.0]]), obs_1d(2))
+    assert k.shape == (2, 1) and np.all(np.isnan(k))
 
 
 def test_ensemble_blocks_split_every_level():
@@ -239,8 +240,8 @@ def test_ml_gain_stack_matches_each_block_and_isolates_a_diverged_one():
     assert k.shape == r.shape and np.all(np.isnan(k[1]))
     for i in (0, 2, 3):
         assert np.array_equal(k[i], ml_gain(r[i], obs))
-    with pytest.raises(FloatingPointError, match="non-finite"):
-        ml_gain(np.full((2, 7, 3), np.nan), obs)
+    # every block diverged: every gain is NaN, and nothing raises
+    assert np.all(np.isnan(ml_gain(np.full((2, 7, 3), np.nan), obs)))
 
 
 def test_ml_update_zero_gain_is_identity():

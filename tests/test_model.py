@@ -12,7 +12,6 @@ from mlenkf.model import (
     g_factor,
     propagate_pairs,
     propagator,
-    reset_unit_counter,
     substep_noise_var,
     unit_counter,
 )
@@ -423,19 +422,11 @@ def test_pair_difference_shrinks_with_level():
 
 def test_unit_counter_tracks_mode_substeps():
     rng = np.random.default_rng(0)
-    reset_unit_counter()
-    propagate_pairs(np.zeros((0, 5)), np.zeros((4, 5)), 2, CFG, HIER, rng, "exact")
-    assert unit_counter["forward"] == 5 * 4
-    reset_unit_counter()
-    propagate_pairs(np.zeros((0, 3)), np.zeros((4, 3)), 2, CFG, HIER, rng, "expeuler")
-    assert unit_counter["forward"] == 3 * 4 * 4
-    reset_unit_counter()
-    propagate_pairs(np.zeros((2, 3)), np.zeros((4, 3)), 2, CFG, HIER, rng, "expeuler")
-    assert unit_counter["forward"] == 3 * (4 * 4 + 2 * 2)
-    reset_unit_counter()
-    propagate_pairs(np.zeros((2, 5)), np.zeros((4, 5)), 2, CFG, HIER, rng, "exact")
-    assert unit_counter["forward"] == 5 * 6
-    reset_unit_counter()
+    for nc, m, solver, units in ((0, 5, "exact", 5 * 4), (0, 3, "expeuler", 3 * 4 * 4),
+                                 (2, 3, "expeuler", 3 * (4 * 4 + 2 * 2)), (2, 5, "exact", 5 * 6)):
+        before = unit_counter["forward"]
+        propagate_pairs(np.zeros((nc, m)), np.zeros((4, m)), 2, CFG, HIER, rng, solver)
+        assert unit_counter["forward"] - before == units
 
 
 @pytest.mark.parametrize("hier", [HIER, HIER3], ids=["j0=1", "j0=3"])

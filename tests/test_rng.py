@@ -65,3 +65,10 @@ def test_column_blocks_fill_block_i_from_stream_i():
         assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="blocks"):
         reader.standard_normal((2, 7))
+
+
+def test_one_column_block_reads_as_the_bare_generator():
+    key = RngKey(7, "obs-perturbation", 2, 0, 5)
+    reader, bare = ColumnBlocks([key.generator()]), key.generator()
+    for size in ((3, 4), (0, 4), (1, 1), (2, 6)):
+        assert np.array_equal(reader.standard_normal(size), bare.standard_normal(size))
