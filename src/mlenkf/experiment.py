@@ -312,7 +312,7 @@ def synthesize_truth_and_obs(cfg):
         truth.append(u.copy())
         rng = RngKey(cfg.master_seed, "data-noise", 0, 0, n).generator()
         eta = obs.Gamma_factor @ rng.standard_normal(obs.m)
-        ys.append(obs.H @ u + eta)
+        ys.append(obs.observe(u) + eta)
     state = GaussianState.deterministic(cfg.u0)
     ref = [obs.qoi_value(state.mean)]
     for y in ys:

@@ -120,8 +120,10 @@ class ObservationModel:
         return np.einsum("kn,n...->k...", self.H[:, :n], v)
 
     def qoi_value(self, v):
+        """QoI of coefficients at any truncation, an einsum kernel like
+        :meth:`observe`."""
         n = v.shape[0]
-        return self.qoi[:n] @ v
+        return np.einsum("n,n...->...", self.qoi[:n], v)
 
 
 @dataclass(frozen=True)

@@ -371,26 +371,39 @@ BLAS_THREAD_STUDY = ["run", "--method", "mlenkf", "--solver", "expeuler",
                      "--eps", "0.03125", "--realizations", "2", "--n-ref", "1024"]
 
 
-def test_seeded_results_do_not_depend_on_blas_threads(tmp_path):
+def assert_outputs_do_not_depend_on_blas_threads(tmp_path, argv, rows):
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"),
                "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-m", "mlenkf", *BLAS_THREAD_STUDY, "--out", str(out)],
+            [sys.executable, "-m", "mlenkf", *argv, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out)
     wall = RESULT_COLUMNS.index("wall_seconds")
     rows_1, rows_2 = (read_rows(o / "results.csv") for o in outs)
-    assert len(rows_1) == len(rows_2) == 2
+    assert len(rows_1) == len(rows_2) == rows
     for r1, r2 in zip(rows_1, rows_2):
         del r1[wall], r2[wall]
         assert r1 == r2
     for name in ("schedule.csv", "summary.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_seeded_results_do_not_depend_on_blas_threads(tmp_path):
+    assert_outputs_do_not_depend_on_blas_threads(tmp_path, BLAS_THREAD_STUDY, rows=2)
+
+
+# At n_ref >= 16384 the data record once moved with the BLAS thread count:
+# H u of the truth and the reference QoI were BLAS dot products.
+@pytest.mark.parametrize("example", ["1", "2"])
+def test_data_record_does_not_depend_on_blas_threads(tmp_path, example):
+    assert_outputs_do_not_depend_on_blas_threads(
+        tmp_path, ["run", "--example", example, "--n-ref", "16384",
+                   "--eps", "0.25,0.125,0.0625", "--realizations", "3"], rows=4)
 
 
 POOL_STUDY = ["run", "--method", "mlenkf", "--solver", "expeuler",
