@@ -503,9 +503,7 @@ def test_diverging_realization_leaves_its_batch_mates_alone(monkeypatch):
     # realization 2's forward stream returns infinities at step 2, so its
     # covariance action turns non-finite there
     class Blowup:
-        def standard_normal(self, size=None, out=None):
-            if out is None:
-                return np.full(size, np.inf)
+        def standard_normal(self, out):
             out[...] = np.inf
             return out
 

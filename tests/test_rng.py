@@ -56,19 +56,14 @@ def test_indices_must_be_nonnegative():
 
 
 def test_column_blocks_fill_block_i_from_stream_i():
-    keys = [RngKey(7, "forward", r, 0, 3) for r in (4, 0, 9)]
-    reader = ColumnBlocks(k.generator() for k in keys)
-    solo = [k.generator() for k in keys]
-    for rows in (1, 3, 0):
-        got = reader.standard_normal((rows, 3 * 5))
-        want = np.hstack([g.standard_normal((rows, 5)) for g in solo])
-        assert np.array_equal(got, want)
+    # three blocks, and one block, which reads exactly as its bare generator
+    for realizations in ((4, 0, 9), (2,)):
+        keys = [RngKey(7, "forward", r, 0, 3) for r in realizations]
+        reader = ColumnBlocks(k.generator() for k in keys)
+        solo = [k.generator() for k in keys]
+        for rows in (1, 3, 0):
+            got = reader.standard_normal((rows, len(keys) * 5))
+            want = np.hstack([g.standard_normal((rows, 5)) for g in solo])
+            assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="blocks"):
-        reader.standard_normal((2, 7))
-
-
-def test_one_column_block_reads_as_the_bare_generator():
-    key = RngKey(7, "obs-perturbation", 2, 0, 5)
-    reader, bare = ColumnBlocks([key.generator()]), key.generator()
-    for size in ((3, 4), (0, 4), (1, 1), (2, 6)):
-        assert np.array_equal(reader.standard_normal(size), bare.standard_normal(size))
+        ColumnBlocks(RngKey(7, "forward", r).generator() for r in range(3)).standard_normal((2, 7))
