@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import experiment, verify
+from . import experiment
 
 __all__ = ["main", "load_config", "RESULT_COLUMNS", "SCHEDULE_COLUMNS"]
 
@@ -172,6 +172,8 @@ def _cmd_run(args):
 
 
 def _cmd_verify(args):
+    from . import verify  # imported here: only this command runs the battery
+
     ok = verify.run_all(seed=args.seed)
     print("verify:", "all checks passed" if ok else "FAILURES above")
     return 0 if ok else 1

@@ -14,7 +14,6 @@ import contextlib
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +53,13 @@ __all__ = [
 ]
 
 UPSILON = 1e-3
+
+# Member entries, sum_l (N_l + N_{l-1}) M_l B, that a batch may fill when
+# one realization of the finest target holds fewer.  Batching shares numpy's
+# fixed cost per level and step between realizations, which is most of the
+# work on the few-particle top levels of a deep ladder; 2^18 float64 entries
+# are 2 MiB per copy of the ensemble, and a step holds about two copies.
+BATCH_ENTRIES = 2 ** 18
 
 # rate-branch comparisons are exact in theory but the example exponents
 # carry float rounding, so compare with a slack far below any real gap
@@ -354,14 +360,16 @@ def run_filter_realizations(cfg, schedule, ys, realizations):
     """
     realizations = tuple(realizations)
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
-    ml = initial_multilevel_ensemble(cfg, schedule, len(realizations))
-    tracks[:, 0] = empirical_qoi(ml, cfg.obs.qoi)
+    # the list hands each step the only reference to its input ensemble,
+    # so the step frees the input once it has made the prediction
+    held = [initial_multilevel_ensemble(cfg, schedule, len(realizations))]
+    tracks[:, 0] = empirical_qoi(held[0], cfg.obs.qoi)
     for n in range(1, cfg.n_steps + 1):
-        ml = mlenkf_step(
-            ml, ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
+        held.append(mlenkf_step(
+            held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
             cfg.master_seed, realizations, n, cfg.solver,
-        )
-        tracks[:, n] = empirical_qoi(ml, cfg.obs.qoi)
+        ))
+        tracks[:, n] = empirical_qoi(held[0], cfg.obs.qoi)
     tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan
     return tracks
 
@@ -371,9 +379,11 @@ def realization_batches(cfg, schedule):
     one ensemble by :func:`run_filter_realizations`.
 
     A batch holds at most ceil(R / jobs) realizations, so every worker
-    gets one.  Its member entries, sum_l (N_l + N_{l-1}) M_l B, stay
-    within those of one realization of the grid's finest target, so a
-    batch needs no more memory than that target, which runs at B = 1.
+    gets one.  Its member entries, sum_l (N_l + N_{l-1}) M_l B, stay within
+    the larger of :data:`BATCH_ENTRIES` and one realization of the grid's
+    finest target: a deep ladder batches even its finest target, while a
+    grid whose finest realization alone exceeds the budget keeps that
+    realization as its cap, so a batch never needs more memory than it.
     """
     def entries(sched):
         return sum((n_f + n_c) * m_l for _, n_f, n_c, m_l in _level_rows(sched, cfg.hierarchy))
@@ -381,7 +391,8 @@ def realization_batches(cfg, schedule):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # make_schedule warned for it already
         finest = make_schedule(min(cfg.eps_grid), cfg.hierarchy, cfg.method, cfg.base_constant)
-    size = max(1, min(-(-cfg.realizations // cfg.jobs), entries(finest) // entries(schedule)))
+    cap = max(entries(finest), BATCH_ENTRIES)
+    size = max(1, min(-(-cfg.realizations // cfg.jobs), cap // entries(schedule)))
     return [range(i, min(i + size, cfg.realizations)) for i in range(0, cfg.realizations, size)]
 
 
@@ -435,9 +446,14 @@ def run_experiment(cfg, on_record=None, *, data=None):
     if data is None:
         data = synthesize_truth_and_obs(cfg)
     records, schedules = [], []
-    # the pool starts all its workers up front, so never more than there are realizations
-    with (ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations))
-          if cfg.jobs > 1 else contextlib.nullcontext()) as pool:
+    pool = contextlib.nullcontext()
+    if cfg.jobs > 1:
+        # imported here: a serial study never pays for the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool starts all its workers up front, so never more than there are realizations
+        pool = ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations))
+    with pool as pool:
         for eps in cfg.eps_grid:
             schedule = make_schedule(eps, cfg.hierarchy, cfg.method, cfg.base_constant)
             records.append(estimate_mse(cfg, schedule, data, pool))

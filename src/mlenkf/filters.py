@@ -309,18 +309,18 @@ def ml_gain(r, obs):
     return k
 
 
-def _updated(v, kt, innovation):
-    # v + P K (ytilde - Hv) per column block, P the truncation to v's
-    # height and kt the gains as (N, m, B, 1): the rank-m product is
-    # broadcast one observed direction at a time into one fresh array,
-    # never a BLAS call
+def _add_correction(v, kt, innovation):
+    # v += P K (ytilde - Hv) per column block, in place, P the truncation
+    # to v's height and kt the gains as (N, m, B, 1): the rank-m product is
+    # broadcast one observed direction at a time into one temporary, never
+    # a BLAS call, and only then added into v, so v + sum_j k_j innov_j is
+    # bit-identical to the written-out sum_j k_j innov_j + v for every m
     n, b = v.shape[0], kt.shape[2]
-    innovation, v = _blocks(innovation, b), _blocks(v, b)
-    out = kt[:n, 0] * innovation[0]
+    innovation = _blocks(innovation, b)
+    correction = kt[:n, 0] * innovation[0]
     for j in range(1, innovation.shape[0]):
-        out += kt[:n, j] * innovation[j]
-    out += v
-    return out.reshape(n, -1)
+        correction += kt[:n, j] * innovation[j]
+    v += correction.reshape(n, -1)
 
 
 def _streams(ml, seed, purpose, realization, step):
@@ -334,7 +334,7 @@ def _streams(ml, seed, purpose, realization, step):
 
 
 def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
-    """Perturbed-observation update of every pair.
+    """Perturbed-observation update of every pair, in place.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
     pair and is independent across particles and levels; each member is
@@ -345,20 +345,27 @@ def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
     level order: each level takes the next m M_l normals, so levels get
     disjoint blocks.  ``hv`` holds the members' projections (see
     :func:`_project`) when the caller has them already.
+
+    The update consumes its inputs: the corrections are added into the
+    member arrays of ``ml``, which it returns, and the innovations
+    ``y + eta - Hv`` are written over the projections in ``hv``.  A
+    caller that still needs either passes copies.
     """
     if hv is None:
         hv = _project(ml, obs)
     y = np.asarray(y, dtype=float).reshape(obs.m)
     kt = np.reshape(k, (ml.blocks,) + np.shape(k)[-2:]).transpose(1, 2, 0)[..., None]
     rng = _streams(ml, seed, "obs-perturbation", realization, step)
-    out = []
-    for pe, (h_coarse, h_fine) in zip(ml.levels, hv):
+    for pe, projections in zip(ml.levels, hv):
+        members = [(v, h) for v, h in zip((pe.coarse, pe.fine), projections) if h is not None]
         ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
         ytilde += y[:, None]
-        fine = _updated(pe.fine, kt, ytilde - h_fine)
-        coarse = pe.coarse if h_coarse is None else _updated(pe.coarse, kt, ytilde - h_coarse)
-        out.append(PairEnsemble(coarse, fine, pe.level))
-    return MultilevelEnsemble(tuple(out), ml.blocks)
+        for _, h in members:
+            np.subtract(ytilde, h, out=h)
+        del ytilde  # freed first, so the corrections' temporary can reuse its memory
+        for v, h in members:
+            _add_correction(v, kt, h)
+    return ml
 
 
 def ml_predict(ml, cfg, hierarchy, seed, realization, step, solver):
@@ -387,7 +394,10 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
     A multilevel ensemble makes this an MLEnKF step; a single level L
     without coarse partners makes it an EnKF step at level L.  A batch
     of realizations steps as one ensemble, ``realization`` naming one
-    per column block.
+    per column block.  The update writes into the prediction and its
+    projections, which the step owns; ``ml`` itself is never written.
+    The step drops ``ml`` once it has predicted, so a caller that hands
+    over its last reference frees the input before the update runs.
     """
     n_top = ml.levels[-1].fine.shape[0]
     if obs.m >= n_top:
@@ -396,6 +406,7 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
     pred = ml_predict(ml, cfg, hierarchy, seed, realization, step, solver)
+    del ml
     hv = _project(pred, obs)
     k = ml_gain(compute_R_ml(pred, obs, hv), obs)
     return ml_update(pred, k, y, obs, seed, realization, step, hv)

@@ -203,18 +203,25 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     # each in-place sum adds the same two products as the written-out
-    # a * x + s * z, and IEEE addition commutes, so results are bit-identical
+    # a * x + s * z, and IEEE addition commutes, so results are bit-identical.
+    # The fine product is taken before the draw, which becomes the output:
+    # the kept array is allocated after the temporary, so the temporary's
+    # freed block lies below it and later temporaries reuse that block
+    # instead of regrowing the heap top, which the allocator trims and then
+    # page-faults back in (seen on the EnKF's wide levels)
     if solver == "exact":
         a, std = _exact_coefficients(n, cfg.T, cfg.b)
+        fine_part = a[:, None] * fine
         z = rng.standard_normal((n, m))
         z *= std[:, None]
         coarse_out = a[:nc, None] * coarse
         coarse_out += z[:nc]
         fine_out = z
-        fine_out += a[:, None] * fine
+        fine_out += fine_part
         unit_counter["forward"] += m * (n + nc)
         return coarse_out, fine_out
     g_j, std_x, g_coarse, std_xc, std_d = _expeuler_coefficients(n, nc, j, dt, cfg.b)
+    fine_part = g_j[:, None] * fine
     z = rng.standard_normal((n, m))
     # coarse = G^{J/2} coarse + X - D with X = std_x z: D given X is
     # beta z, beta = cov / std_x, plus an independent normal of deviation
@@ -226,6 +233,6 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     coarse_out -= w
     z *= std_x[:, None]
     fine_out = z
-    fine_out += g_j[:, None] * fine
+    fine_out += fine_part
     unit_counter["forward"] += m * (n * j + nc * (j // 2))
     return coarse_out, fine_out

@@ -279,6 +279,19 @@ def test_slope_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_import_leaves_the_pool_modules_out():
+    # a serial run never opens a pool, so its start-up skips them
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mlenkf.cli; print(sorted(m for m in sys.modules if m.startswith("
+         "('concurrent.futures', 'mlenkf.verify'))))"],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "mlenkf", "verify", "--seed", "3"],

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -24,6 +26,7 @@ from mlenkf.experiment import (
     synthesize_truth_and_obs,
     theoretical_cost,
 )
+from mlenkf.filters import mlenkf_step
 from mlenkf.model import unit_counter
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy
@@ -446,7 +449,7 @@ def test_run_experiment_opens_one_pool_per_study(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     cfg = ExperimentConfig(example=1, eps_grid=(0.5, 0.25), n_ref=16, n_steps=2,
                            realizations=3, jobs=64)
     pooled, _ = run_experiment(cfg)
@@ -456,17 +459,51 @@ def test_run_experiment_opens_one_pool_per_study(monkeypatch):
     assert [r.mse for r in pooled] == [r.mse for r in serial]
 
 
+def batch_sizes(cfg):
+    return [[len(b) for b in realization_batches(
+        cfg, make_schedule(eps, cfg.hierarchy, cfg.method))] for eps in cfg.eps_grid]
+
+
 def test_realization_batches_follow_the_batch_rule():
-    # the finest target (L = 7) runs alone; coarser ones fill batches up
-    # to its member entries, at most ceil(R / jobs) realizations each
+    # the deep exact ladder's finest realization (70,639 entries) is below
+    # the entry budget, so every target fills batches up to the budget, at
+    # most ceil(R / jobs) realizations each
     cfg = ExperimentConfig(example=1, eps_grid=tuple(2.0 ** -k for k in range(2, 8)),
                            realizations=20, n_ref=1024)
-    sizes = [[len(b) for b in realization_batches(
-        cfg, make_schedule(eps, cfg.hierarchy, "mlenkf"))] for eps in cfg.eps_grid]
-    assert sizes == [[20], [20], [20], [17, 3], [4] * 5, [1] * 20]
+    assert experiment.BATCH_ENTRIES == 2 ** 18
+    assert batch_sizes(cfg) == [[20], [20], [20], [20], [15, 5], [3] * 6 + [2]]
+    # the wide grids' finest realization reaches the budget alone, so it
+    # stays the cap: their finest target runs one realization per batch
+    enkf = replace(cfg, method="enkf", solver="expeuler", eps_grid=cfg.eps_grid[:5],
+                   realizations=2)
+    assert batch_sizes(enkf) == [[2], [2], [2], [2], [1, 1]]
     pooled = replace(cfg, solver="expeuler", eps_grid=cfg.eps_grid[:5], realizations=10, jobs=2)
+    assert batch_sizes(pooled) == [[5, 5]] * 4 + [[1] * 10]
     sched = make_schedule(0.25, pooled.hierarchy, "mlenkf")
     assert [list(b) for b in realization_batches(pooled, sched)] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+
+
+def test_batched_step_peaks_near_two_member_copies_above_its_input():
+    # with the caller keeping its input, a step on three finest realizations
+    # of the deep exact ladder holds the input, the prediction it updates
+    # in place, the projections and one level's temporaries; a step that
+    # built its update in fresh arrays peaked at about 2.5 copies above it
+    cfg = ExperimentConfig(example=1, eps_grid=(2.0 ** -7,), realizations=3, n_ref=1024)
+    sched = make_schedule(2.0 ** -7, cfg.hierarchy, "mlenkf")
+    assert sched.L == 7
+    ml = initial_multilevel_ensemble(cfg, sched, blocks=3)
+    copy = sum(pe.coarse.nbytes + pe.fine.nbytes for pe in ml.levels)
+    args = (cfg.obs, cfg.model, cfg.hierarchy, cfg.master_seed, (0, 1, 2))
+    y = np.array([0.1])
+    ml = mlenkf_step(ml, y, *args, 1, "exact")  # fills the coefficient memos
+    tracemalloc.start()
+    try:
+        out = mlenkf_step(ml, y, *args, 2, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(out.levels[-1].fine))
+    assert peak <= 2.1 * copy, peak / copy
 
 
 # Each case holds a level whose blocks are longer than einsum's buffer

@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from mlenkf import filters
 from mlenkf.filters import (
     GaussianState,
     MultilevelEnsemble,
@@ -49,6 +51,16 @@ def random_multilevel(rng, hier, L, sizes, m=1):
         pairs.append(PairEnsemble(rng.standard_normal((nc, sizes[l])),
                                   rng.standard_normal((n, sizes[l])), l))
     return MultilevelEnsemble(tuple(pairs))
+
+
+def copied(ml):
+    """The ensemble with member arrays of its own: ``ml_update`` writes into
+    the members it is given, so a test that reads its input afterwards
+    updates a copy."""
+    return MultilevelEnsemble(
+        tuple(PairEnsemble(pe.coarse.copy(), pe.fine.copy(), pe.level) for pe in ml.levels),
+        ml.blocks,
+    )
 
 
 def test_observation_model_validation():
@@ -248,10 +260,15 @@ def test_ml_update_zero_gain_is_identity():
     rng = np.random.default_rng(41)
     ml = random_multilevel(rng, HIER, L=1, sizes=(4, 3))
     obs = obs_1d(2)
-    out = ml_update(ml, np.zeros((2, 1)), np.array([0.4]), obs, seed=1, realization=0, step=0)
+    given = copied(ml)
+    out = ml_update(given, np.zeros((2, 1)), np.array([0.4]), obs, seed=1, realization=0, step=0)
     for l in range(2):
         assert np.array_equal(out.levels[l].fine, ml.levels[l].fine)
         assert np.array_equal(out.levels[l].coarse, ml.levels[l].coarse)
+    # the update is written into the members it was given
+    members = [(pe.fine, up.fine) for pe, up in zip(given.levels, out.levels)]
+    members.append((given.levels[1].coarse, out.levels[1].coarse))
+    assert all(np.shares_memory(a, b) for a, b in members)
 
 
 def test_ml_update_unit_gain_pins_members_to_datum():
@@ -290,7 +307,7 @@ def test_ml_update_pair_residual_identity_general_h():
     ))
     obs = ObservationModel(rng.standard_normal((1, 4)), np.array([[0.5]]), np.zeros(4))
     (k,) = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, k, np.array([-0.3]), obs, seed=4, realization=0, step=1)
+    out = ml_update(copied(ml), k, np.array([-0.3]), obs, seed=4, realization=0, step=1)
     got = out.levels[1].coarse - out.levels[1].fine[:2]
     want = (coarse - fine[:2]) + k[:2] @ (obs.observe(fine) - obs.observe(coarse))
     assert np.allclose(got, want, rtol=0, atol=1e-13)
@@ -316,7 +333,8 @@ def test_zero_gain_update_then_predict_is_open_loop():
     rng = np.random.default_rng(61)
     ml = random_multilevel(rng, HIER, L=2, sizes=(5, 3, 2))
     obs = obs_1d(4)
-    upd = ml_update(ml, np.zeros((4, 1)), np.array([1.0]), obs, seed=6, realization=0, step=0)
+    upd = ml_update(copied(ml), np.zeros((4, 1)), np.array([1.0]), obs, seed=6, realization=0,
+                    step=0)
     a = ml_predict(upd, CFG, HIER, seed=6, realization=0, step=0, solver="exact")
     b = ml_predict(ml, CFG, HIER, seed=6, realization=0, step=0, solver="exact")
     for l in range(3):
@@ -345,7 +363,7 @@ def test_enkf_two_member_hand_oracle():
     assert np.allclose(k, [[0.8], [-0.8]], atol=1e-14)
     y = np.array([0.6])
     seed, realization, step = 11, 2, 4
-    out = ml_update(pred, k, y, obs, seed, realization, step)
+    out = ml_update(copied(pred), k, y, obs, seed, realization, step)
     # the step's perturbation stream has level slot 0 whatever the
     # ensemble's level; its one level reads the first block
     eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 0, step)\
@@ -366,7 +384,7 @@ def test_gain_norm_bounded_by_noise_floor():
     k = ml_gain(r, obs)
     bound = np.linalg.norm(r, 2) / 1e6
     assert np.linalg.norm(k, 2) <= bound * (1 + 1e-12)
-    out = ml_update(e, k, np.array([0.5, -0.5]), obs, seed=8, realization=0, step=0)
+    out = ml_update(copied(e), k, np.array([0.5, -0.5]), obs, seed=8, realization=0, step=0)
     # K eta has size ~ |R| / sqrt(Gamma), tiny against the members
     assert np.max(np.abs(out.levels[0].fine - e.levels[0].fine)) <= 1e-2
 
@@ -423,7 +441,7 @@ def test_ml_update_three_directions_matches_matmul_formula():
     (k,) = ml_gain(compute_R_ml(ml, obs), obs)
     y = np.array([0.3, -0.8, 1.1])
     seed, realization, step = 12, 1, 3
-    out = ml_update(ml, k, y, obs, seed, realization, step)
+    out = ml_update(copied(ml), k, y, obs, seed, realization, step)
     chol = np.linalg.cholesky(obs.Gamma)
     # the levels read consecutive blocks of the step's one stream
     rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
@@ -531,6 +549,29 @@ def test_mlenkf_step_leaves_the_callers_batch_untouched(solver, L):
     assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
     for i, a in enumerate(outputs):
         assert not any(np.shares_memory(a, b) for b in inputs + outputs[i + 1:])
+
+
+def test_mlenkf_step_frees_an_input_it_was_handed_before_the_update(monkeypatch):
+    # a caller that passes its last reference gets the input's memory back
+    # for the update's temporaries; one that keeps a reference keeps it
+    rng = np.random.default_rng(29)
+    held = [random_multilevel(rng, HIER, 2, (8, 6, 4))]
+    kept = held[0]
+    refs = [weakref.ref(pe.fine) for pe in held[0].levels]
+    alive = []
+    update = filters.ml_update
+
+    def spy(*args, **kwargs):
+        alive.append(any(r() is not None for r in refs))
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(filters, "ml_update", spy)
+    y, obs = np.array([0.3]), obs_1d(4)
+    # plain positional calls: a star-args call would hold the input in its tuple
+    mlenkf_step(held[0], y, obs, CFG, HIER, 11, 0, 1, "exact")
+    del kept
+    mlenkf_step(held.pop(), y, obs, CFG, HIER, 11, 0, 1, "exact")
+    assert alive == [True, False]
 
 
 @pytest.mark.parametrize("solver", ["exact", "expeuler"])
