@@ -59,6 +59,8 @@ UPSILON = 1e-3
 # fixed cost per level and step between realizations, which is most of the
 # work on the few-particle top levels of a deep ladder; 2^18 float64 entries
 # are 2 MiB per copy of the ensemble, and a step holds about two copies.
+# 2^18 is the smallest power of two that batches the finest target (L = 7,
+# 70,639 entries a realization) of example 1's exact ladder at eps 2^-7.
 BATCH_ENTRIES = 2 ** 18
 
 # rate-branch comparisons are exact in theory but the example exponents
@@ -360,8 +362,13 @@ def run_filter_realizations(cfg, schedule, ys, realizations):
     """
     realizations = tuple(realizations)
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
-    # the list hands each step the only reference to its input ensemble,
-    # so the step frees the input once it has made the prediction
+    # The list hands each step the only reference to its input ensemble,
+    # so the step frees the input once it has predicted (CPython 3.11+, see
+    # mlenkf_step) and the update's temporaries reuse its memory.  With
+    # propagate_pairs taking its fine product before its draw, this keeps
+    # the wide levels' temporaries off the heap top, which glibc trims and
+    # page-faults back in on the next step; either alone leaves the EnKF's
+    # wide levels slower than building the update in fresh arrays.
     held = [initial_multilevel_ensemble(cfg, schedule, len(realizations))]
     tracks[:, 0] = empirical_qoi(held[0], cfg.obs.qoi)
     for n in range(1, cfg.n_steps + 1):

@@ -396,8 +396,10 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
     of realizations steps as one ensemble, ``realization`` naming one
     per column block.  The update writes into the prediction and its
     projections, which the step owns; ``ml`` itself is never written.
-    The step drops ``ml`` once it has predicted, so a caller that hands
-    over its last reference frees the input before the update runs.
+    The step drops ``ml`` once it has predicted, so on CPython 3.11 and
+    later a caller that hands over its last reference frees the input
+    before the update runs; before 3.11 the caller's frame holds every
+    argument until the call returns, and the input lives through it.
     """
     n_top = ml.levels[-1].fine.shape[0]
     if obs.m >= n_top:

@@ -204,11 +204,8 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
         raise ValueError(f"unknown solver {solver!r}")
     # each in-place sum adds the same two products as the written-out
     # a * x + s * z, and IEEE addition commutes, so results are bit-identical.
-    # The fine product is taken before the draw, which becomes the output:
-    # the kept array is allocated after the temporary, so the temporary's
-    # freed block lies below it and later temporaries reuse that block
-    # instead of regrowing the heap top, which the allocator trims and then
-    # page-faults back in (seen on the EnKF's wide levels)
+    # The fine product is taken before the draw that becomes the output, so
+    # its freed block lies below the kept array (see run_filter_realizations)
     if solver == "exact":
         a, std = _exact_coefficients(n, cfg.T, cfg.b)
         fine_part = a[:, None] * fine

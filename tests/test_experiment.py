@@ -470,7 +470,6 @@ def test_realization_batches_follow_the_batch_rule():
     # most ceil(R / jobs) realizations each
     cfg = ExperimentConfig(example=1, eps_grid=tuple(2.0 ** -k for k in range(2, 8)),
                            realizations=20, n_ref=1024)
-    assert experiment.BATCH_ENTRIES == 2 ** 18
     assert batch_sizes(cfg) == [[20], [20], [20], [20], [15, 5], [3] * 6 + [2]]
     # the wide grids' finest realization reaches the budget alone, so it
     # stays the cap: their finest target runs one realization per batch

@@ -1,4 +1,5 @@
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -551,6 +552,11 @@ def test_mlenkf_step_leaves_the_callers_batch_untouched(solver, L):
         assert not any(np.shares_memory(a, b) for b in inputs + outputs[i + 1:])
 
 
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before CPython 3.11 the caller's value stack holds every argument "
+           "until the call returns, so a handed-over input lives through the step",
+)
 def test_mlenkf_step_frees_an_input_it_was_handed_before_the_update(monkeypatch):
     # a caller that passes its last reference gets the input's memory back
     # for the update's temporaries; one that keeps a reference keeps it
