@@ -185,13 +185,14 @@ class TruthData:
     ref_qoi: np.ndarray
 
 
-def build_example(example, solver, n_ref=2 ** 13, n0=1):
+def build_example(example, solver, n_ref, n0=1):
     """Model, ladder, observation model and initial data of one example.
 
     Example 1 observes a smoothness-limit combination of the odd modes;
     Example 2 observes the point value at x = 1/2.  Both use m = 1,
-    Gamma = 1/4 and T = 1/4.  ``solver`` selects the temporal cost rate
-    gamma_t (0 for exact-in-time, 2(r2 - r1) for exponential Euler).
+    Gamma = 1/4 and T = 1/4.  The norm exponents r1 < r2 < b + 1/4 fix
+    the ladder; ``solver`` selects the temporal cost rate gamma_t (0 for
+    exact-in-time, 2(r2 - r1) for exponential Euler).
     """
     if example not in (1, 2):
         raise ValueError("example must be 1 or 2")
@@ -214,7 +215,7 @@ def build_example(example, solver, n_ref=2 ** 13, n0=1):
         h[np.abs(h) < 1e-12] = 0.0
         qoi = np.ones(n_ref)
         u0 = j ** (-2.0 + UPSILON)
-    model = ModelConfig(T=0.25, b=b, r1=r1, r2=r2)
+    model = ModelConfig(T=0.25, b=b)
     gamma_t = 0.0 if solver == "exact" else 2.0 * (r2 - r1)
     hierarchy = LevelHierarchy.from_equilibration(
         r1, r2, n0=n0, j0=1, T=0.25, beta=4.0 * (r2 - r1), gamma_t=gamma_t

@@ -52,18 +52,6 @@ __all__ = [
 ]
 
 
-def _psd_factor(a):
-    """Factor F with F F^T = a for symmetric PSD a (cholesky, eigh fallback)."""
-    if not np.any(a):
-        return np.zeros_like(a)
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        w, q = np.linalg.eigh(a)
-        w = np.clip(w, 0.0, None)
-        return q * np.sqrt(w)
-
-
 @dataclass(frozen=True)
 class ObservationModel:
     """Observation operator H, noise covariance Gamma and QoI coefficients.
@@ -71,10 +59,9 @@ class ObservationModel:
     ``H`` has one row per observed functional, columns are mode
     coefficients truncated at the reference dimension.  ``qoi`` holds
     the coefficients of the scalar quantity of interest.  ``Gamma``
-    must be symmetric positive semi-definite; the filtering paths need
-    it positive definite, the zero matrix is accepted for noiseless
-    test data.  ``Gamma_factor`` is a factor F with F F^T = Gamma,
-    computed once; it colours the observation noise draws.
+    must be symmetric positive definite.  ``Gamma_factor`` is its
+    Cholesky factor F, F F^T = Gamma, computed once; it colours the
+    observation noise draws.
     """
 
     H: np.ndarray
@@ -95,10 +82,11 @@ class ObservationModel:
             raise ValueError("qoi must have n_ref entries")
         if not np.allclose(G, G.T):
             raise ValueError("Gamma must be symmetric")
-        w = np.linalg.eigvalsh(G)
-        if w.size and w[0] < -1e-12 * max(1.0, w[-1]):
-            raise ValueError("Gamma must be positive semi-definite")
-        object.__setattr__(self, "Gamma_factor", _psd_factor(G))
+        try:
+            factor = np.linalg.cholesky(G)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("Gamma must be positive definite") from exc
+        object.__setattr__(self, "Gamma_factor", factor)
 
     @property
     def m(self):
@@ -293,7 +281,7 @@ def ml_gain(r, obs):
     gain has the same shape.  A diverged block (non-finite R) gets a NaN
     gain and leaves the other blocks alone, even when every block
     diverged.  ``FloatingPointError`` is raised when an S is not positive
-    definite, which only a zero Gamma allows.
+    definite.
     """
     r = np.asarray(r, dtype=float)
     bad = ~np.isfinite(r).all(axis=(-2, -1))

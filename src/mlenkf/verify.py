@@ -91,7 +91,7 @@ def _kalman_dense_step(mean, cov, y, obs, cfg):
 def check_coupling_variance(seed):
     """Coupled coarse output from a zero state has the coarse-chain
     variance (3 SE)."""
-    cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+    cfg = model.ModelConfig(T=0.25, b=0.251)
     hier = LevelHierarchy(kappa=2.0, n0=4, T=0.25)
     level, j_mode, n_draws = 3, 2, 20000
     n, j_sub, _, dt = hier.level_params(level)
@@ -117,7 +117,7 @@ def check_coupling_variance(seed):
 def check_telescoping(seed):
     """Exact-in-time coupling: the fine output truncated to the coarse
     modes equals the coarse output."""
-    cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+    cfg = model.ModelConfig(T=0.25, b=0.251)
     hier = LevelHierarchy(kappa=2.0, n0=2, T=0.25)
     rng = np.random.default_rng(seed)
     for level in (1, 2, 3):
@@ -177,7 +177,7 @@ def check_positive_part(seed):
 def check_degeneracy(seed):
     """The one-level engine at level 1 reproduces a hand-written EnKF
     (sample gain, one perturbed datum per member) under shared keys."""
-    cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+    cfg = model.ModelConfig(T=0.25, b=0.251)
     hier = LevelHierarchy(kappa=2.0, n0=4, T=0.25)
     rng = np.random.default_rng(seed)
     level, m_size = 1, 6
@@ -202,7 +202,7 @@ def check_degeneracy(seed):
 
 def check_gain_consistency(seed):
     """ml_gain on the exact covariance action equals the Kalman gain."""
-    cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+    cfg = model.ModelConfig(T=0.25, b=0.251)
     rng = np.random.default_rng(seed)
     n = 16
     obs = _random_observation(rng, n, 2)
@@ -241,7 +241,7 @@ def check_cov_unbiased(seed):
 
 def check_update_finite(seed):
     """Filter steps keep finite ensembles finite (smoke)."""
-    cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+    cfg = model.ModelConfig(T=0.25, b=0.251)
     hier = LevelHierarchy(kappa=2.0, n0=2, T=0.25)
     rng = np.random.default_rng(seed)
     obs = _random_observation(rng, hier.n_modes(2), 1)
@@ -256,7 +256,7 @@ def check_update_finite(seed):
 
 def check_kalman_lowrank(seed):
     """Low-rank Kalman covariance matches the dense oracle."""
-    cfg = model.ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+    cfg = model.ModelConfig(T=0.25, b=0.251)
     rng = np.random.default_rng(seed)
     n = 2 ** 6
     _, _, obs_full, u0 = experiment.build_example(1, "exact", n_ref=n)
@@ -308,7 +308,7 @@ CHECKS = (
 )
 
 
-def run_all(seed=20260823):
+def run_all(seed):
     """Run every check; returns True iff all passed."""
     all_ok = True
     for name, fn in CHECKS:

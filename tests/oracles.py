@@ -9,8 +9,9 @@ of a coupled pair drawn as one explicit block.
 a whole level one by one, the reference for the joint law that
 ``propagate_pairs`` samples in one draw.  ``enkf_step`` is the
 single-level EnKF written out directly, the reference for the ensemble
-engine run with one level.  ``dense_r_ml`` is the brute-force multilevel
-covariance action, from full N x N sample covariances.
+engine run with one level.  ``dense_cov_action`` is the sample covariance
+action from the full N x N sample covariance; the brute-force multilevel
+action R^ML is ``mlenkf.verify._dense_r_ml``, which ``verify`` checks too.
 """
 
 import numpy as np
@@ -124,13 +125,3 @@ def dense_cov_action(v, obs):
     c = np.atleast_2d(np.cov(v, ddof=1))
     return c @ obs.H[:, : v.shape[0]].T
 
-
-def dense_r_ml(ml, obs):
-    """Multilevel covariance action R^ML as the telescoping sum of dense
-    covariance actions, each truncation difference added by hand."""
-    top = ml.levels[-1].fine
-    r = np.zeros((top.shape[0], obs.m))
-    for pe, up in zip(ml.levels, ml.levels[1:]):
-        r[: pe.fine.shape[0]] += dense_cov_action(pe.fine, obs)
-        r[: up.coarse.shape[0]] -= dense_cov_action(up.coarse, obs)
-    return r + dense_cov_action(top, obs)

@@ -39,8 +39,8 @@ from mlenkf.filters import (
 from mlenkf.model import ModelConfig, propagate_pairs, substep_noise_var
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy, eigenvalues
-from mlenkf.verify import _cov_matrix, _kalman_dense_step
-from oracles import dense_r_ml, draw_noise_block
+from mlenkf.verify import _cov_matrix, _dense_r_ml, _kalman_dense_step
+from oracles import draw_noise_block
 
 SEED = 20260823
 EPS_GRID = tuple(2.0 ** -k for k in range(2, 7))
@@ -71,7 +71,7 @@ def test_criterion_1_multilevel_covariance_matches_dense_oracle():
                                       rng.standard_normal((hier.n_modes(l), size)), l))
         ml = MultilevelEnsemble(tuple(pairs))
         (got,) = compute_R_ml(ml, obs)  # one action per block
-        want = dense_r_ml(ml, obs)
+        want = _dense_r_ml(ml, obs)
         worst = max(worst, np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
         assert got.shape == (n_top, m)
     dt = time.perf_counter() - t0
@@ -98,7 +98,7 @@ def test_criterion_2_single_level_run_reproduces_enkf():
 
 
 def test_criterion_3_coarse_increment_variance():
-    cfg = ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+    cfg = ModelConfig(T=0.25, b=0.251)
     hier = LevelHierarchy(kappa=2.0, n0=4, j0=1, T=0.25)
     t0 = time.perf_counter()
     worst_sigma = 0.0

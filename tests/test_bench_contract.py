@@ -2,9 +2,11 @@
 
 ``perfbench/tracer.py`` wraps library functions by name from outside and
 unpacks the arguments of ``propagate_pairs``; ``perfbench/setup_probe.py``
-stops ``mlenkf run`` at its call into ``run_experiment``.  A rename, a
-deletion or a signature change in ``src/`` would only show up as an
-error in a benchmark run; these tests make it fail here instead.
+stops ``mlenkf run`` at its call into ``run_experiment``; and
+``perfbench/run.py`` recomputes each study's expected cells and its slope
+fit through the library.  A rename, a deletion or a signature change in
+``src/`` would only show up as an error in a benchmark run; these tests
+make it fail here instead.
 """
 
 import importlib.util
@@ -21,12 +23,27 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
-@pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _load("perfbench_tracer", TRACER)
+
+
+@pytest.fixture(scope="module")
+def runner():
+    # run.py imports its tracer as a top-level module
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return _load("perfbench_run", PERFBENCH / "run.py")
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 def test_every_patched_name_resolves(tracer):
@@ -63,3 +80,24 @@ def test_setup_probe_stops_at_run_experiment(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) > 0.0
     assert not (out / "results.csv").exists()
+
+
+def test_expected_cells_call_the_library_as_the_benchmark_does(runner):
+    # expected_cells calls build_example(EXAMPLE, solver, n_ref=N_REF),
+    # make_schedule(eps, hierarchy, method), theoretical_cost(sched,
+    # hierarchy, method, n_steps, m) and level_params, and reads Schedule.M
+    # as an int for the EnKF and a tuple for the MLEnKF
+    for wl in runner.WORKLOADS.values():
+        cells = runner.expected_cells(mlenkf, wl)
+        assert len(cells) == len(wl.eps)
+        for level, cost, rows in cells:
+            assert isinstance(level, int) and cost > 0.0
+            assert len(rows) == (level + 1 if wl.method == "mlenkf" else 1)
+            assert all(type(row[5]) is int for row in rows)
+
+
+def test_slope_fit_takes_cost_mse_pairs():
+    # provenance fits the (cost_units, mse) pairs of a study's results rows
+    pts = [(10.0, 1.0), (40.0, 0.5), (160.0, 0.25)]
+    slope, _, stderr = mlenkf.experiment.fit_loglog_slope(pts)
+    assert slope == pytest.approx(-0.5) and stderr == pytest.approx(0.0, abs=1e-12)

@@ -162,6 +162,20 @@ def test_run_rejects_negative_seed(tmp_path, monkeypatch, capsys):
     assert code == 2 and "seed" in err
 
 
+def test_run_rejects_eps_that_is_not_a_list_of_numbers(tmp_path, monkeypatch, capsys):
+    # the same text as a flag and as a config line
+    for flags, settings in ((("--eps", "abc"), {}), ((), {"eps": "abc"})):
+        code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, *flags, **settings)
+        assert code == 2 and "eps" in err and len(err.strip().splitlines()) == 1
+
+
+def test_verify_rejects_negative_seed(capsys):
+    # refused before the battery, so no check reports a failure
+    assert main(["verify", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "seed" in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_run_rejects_nonpositive_jobs(tmp_path, monkeypatch, capsys, jobs):
     code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, "--jobs", jobs)

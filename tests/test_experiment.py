@@ -148,7 +148,6 @@ def test_theoretical_cost_hand_examples():
 def test_build_example_coefficients():
     model1, hier1, obs1, u01 = build_example(1, "exact", n_ref=8)
     assert model1.b == pytest.approx(0.251)
-    assert (model1.r1, model1.r2) == (0.0, 0.5)
     assert hier1.kappa == pytest.approx(2.0)
     assert hier1.gamma_t == 0.0
     assert obs1.H[0, 0] == pytest.approx(1.0)
@@ -159,16 +158,32 @@ def test_build_example_coefficients():
 
     model2, hier2, obs2, u02 = build_example(2, "exact", n_ref=8)
     assert model2.b == pytest.approx(0.501)
-    assert model2.r1 == pytest.approx(0.2505)
-    assert model2.r2 == pytest.approx(0.7505)
     assert np.allclose(obs2.H[0, :4], [math.sqrt(2.0), 0.0, -math.sqrt(2.0), 0.0])
     assert np.all(obs2.qoi == 1.0)
     assert u02[1] == pytest.approx(2.0 ** -1.999)
     assert build_example(1, "expeuler", n_ref=8)[1].gamma_t == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        build_example(3, "exact")
+        build_example(3, "exact", n_ref=8)
     with pytest.raises(ValueError):
-        build_example(1, "euler")
+        build_example(1, "euler", n_ref=8)
+
+
+def test_examples_lie_in_the_well_posedness_window(monkeypatch):
+    # build_example hands its norm exponents r1, r2 to the ladder only, so
+    # they are read off that call and checked against r1 < r2 < b + 1/4
+    seen = []
+    ladder = LevelHierarchy.from_equilibration.__func__
+
+    def spy(cls, r1, r2, **kwargs):
+        seen.append((r1, r2))
+        return ladder(cls, r1, r2, **kwargs)
+
+    monkeypatch.setattr(LevelHierarchy, "from_equilibration", classmethod(spy))
+    for example, want in ((1, (0.0, 0.5)), (2, (0.2505, 0.7505))):
+        model = build_example(example, "exact", n_ref=8)[0]
+        r1, r2 = seen.pop()
+        assert (r1, r2) == pytest.approx(want)
+        assert r1 < r2 < model.b + 0.25
 
 
 def test_synthesize_is_deterministic_and_method_free():

@@ -26,10 +26,10 @@ from mlenkf.filters import (
 from mlenkf.model import ModelConfig, _exact_coefficients, _expeuler_coefficients
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy
-from mlenkf.verify import _cov_matrix, _kalman_dense_step
-from oracles import dense_cov_action, dense_r_ml, enkf_step
+from mlenkf.verify import _cov_matrix, _dense_r_ml, _kalman_dense_step
+from oracles import dense_cov_action, enkf_step
 
-CFG = ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+CFG = ModelConfig(T=0.25, b=0.251)
 HIER = LevelHierarchy(kappa=2.0, n0=1, j0=1, T=0.25)
 
 
@@ -73,8 +73,10 @@ def test_observation_model_validation():
         ObservationModel(np.ones((1, 3)), np.array([[-0.5]]), np.ones(3))
     with pytest.raises(ValueError):
         ObservationModel(np.ones((1, 3)), np.array([[1.0]]), np.ones(4))
-    noiseless = ObservationModel(np.ones((1, 3)), np.array([[0.0]]), np.ones(3))
-    assert noiseless.m == 1 and noiseless.n_ref == 3
+    with pytest.raises(ValueError, match="positive definite"):
+        ObservationModel(np.ones((1, 3)), np.array([[0.0]]), np.ones(3))
+    obs = ObservationModel(np.ones((1, 3)), np.array([[0.25]]), np.ones(3))
+    assert obs.m == 1 and obs.n_ref == 3 and obs.Gamma_factor[0, 0] == 0.5
 
 
 def test_observe_truncates_columns():
@@ -155,7 +157,7 @@ def test_compute_r_ml_matches_dense_telescoping():
     hier = LevelHierarchy(kappa=2.0, n0=2)
     obs = ObservationModel(rng.standard_normal((2, 16)), np.eye(2), np.zeros(16))
     ml = random_multilevel(rng, hier, L=2, sizes=(7, 4, 3), m=2)
-    assert np.allclose(compute_R_ml(ml, obs), dense_r_ml(ml, obs), rtol=0, atol=1e-12)
+    assert np.allclose(compute_R_ml(ml, obs), _dense_r_ml(ml, obs), rtol=0, atol=1e-12)
 
 
 def test_compute_r_ml_constant_ensembles_vanish():
@@ -224,9 +226,6 @@ def test_ml_gain_clips_negative_eigendirection():
 
 
 def test_ml_gain_failure_modes():
-    obs = ObservationModel(np.ones((1, 2)), np.array([[0.0]]), np.zeros(2))
-    with pytest.raises(FloatingPointError, match="not positive definite"):
-        ml_gain(np.zeros((2, 1)), obs)
     # a diverged action is no error: its gain is NaN
     k = ml_gain(np.array([[np.nan], [0.0]]), obs_1d(2))
     assert k.shape == (2, 1) and np.all(np.isnan(k))
@@ -434,7 +433,7 @@ def three_direction_problem(seed):
 
 def test_compute_r_ml_three_directions_matches_dense():
     obs, ml = three_direction_problem(89)
-    assert np.allclose(compute_R_ml(ml, obs), dense_r_ml(ml, obs), rtol=0, atol=1e-12)
+    assert np.allclose(compute_R_ml(ml, obs), _dense_r_ml(ml, obs), rtol=0, atol=1e-12)
 
 
 def test_ml_update_three_directions_matches_matmul_formula():

@@ -26,7 +26,7 @@ from oracles import (
 )
 
 LAM1 = math.pi ** 2
-CFG = ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.5)
+CFG = ModelConfig(T=0.25, b=0.251)
 HIER = LevelHierarchy(kappa=2.0, n0=1, j0=1, T=0.25)
 # J_l = 3 * 2^l: the J_l / 2 coarse substeps are not a power of two
 HIER3 = LevelHierarchy(kappa=2.0, n0=1, j0=3, T=0.25)
@@ -34,13 +34,9 @@ HIER3 = LevelHierarchy(kappa=2.0, n0=1, j0=3, T=0.25)
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ModelConfig(T=0.0, b=0.251, r1=0.0, r2=0.5)
+        ModelConfig(T=0.0, b=0.251)
     with pytest.raises(ValueError):
-        ModelConfig(T=0.25, b=-0.1, r1=0.0, r2=0.5)
-    with pytest.raises(ValueError):
-        ModelConfig(T=0.25, b=0.251, r1=0.5, r2=0.5)
-    with pytest.raises(ValueError):
-        ModelConfig(T=0.25, b=0.251, r1=0.0, r2=0.6)
+        ModelConfig(T=0.25, b=-0.1)
 
 
 def test_propagator_value():
