@@ -39,6 +39,11 @@ class ConfigError(Exception):
     pass
 
 
+def _eps_list(text):
+    """Accuracy targets from comma-separated text, as in ``--eps`` and a file."""
+    return tuple(float(t) for t in text.split(",") if t.strip())
+
+
 def load_config(path):
     """Flat ``key = value`` file; '#' starts a comment, blank lines ok."""
     settings = {}
@@ -55,8 +60,7 @@ def load_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        # eps stays text until _cmd_run parses it, for the file and the flag alike
-        cast = str if key == "eps" else type(getattr(experiment.ExperimentConfig, _FIELDS[key]))
+        cast = _eps_list if key == "eps" else type(getattr(experiment.ExperimentConfig, _FIELDS[key]))
         try:
             settings[key] = cast(value)
         except ValueError as exc:
@@ -112,9 +116,9 @@ def _cmd_run(args):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    if "eps" in settings:
+    if args.eps is not None:
         try:
-            settings["eps"] = tuple(float(t) for t in settings["eps"].split(",") if t.strip())
+            settings["eps"] = _eps_list(args.eps)
         except ValueError as exc:
             raise ConfigError(f"bad eps list: {exc}") from exc
     try:

@@ -28,9 +28,9 @@ from .filters import (
     kalman_step,
     mlenkf_step,
 )
-from .model import SOLVERS, ModelConfig, exact_noise_var, propagator
+from .model import SOLVERS, ModelConfig, _exact_coefficients
 from .rng import RngKey
-from .spectral import LevelHierarchy, eigenvalues
+from .spectral import LevelHierarchy
 
 __all__ = [
     "Schedule",
@@ -178,9 +178,8 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class TruthData:
-    """Shared synthetic record: truth path, observations, reference QoI."""
+    """Shared synthetic record: observations and reference QoI."""
 
-    truth: np.ndarray
     ys: np.ndarray
     ref_qoi: np.ndarray
 
@@ -198,6 +197,7 @@ def build_example(example, solver, n_ref, n0=1):
         raise ValueError("example must be 1 or 2")
     if solver not in SOLVERS:
         raise ValueError("solver must be 'exact' or 'expeuler'")
+    T = 0.25  # one interval for the exact flow and the ladder's substeps
     j = np.arange(1, n_ref + 1, dtype=float)
     if example == 1:
         b = 0.25 + UPSILON
@@ -215,10 +215,10 @@ def build_example(example, solver, n_ref, n0=1):
         h[np.abs(h) < 1e-12] = 0.0
         qoi = np.ones(n_ref)
         u0 = j ** (-2.0 + UPSILON)
-    model = ModelConfig(T=0.25, b=b)
+    model = ModelConfig(T=T, b=b)
     gamma_t = 0.0 if solver == "exact" else 2.0 * (r2 - r1)
     hierarchy = LevelHierarchy.from_equilibration(
-        r1, r2, n0=n0, j0=1, T=0.25, beta=4.0 * (r2 - r1), gamma_t=gamma_t
+        r1, r2, n0=n0, j0=1, T=T, beta=4.0 * (r2 - r1), gamma_t=gamma_t
     )
     obs = ObservationModel(H=h[None, :], Gamma=np.array([[0.25]]), qoi=qoi)
     return model, hierarchy, obs, u0
@@ -301,24 +301,20 @@ def theoretical_cost(schedule, hierarchy, method, n_steps, m):
 
 
 def synthesize_truth_and_obs(cfg):
-    """Truth path, observations and the Kalman reference QoI sequence.
+    """Observations of a truth path and the Kalman reference QoI sequence.
 
-    The truth runs at the reference dimension with the exact flow; the
-    reference sequence is the exact filter on the same observations.
+    The truth runs at the reference dimension with the exact flow and is
+    not kept; the reference is the exact filter on the same observations.
     One record is shared by all filter realizations and methods.
     """
     obs, mdl = cfg.obs, cfg.model
     n_ref = obs.n_ref
-    lam = eigenvalues(n_ref)
-    a = propagator(lam, mdl.T)
-    std = np.sqrt(exact_noise_var(lam, mdl.T, mdl.b))
-    u = cfg.u0.copy()
-    truth = [u.copy()]
+    a, std = _exact_coefficients(n_ref, mdl.T, mdl.b)
+    u = cfg.u0
     ys = []
     for n in range(1, cfg.n_steps + 1):
         z = RngKey(cfg.master_seed, "truth", 0, 0, n).generator().standard_normal(n_ref)
         u = a * u + std * z
-        truth.append(u.copy())
         rng = RngKey(cfg.master_seed, "data-noise", 0, 0, n).generator()
         eta = obs.Gamma_factor @ rng.standard_normal(obs.m)
         ys.append(obs.observe(u) + eta)
@@ -327,7 +323,7 @@ def synthesize_truth_and_obs(cfg):
     for y in ys:
         state = kalman_step(state, y, obs, mdl)
         ref.append(obs.qoi_value(state.mean))
-    return TruthData(np.array(truth), np.array(ys), np.array(ref))
+    return TruthData(np.array(ys), np.array(ref))
 
 
 def _level_rows(schedule, hierarchy):

@@ -171,10 +171,6 @@ class MultilevelEnsemble:
             if pe.coarse.shape[0] != below.fine.shape[0]:
                 raise ValueError("coarse dimension must match the level below")
 
-    @property
-    def L(self):
-        return self.levels[-1].level
-
 
 def _blocks(a, b):
     """(rows, B M) array viewed as (rows, B, M): column block i is ``[:, i]``."""

@@ -167,6 +167,9 @@ def test_run_rejects_eps_that_is_not_a_list_of_numbers(tmp_path, monkeypatch, ca
     for flags, settings in ((("--eps", "abc"), {}), ((), {"eps": "abc"})):
         code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, *flags, **settings)
         assert code == 2 and "eps" in err and len(err.strip().splitlines()) == 1
+    # the file's error names it and the eps line, after the comment and
+    # three keys, as every other bad config value does
+    assert "study.cfg:5: bad value for eps" in err
 
 
 def test_verify_rejects_negative_seed(capsys):

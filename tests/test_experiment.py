@@ -27,9 +27,9 @@ from mlenkf.experiment import (
     theoretical_cost,
 )
 from mlenkf.filters import mlenkf_step
-from mlenkf.model import unit_counter
+from mlenkf.model import SOLVERS, exact_noise_var, propagator, unit_counter
 from mlenkf.rng import RngKey
-from mlenkf.spectral import LevelHierarchy
+from mlenkf.spectral import LevelHierarchy, eigenvalues
 
 
 def test_level_count_follows_accuracy_target():
@@ -186,33 +186,49 @@ def test_examples_lie_in_the_well_posedness_window(monkeypatch):
         assert r1 < r2 < model.b + 0.25
 
 
+def test_examples_share_one_interval_between_model_and_ladder():
+    # the exact flow and the Kalman reference read model.T, the expeuler
+    # substeps dt_l = T / J_l read hierarchy.T
+    for example in (1, 2):
+        for solver in SOLVERS:
+            model, hierarchy, _, _ = build_example(example, solver, n_ref=8)
+            assert hierarchy.T == model.T
+
+
 def test_synthesize_is_deterministic_and_method_free():
     cfg = ExperimentConfig(example=1, n_ref=32, n_steps=4, realizations=2)
     a = synthesize_truth_and_obs(cfg)
     b = synthesize_truth_and_obs(cfg)
-    assert np.array_equal(a.truth, b.truth)
     assert np.array_equal(a.ys, b.ys)
     assert np.array_equal(a.ref_qoi, b.ref_qoi)
     c = synthesize_truth_and_obs(ExperimentConfig(
         example=1, method="enkf", solver="expeuler", n_ref=32, n_steps=4, realizations=2))
     assert np.array_equal(a.ys, c.ys)
     assert np.array_equal(a.ref_qoi, c.ref_qoi)
-    assert a.truth.shape == (5, 32) and a.ys.shape == (4, 1) and a.ref_qoi.shape == (5,)
+    assert a.ys.shape == (4, 1) and a.ref_qoi.shape == (5,)
 
 
 def test_synthesize_observations_are_keyed_noisy_truth():
+    # y_n = H u_n + eta_n, with the truth u_n rebuilt here from its keyed
+    # streams by the exact flow u_n = a u_{n-1} + std z_n
     cfg = ExperimentConfig(example=1, n_ref=16, n_steps=3, realizations=2)
     data = synthesize_truth_and_obs(cfg)
-    for n in range(3):
-        rng = RngKey(cfg.master_seed, "data-noise", 0, 0, n + 1).generator()
+    lam = eigenvalues(16)
+    a = propagator(lam, cfg.model.T)
+    std = np.sqrt(exact_noise_var(lam, cfg.model.T, cfg.model.b))
+    u = cfg.u0
+    for n in range(1, 4):
+        z = RngKey(cfg.master_seed, "truth", 0, 0, n).generator().standard_normal(16)
+        u = a * u + std * z
+        rng = RngKey(cfg.master_seed, "data-noise", 0, 0, n).generator()
         eta = cfg.obs.Gamma_factor @ rng.standard_normal(cfg.obs.m)
-        assert np.array_equal(data.ys[n], cfg.obs.H @ data.truth[n + 1] + eta)
+        assert np.array_equal(data.ys[n - 1], cfg.obs.H @ u + eta)
 
 
 def test_initial_ensembles_tile_projected_u0():
     cfg = ExperimentConfig(example=1, n_ref=32, realizations=2)
     e = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, 5, "enkf"))
-    assert e.L == 2 and tuple(pe.size for pe in e.levels) == (5,)
+    assert e.levels[-1].level == 2 and tuple(pe.size for pe in e.levels) == (5,)
     assert e.levels[0].coarse.shape == (0, 5)
     assert np.array_equal(e.levels[0].fine, np.tile(cfg.u0[:4, None], (1, 5)))
     ml = initial_multilevel_ensemble(cfg, Schedule(0.25, 2, (6, 3, 2), "mlenkf"))
@@ -298,7 +314,7 @@ def test_nan_datum_fails_realizations_not_the_study(jobs):
     ys[0] = np.nan
     with pytest.warns(UserWarning, match="excluded 3 diverged"):
         with pytest.raises(RuntimeError, match="all realizations diverged"):
-            run_experiment(cfg, data=TruthData(data.truth, ys, data.ref_qoi))
+            run_experiment(cfg, data=TruthData(ys, data.ref_qoi))
 
 
 def test_other_realization_errors_still_propagate(monkeypatch):

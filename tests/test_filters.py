@@ -99,11 +99,11 @@ def test_ensemble_containers_validate():
     with pytest.raises(ValueError):
         MultilevelEnsemble((p0, PairEnsemble(np.zeros((2, 2)), np.zeros((2, 2)), 1)))
     ml = MultilevelEnsemble((p0, PairEnsemble(np.zeros((1, 3)), np.zeros((2, 3)), 1)))
-    assert ml.L == 1 and tuple(pe.size for pe in ml.levels) == (2, 3)
+    assert ml.levels[-1].level == 1 and tuple(pe.size for pe in ml.levels) == (2, 3)
     # any base level, as long as its members have no coarse partners
     p2 = PairEnsemble(np.zeros((0, 4)), np.zeros((4, 4)), 2)
     ml = MultilevelEnsemble((p2, PairEnsemble(np.zeros((4, 2)), np.zeros((8, 2)), 3)))
-    assert ml.L == 3 and tuple(pe.size for pe in ml.levels) == (4, 2)
+    assert ml.levels[-1].level == 3 and tuple(pe.size for pe in ml.levels) == (4, 2)
     with pytest.raises(ValueError):
         MultilevelEnsemble((PairEnsemble(np.zeros((2, 2)), np.zeros((4, 2)), 2),))
 
@@ -225,10 +225,15 @@ def test_ml_gain_clips_negative_eigendirection():
     assert np.allclose(k @ q2, -(a / gamma) * q2, atol=1e-12)
 
 
-def test_ml_gain_failure_modes():
+def test_ml_gain_failure_modes(monkeypatch):
     # a diverged action is no error: its gain is NaN
     k = ml_gain(np.array([[np.nan], [0.0]]), obs_1d(2))
     assert k.shape == (2, 1) and np.all(np.isnan(k))
+    # an S that is not positive definite is: a positive part of -1 (m = 1)
+    # puts S = -1 + Gamma = -3/4 below zero
+    monkeypatch.setattr(filters, "positive_part", lambda a: -np.ones_like(a))
+    with pytest.raises(FloatingPointError, match="not positive definite"):
+        ml_gain(np.zeros((2, 1)), obs_1d(2))
 
 
 def test_ensemble_blocks_split_every_level():
@@ -373,7 +378,7 @@ def test_enkf_two_member_hand_oracle():
         v = pred.levels[0].fine[:, i]
         want[:, i] = v + k[:, 0] * (y[0] + eta[0, i] - v[0])
     assert np.allclose(out.levels[0].fine, want, rtol=0, atol=1e-14)
-    assert out.L == 1 and out.levels[0].coarse.shape == (0, 2)
+    assert out.levels[-1].level == 1 and out.levels[0].coarse.shape == (0, 2)
 
 
 def test_gain_norm_bounded_by_noise_floor():
@@ -596,7 +601,7 @@ def test_one_level_engine_at_level_l_matches_reference_enkf(solver):
         y = rng.standard_normal(2)
         ml = mlenkf_step(ml, y, obs, CFG, HIER, 19, 2, step, solver)
         v = enkf_step(v, level, y, obs, CFG, HIER, 19, 2, step, solver)
-        assert ml.L == level and ml.levels[0].coarse.shape == (0, m_size)
+        assert ml.levels[-1].level == level and ml.levels[0].coarse.shape == (0, m_size)
         gap = np.max(np.abs(ml.levels[0].fine - v))
         assert gap <= 1e-13 * np.max(np.abs(v))
 
