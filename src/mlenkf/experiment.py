@@ -309,19 +309,16 @@ def synthesize_truth_and_obs(cfg):
     """
     obs, mdl = cfg.obs, cfg.model
     n_ref = obs.n_ref
-    a, std = _exact_coefficients(n_ref, mdl.T, mdl.b)
+    a, std, _ = _exact_coefficients(n_ref, mdl.T, mdl.b)
     u = cfg.u0
-    ys = []
+    state = GaussianState.deterministic(u)
+    ys, ref = [], [obs.qoi_value(state.mean)]
     for n in range(1, cfg.n_steps + 1):
         z = RngKey(cfg.master_seed, "truth", 0, 0, n).generator().standard_normal(n_ref)
         u = a * u + std * z
         rng = RngKey(cfg.master_seed, "data-noise", 0, 0, n).generator()
-        eta = obs.Gamma_factor @ rng.standard_normal(obs.m)
-        ys.append(obs.observe(u) + eta)
-    state = GaussianState.deterministic(cfg.u0)
-    ref = [obs.qoi_value(state.mean)]
-    for y in ys:
-        state = kalman_step(state, y, obs, mdl)
+        ys.append(obs.observe(u) + obs.Gamma_factor @ rng.standard_normal(obs.m))
+        state = kalman_step(state, ys[-1], obs, mdl)
         ref.append(obs.qoi_value(state.mean))
     return TruthData(np.array(ys), np.array(ref))
 
@@ -367,13 +364,13 @@ def run_filter_realizations(cfg, schedule, ys, realizations):
     # page-faults back in on the next step; either alone leaves the EnKF's
     # wide levels slower than building the update in fresh arrays.
     held = [initial_multilevel_ensemble(cfg, schedule, len(realizations))]
-    tracks[:, 0] = empirical_qoi(held[0], cfg.obs.qoi)
+    tracks[:, 0] = empirical_qoi(held[0], cfg.obs)
     for n in range(1, cfg.n_steps + 1):
         held.append(mlenkf_step(
             held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
             cfg.master_seed, realizations, n, cfg.solver,
         ))
-        tracks[:, n] = empirical_qoi(held[0], cfg.obs.qoi)
+        tracks[:, n] = empirical_qoi(held[0], cfg.obs)
     tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan
     return tracks
 

@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .model import propagate_pairs, propagator, exact_noise_var
+from .model import _exact_coefficients, propagate_pairs
 from .rng import ColumnBlocks, RngKey
-from .spectral import eigenvalues
 
 __all__ = [
     "ObservationModel",
@@ -217,13 +216,10 @@ def sample_cov_action(v, obs):
     """Unbiased ``Cov_M[v, Hv]`` of the (N, M) members ``v``, shape (N, m).
 
     Equals ``(M/(M-1)) (E_M[v (Hv)^T] - E_M[v] E_M[Hv]^T)`` without ever
-    forming an N x N matrix.
+    forming an N x N matrix: :func:`compute_R_ml` of the one-level
+    ensemble ``v``.
     """
-    if v.ndim != 2 or v.shape[1] < 2:
-        raise ValueError("sample covariance needs (N, M) members with M >= 2")
-    r = _cov_action(v, obs.observe(v), 1)[0]
-    model.unit_counter["moments"] += obs.m * v.shape[0] * v.shape[1]
-    return r
+    return compute_R_ml(MultilevelEnsemble((PairEnsemble(v[:0], v, 0),)), obs)[0]
 
 
 def compute_R_ml(ml, obs, hv=None):
@@ -244,12 +240,10 @@ def compute_R_ml(ml, obs, hv=None):
     b = ml.blocks
     r = np.zeros((b, top.shape[0], obs.m))
     for (pe, (_, h_fine)), (up, (h_coarse, _)) in zip(levels, levels[1:]):
-        fine = pe.fine
-        r[:, : fine.shape[0]] += _cov_action(fine, h_fine, b)
+        r[:, : pe.fine.shape[0]] += _cov_action(pe.fine, h_fine, b)
         r[:, : up.coarse.shape[0]] -= _cov_action(up.coarse, h_coarse, b)
-        model.unit_counter["moments"] += obs.m * fine.shape[0] * fine.shape[1]
     r += _cov_action(top, hv[-1][1], b)
-    model.unit_counter["moments"] += obs.m * top.shape[0] * top.shape[1]
+    model.unit_counter["moments"] += obs.m * sum(pe.fine.size for pe in ml.levels)
     return r
 
 
@@ -307,28 +301,26 @@ def _add_correction(v, kt, innovation):
     v += correction.reshape(n, -1)
 
 
-def _streams(ml, seed, purpose, realization, step):
+def _streams(ml, seed, purpose, realizations, step):
     """Column-block reader over the step's stream of each block's
-    realization.  ``realization`` is one index per block, or an int for
-    one block."""
-    rs = (realization,) if np.ndim(realization) == 0 else tuple(realization)
-    if len(rs) != ml.blocks:
-        raise ValueError(f"{ml.blocks} blocks need as many realizations, got {len(rs)}")
-    return ColumnBlocks(RngKey(seed, purpose, r, 0, step).generator() for r in rs)
+    realization, ``realizations`` holding one index per block."""
+    if len(realizations) != ml.blocks:
+        raise ValueError(f"{ml.blocks} blocks need as many realizations, got {len(realizations)}")
+    return ColumnBlocks(RngKey(seed, purpose, r, 0, step).generator() for r in realizations)
 
 
-def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
+def ml_update(ml, k, y, obs, seed, realizations, step, hv=None):
     """Perturbed-observation update of every pair, in place.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
     pair and is independent across particles and levels; each member is
-    corrected with its block's gain, ``k[i]`` of a (B, N, m) stack (an
-    (N, m) gain for one block), truncated to its own resolution.  The
-    step's one perturbation stream of each block's realization,
-    ``RngKey(seed, "obs-perturbation", realization, 0, step)``, is read in
-    level order: each level takes the next m M_l normals, so levels get
-    disjoint blocks.  ``hv`` holds the members' projections (see
-    :func:`_project`) when the caller has them already.
+    corrected with its block's gain, ``k[i]`` of the (B, N, m) stack that
+    :func:`ml_gain` returns, truncated to its own resolution.  The step's
+    one perturbation stream of each block's realization,
+    ``RngKey(seed, "obs-perturbation", realizations[i], 0, step)``, is
+    read in level order: each level takes the next m M_l normals, so
+    levels get disjoint blocks.  ``hv`` holds the members' projections
+    (see :func:`_project`) when the caller has them already.
 
     The update consumes its inputs: the corrections are added into the
     member arrays of ``ml``, which it returns, and the innovations
@@ -338,8 +330,10 @@ def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
     if hv is None:
         hv = _project(ml, obs)
     y = np.asarray(y, dtype=float).reshape(obs.m)
-    kt = np.reshape(k, (ml.blocks,) + np.shape(k)[-2:]).transpose(1, 2, 0)[..., None]
-    rng = _streams(ml, seed, "obs-perturbation", realization, step)
+    if k.shape[0] != ml.blocks:
+        raise ValueError(f"{ml.blocks} blocks need as many gains, got {k.shape[0]}")
+    kt = k.transpose(1, 2, 0)[..., None]
+    rng = _streams(ml, seed, "obs-perturbation", realizations, step)
     for pe, projections in zip(ml.levels, hv):
         members = [(v, h) for v, h in zip((pe.coarse, pe.fine), projections) if h is not None]
         ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
@@ -352,17 +346,17 @@ def ml_update(ml, k, y, obs, seed, realization, step, hv=None):
     return ml
 
 
-def ml_predict(ml, cfg, hierarchy, seed, realization, step, solver):
+def ml_predict(ml, cfg, hierarchy, seed, realizations, step, solver):
     """Propagate every pair one interval with coupled noise.
 
     The step's one forward stream of each block's realization,
-    ``RngKey(seed, "forward", realization, 0, step)``, is read in level
+    ``RngKey(seed, "forward", realizations[i], 0, step)``, is read in level
     order: each level's :func:`~mlenkf.model.propagate_pairs` call draws
     the next block, so levels get disjoint draws and the two members of
-    a pair share theirs.  ``realization`` is one index per column block,
-    or an int for a one-block ensemble.
+    a pair share theirs.  ``realizations`` holds one index per column
+    block.
     """
-    rng = _streams(ml, seed, "forward", realization, step)
+    rng = _streams(ml, seed, "forward", realizations, step)
     out = []
     for pe in ml.levels:
         coarse, fine = propagate_pairs(
@@ -372,12 +366,12 @@ def ml_predict(ml, cfg, hierarchy, seed, realization, step, solver):
     return MultilevelEnsemble(tuple(out), ml.blocks)
 
 
-def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
+def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realizations, step, solver):
     """One assimilation step of the ensemble engine: predict, gain, update.
 
     A multilevel ensemble makes this an MLEnKF step; a single level L
     without coarse partners makes it an EnKF step at level L.  A batch
-    of realizations steps as one ensemble, ``realization`` naming one
+    of realizations steps as one ensemble, ``realizations`` naming one
     per column block.  The update writes into the prediction and its
     projections, which the step owns; ``ml`` itself is never written.
     The step drops ``ml`` once it has predicted, so on CPython 3.11 and
@@ -391,11 +385,11 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realization, step, solver):
             "observation dimension must stay below N_L "
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
-    pred = ml_predict(ml, cfg, hierarchy, seed, realization, step, solver)
+    pred = ml_predict(ml, cfg, hierarchy, seed, realizations, step, solver)
     del ml
     hv = _project(pred, obs)
     k = ml_gain(compute_R_ml(pred, obs, hv), obs)
-    return ml_update(pred, k, y, obs, seed, realization, step, hv)
+    return ml_update(pred, k, y, obs, seed, realizations, step, hv)
 
 
 # No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.
@@ -404,21 +398,18 @@ enkf_step = mlenkf_step
 enkf_update = ml_update
 
 
-def empirical_qoi(ml, qoi):
+def empirical_qoi(ml, obs):
     """QoI of the empirical measure of every block, shape (B,).
 
     The telescoping sum of fine-minus-coarse averages per level; with
-    one level, the ensemble average of ``phi(v_i)``.  ``phi`` is the
-    truncated inner product with the ``qoi`` coefficients.
+    one level, the ensemble average of ``phi(v_i)``.  ``phi`` is
+    :meth:`ObservationModel.qoi_value`.
     """
-    qoi = np.asarray(qoi, dtype=float)
     total = np.zeros(ml.blocks)
     for pe in ml.levels:
-        phi = np.einsum("n,np->p", qoi[: pe.fine.shape[0]], pe.fine)
-        total += _block_means(phi, ml.blocks)
+        total += _block_means(obs.qoi_value(pe.fine), ml.blocks)
         if pe.coarse.shape[0]:
-            phi = np.einsum("n,np->p", qoi[: pe.coarse.shape[0]], pe.coarse)
-            total -= _block_means(phi, ml.blocks)
+            total -= _block_means(obs.qoi_value(pe.coarse), ml.blocks)
     return total
 
 
@@ -448,10 +439,10 @@ class GaussianState:
 
 
 def kalman_predict(state, cfg):
-    """Exact mean/covariance push-forward over one interval."""
-    lam = eigenvalues(state.mean.size)
-    a = propagator(lam, cfg.T)
-    q = exact_noise_var(lam, cfg.T, cfg.b)
+    """Exact mean/covariance push-forward over one interval, with the
+    exact-flow coefficients that :func:`~mlenkf.model.propagate_pairs`
+    reads."""
+    a, _, q = _exact_coefficients(state.mean.size, cfg.T, cfg.b)
     return GaussianState(
         a * state.mean,
         a * a * state.cov_diag + q,

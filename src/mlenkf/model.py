@@ -138,10 +138,12 @@ def _frozen(*arrays):
 
 @lru_cache(maxsize=32)
 def _exact_coefficients(n, T, b):
-    """Read-only ``(a, std)`` of the exact flow on the first n modes: the
-    mode factor and the increment deviation over one interval T."""
+    """Read-only ``(a, std, var)`` of the exact flow on the first n modes:
+    the mode factor and the increment deviation and variance over one
+    interval T."""
     lam = eigenvalues(n)
-    return _frozen(propagator(lam, T), np.sqrt(exact_noise_var(lam, T, b)))
+    var = exact_noise_var(lam, T, b)
+    return _frozen(propagator(lam, T), np.sqrt(var), var)
 
 
 @lru_cache(maxsize=32)
@@ -202,7 +204,7 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     # The fine product is taken before the draw that becomes the output, so
     # its freed block lies below the kept array (see run_filter_realizations)
     if solver == "exact":
-        a, std = _exact_coefficients(n, cfg.T, cfg.b)
+        a, std, _ = _exact_coefficients(n, cfg.T, cfg.b)
         fine_part = a[:, None] * fine
         z = rng.standard_normal((n, m))
         z *= std[:, None]

@@ -17,6 +17,9 @@ from .spectral import LevelHierarchy, eigenvalues
 
 __all__ = ["run_all", "CHECKS"]
 
+_MODEL = model.ModelConfig(T=0.25, b=0.251)
+_LADDER_BY_N0 = {n0: LevelHierarchy(kappa=2.0, n0=n0, T=0.25) for n0 in (2, 4)}
+
 
 def _random_observation(rng, n, m):
     h = rng.standard_normal((m, n))
@@ -91,8 +94,7 @@ def _kalman_dense_step(mean, cov, y, obs, cfg):
 def check_coupling_variance(seed):
     """Coupled coarse output from a zero state has the coarse-chain
     variance (3 SE)."""
-    cfg = model.ModelConfig(T=0.25, b=0.251)
-    hier = LevelHierarchy(kappa=2.0, n0=4, T=0.25)
+    cfg, hier = _MODEL, _LADDER_BY_N0[4]
     level, j_mode, n_draws = 3, 2, 20000
     n, j_sub, _, dt = hier.level_params(level)
     nc = hier.n_modes(level - 1)
@@ -117,8 +119,7 @@ def check_coupling_variance(seed):
 def check_telescoping(seed):
     """Exact-in-time coupling: the fine output truncated to the coarse
     modes equals the coarse output."""
-    cfg = model.ModelConfig(T=0.25, b=0.251)
-    hier = LevelHierarchy(kappa=2.0, n0=2, T=0.25)
+    cfg, hier = _MODEL, _LADDER_BY_N0[2]
     rng = np.random.default_rng(seed)
     for level in (1, 2, 3):
         n_f = hier.n_modes(level)
@@ -177,8 +178,7 @@ def check_positive_part(seed):
 def check_degeneracy(seed):
     """The one-level engine at level 1 reproduces a hand-written EnKF
     (sample gain, one perturbed datum per member) under shared keys."""
-    cfg = model.ModelConfig(T=0.25, b=0.251)
-    hier = LevelHierarchy(kappa=2.0, n0=4, T=0.25)
+    cfg, hier = _MODEL, _LADDER_BY_N0[4]
     rng = np.random.default_rng(seed)
     level, m_size = 1, 6
     n = hier.n_modes(level)
@@ -188,7 +188,7 @@ def check_degeneracy(seed):
     ml = filters.MultilevelEnsemble((filters.PairEnsemble(empty, v, level),))
     for step in range(1, 6):
         y = rng.standard_normal(1)
-        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, 0, step, "exact")
+        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, (0,), step, "exact")
         # one level reads the first block of each of the step's streams
         fwd = RngKey(seed, "forward", 0, 0, step).generator()
         _, v = model.propagate_pairs(empty, v, level, cfg, hier, fwd, "exact")
@@ -202,14 +202,13 @@ def check_degeneracy(seed):
 
 def check_gain_consistency(seed):
     """ml_gain on the exact covariance action equals the Kalman gain."""
-    cfg = model.ModelConfig(T=0.25, b=0.251)
     rng = np.random.default_rng(seed)
     n = 16
     obs = _random_observation(rng, n, 2)
     state = filters.GaussianState.deterministic(rng.standard_normal(n))
     for k in range(3):
-        state = filters.kalman_step(state, rng.standard_normal(2), obs, cfg)
-    pred = filters.kalman_predict(state, cfg)
+        state = filters.kalman_step(state, rng.standard_normal(2), obs, _MODEL)
+    pred = filters.kalman_predict(state, _MODEL)
     ch = pred.cov_action(obs.H.T)
     k = filters.ml_gain(ch, obs)
     s = obs.H @ ch + obs.Gamma
@@ -241,13 +240,13 @@ def check_cov_unbiased(seed):
 
 def check_update_finite(seed):
     """Filter steps keep finite ensembles finite (smoke)."""
-    cfg = model.ModelConfig(T=0.25, b=0.251)
-    hier = LevelHierarchy(kappa=2.0, n0=2, T=0.25)
+    cfg, hier = _MODEL, _LADDER_BY_N0[2]
     rng = np.random.default_rng(seed)
     obs = _random_observation(rng, hier.n_modes(2), 1)
     ml = _random_multilevel(rng, hier, 2)
     for n in range(1, 4):
-        ml = filters.mlenkf_step(ml, rng.standard_normal(1), obs, cfg, hier, seed, 0, n, "expeuler")
+        ml = filters.mlenkf_step(ml, rng.standard_normal(1), obs, cfg, hier, seed, (0,), n,
+                                 "expeuler")
         for pe in ml.levels:
             if not (np.all(np.isfinite(pe.fine)) and np.all(np.isfinite(pe.coarse))):
                 return False, f"non-finite member at step {n}"
@@ -256,7 +255,6 @@ def check_update_finite(seed):
 
 def check_kalman_lowrank(seed):
     """Low-rank Kalman covariance matches the dense oracle."""
-    cfg = model.ModelConfig(T=0.25, b=0.251)
     rng = np.random.default_rng(seed)
     n = 2 ** 6
     _, _, obs_full, u0 = experiment.build_example(1, "exact", n_ref=n)
@@ -265,8 +263,8 @@ def check_kalman_lowrank(seed):
     worst = 0.0
     for k in range(1, 6):
         y = rng.standard_normal(1)
-        state = filters.kalman_step(state, y, obs_full, cfg)
-        mean_d, cov_d = _kalman_dense_step(mean_d, cov_d, y, obs_full, cfg)
+        state = filters.kalman_step(state, y, obs_full, _MODEL)
+        mean_d, cov_d = _kalman_dense_step(mean_d, cov_d, y, obs_full, _MODEL)
         worst = max(worst, float(np.max(np.abs(_cov_matrix(state) - cov_d))))
         worst = max(worst, float(np.max(np.abs(state.mean - mean_d))))
     return worst <= 1e-10, f"worst abs gap {worst:.2e}"

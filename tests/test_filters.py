@@ -23,7 +23,7 @@ from mlenkf.filters import (
     positive_part,
     sample_cov_action,
 )
-from mlenkf.model import ModelConfig, _exact_coefficients, _expeuler_coefficients
+from mlenkf.model import ModelConfig, _exact_coefficients, _expeuler_coefficients, unit_counter
 from mlenkf.rng import RngKey
 from mlenkf.spectral import LevelHierarchy
 from mlenkf.verify import _cov_matrix, _dense_r_ml, _kalman_dense_step
@@ -144,12 +144,15 @@ def test_sample_cov_action_is_unbiased():
 
 
 def test_compute_r_ml_single_level_degenerates():
+    # sample_cov_action is the one-level engine moment, counted once: m N M units
     rng = np.random.default_rng(3)
-    obs = obs_1d(8)
+    obs = ObservationModel(rng.standard_normal((2, 8)), np.eye(2), np.zeros(8))
     for level, n in ((0, 4), (2, 8)):
         fine = rng.standard_normal((n, 6))
-        assert np.array_equal(compute_R_ml(one_level(fine, level), obs)[0],
-                              sample_cov_action(fine, obs))
+        want = compute_R_ml(one_level(fine, level), obs)[0]
+        before = unit_counter["moments"]
+        assert np.array_equal(sample_cov_action(fine, obs), want)
+        assert unit_counter["moments"] - before == 2 * n * 6
 
 
 def test_compute_r_ml_matches_dense_telescoping():
@@ -244,7 +247,9 @@ def test_ensemble_blocks_split_every_level():
             MultilevelEnsemble((p0,), blocks)
     ml = MultilevelEnsemble((p0,), 2)
     with pytest.raises(ValueError, match="2 blocks need as many realizations"):
-        ml_predict(ml, CFG, HIER, seed=1, realization=0, step=1, solver="exact")
+        ml_predict(ml, CFG, HIER, seed=1, realizations=(0,), step=1, solver="exact")
+    with pytest.raises(ValueError, match="2 blocks need as many gains"):
+        ml_update(ml, np.zeros((1, 1, 1)), np.zeros(1), obs_1d(1), 1, (0, 1), 0)
 
 
 def test_ml_gain_stack_matches_each_block_and_isolates_a_diverged_one():
@@ -266,7 +271,8 @@ def test_ml_update_zero_gain_is_identity():
     ml = random_multilevel(rng, HIER, L=1, sizes=(4, 3))
     obs = obs_1d(2)
     given = copied(ml)
-    out = ml_update(given, np.zeros((2, 1)), np.array([0.4]), obs, seed=1, realization=0, step=0)
+    out = ml_update(given, np.zeros((1, 2, 1)), np.array([0.4]), obs, seed=1, realizations=(0,),
+                    step=0)
     for l in range(2):
         assert np.array_equal(out.levels[l].fine, ml.levels[l].fine)
         assert np.array_equal(out.levels[l].coarse, ml.levels[l].coarse)
@@ -282,7 +288,7 @@ def test_ml_update_unit_gain_pins_members_to_datum():
     ml = MultilevelEnsemble((PairEnsemble(np.zeros((0, 5)), fine, 0),))
     obs = ObservationModel(np.eye(2), 1e-30 * np.eye(2), np.zeros(2))
     y = np.array([0.7, -0.2])
-    out = ml_update(ml, np.eye(2), y, obs, seed=2, realization=0, step=0)
+    out = ml_update(ml, np.eye(2)[None], y, obs, seed=2, realizations=(0,), step=0)
     assert np.allclose(out.levels[0].fine, y[:, None], atol=1e-12)
 
 
@@ -297,8 +303,8 @@ def test_ml_update_pair_coherence_under_coarse_supported_h():
     ))
     h = np.array([[0.3, -1.1, 0.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.5]]), np.zeros(4))
-    (k,) = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, k, np.array([0.1]), obs, seed=3, realization=1, step=2)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
+    out = ml_update(ml, k, np.array([0.1]), obs, seed=3, realizations=(1,), step=2)
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:2], atol=1e-13)
 
 
@@ -311,10 +317,10 @@ def test_ml_update_pair_residual_identity_general_h():
         PairEnsemble(coarse, fine, 1),
     ))
     obs = ObservationModel(rng.standard_normal((1, 4)), np.array([[0.5]]), np.zeros(4))
-    (k,) = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(copied(ml), k, np.array([-0.3]), obs, seed=4, realization=0, step=1)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
+    out = ml_update(copied(ml), k, np.array([-0.3]), obs, seed=4, realizations=(0,), step=1)
     got = out.levels[1].coarse - out.levels[1].fine[:2]
-    want = (coarse - fine[:2]) + k[:2] @ (obs.observe(fine) - obs.observe(coarse))
+    want = (coarse - fine[:2]) + k[0, :2] @ (obs.observe(fine) - obs.observe(coarse))
     assert np.allclose(got, want, rtol=0, atol=1e-13)
 
 
@@ -329,8 +335,8 @@ def test_ml_update_shares_perturbation_within_pair():
     ))
     h = np.array([[1.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.25]]), np.zeros(2))
-    (k,) = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, k, np.array([0.2]), obs, seed=5, realization=0, step=0)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
+    out = ml_update(ml, k, np.array([0.2]), obs, seed=5, realizations=(0,), step=0)
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:1], atol=1e-13)
 
 
@@ -338,10 +344,10 @@ def test_zero_gain_update_then_predict_is_open_loop():
     rng = np.random.default_rng(61)
     ml = random_multilevel(rng, HIER, L=2, sizes=(5, 3, 2))
     obs = obs_1d(4)
-    upd = ml_update(copied(ml), np.zeros((4, 1)), np.array([1.0]), obs, seed=6, realization=0,
-                    step=0)
-    a = ml_predict(upd, CFG, HIER, seed=6, realization=0, step=0, solver="exact")
-    b = ml_predict(ml, CFG, HIER, seed=6, realization=0, step=0, solver="exact")
+    upd = ml_update(copied(ml), np.zeros((1, 4, 1)), np.array([1.0]), obs, seed=6,
+                    realizations=(0,), step=0)
+    a = ml_predict(upd, CFG, HIER, seed=6, realizations=(0,), step=0, solver="exact")
+    b = ml_predict(ml, CFG, HIER, seed=6, realizations=(0,), step=0, solver="exact")
     for l in range(3):
         assert np.array_equal(a.levels[l].fine, b.levels[l].fine)
         assert np.array_equal(a.levels[l].coarse, b.levels[l].coarse)
@@ -354,21 +360,21 @@ def test_ml_predict_keeps_nested_pairs_nested():
         PairEnsemble(np.zeros((0, 4)), rng.standard_normal((1, 4)), 0),
         PairEnsemble(fine1[:1].copy(), fine1, 1),
     ))
-    out = ml_predict(ml, CFG, HIER, seed=7, realization=0, step=3, solver="exact")
+    out = ml_predict(ml, CFG, HIER, seed=7, realizations=(0,), step=3, solver="exact")
     assert np.array_equal(out.levels[1].coarse, out.levels[1].fine[:1])
 
 
 def test_enkf_two_member_hand_oracle():
     pred = one_level(np.array([[1.0, 3.0], [2.0, 0.0]]), 1)
     obs = obs_1d(2, gamma=0.5)
-    (r,) = compute_R_ml(pred, obs)
-    assert np.allclose(r, [[2.0], [-2.0]], atol=1e-14)
+    r = compute_R_ml(pred, obs)
+    assert np.allclose(r, [[[2.0], [-2.0]]], atol=1e-14)
     # S = 2.0 + 0.5 = 2.5, K = R / S
     k = ml_gain(r, obs)
-    assert np.allclose(k, [[0.8], [-0.8]], atol=1e-14)
+    assert np.allclose(k, [[[0.8], [-0.8]]], atol=1e-14)
     y = np.array([0.6])
     seed, realization, step = 11, 2, 4
-    out = ml_update(copied(pred), k, y, obs, seed, realization, step)
+    out = ml_update(copied(pred), k, y, obs, seed, (realization,), step)
     # the step's perturbation stream has level slot 0 whatever the
     # ensemble's level; its one level reads the first block
     eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 0, step)\
@@ -376,7 +382,7 @@ def test_enkf_two_member_hand_oracle():
     want = np.empty((2, 2))
     for i in range(2):
         v = pred.levels[0].fine[:, i]
-        want[:, i] = v + k[:, 0] * (y[0] + eta[0, i] - v[0])
+        want[:, i] = v + k[0, :, 0] * (y[0] + eta[0, i] - v[0])
     assert np.allclose(out.levels[0].fine, want, rtol=0, atol=1e-14)
     assert out.levels[-1].level == 1 and out.levels[0].coarse.shape == (0, 2)
 
@@ -385,11 +391,11 @@ def test_gain_norm_bounded_by_noise_floor():
     rng = np.random.default_rng(71)
     obs = ObservationModel(rng.standard_normal((2, 6)), 1e6 * np.eye(2), np.zeros(6))
     e = one_level(rng.standard_normal((6, 8)), 0)
-    (r,) = compute_R_ml(e, obs)
+    r = compute_R_ml(e, obs)
     k = ml_gain(r, obs)
-    bound = np.linalg.norm(r, 2) / 1e6
-    assert np.linalg.norm(k, 2) <= bound * (1 + 1e-12)
-    out = ml_update(copied(e), k, np.array([0.5, -0.5]), obs, seed=8, realization=0, step=0)
+    bound = np.linalg.norm(r[0], 2) / 1e6
+    assert np.linalg.norm(k[0], 2) <= bound * (1 + 1e-12)
+    out = ml_update(copied(e), k, np.array([0.5, -0.5]), obs, seed=8, realizations=(0,), step=0)
     # K eta has size ~ |R| / sqrt(Gamma), tiny against the members
     assert np.max(np.abs(out.levels[0].fine - e.levels[0].fine)) <= 1e-2
 
@@ -398,19 +404,19 @@ def test_step_drivers_reject_wide_observation():
     obs = ObservationModel(np.eye(2), 0.1 * np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="outside the regime"):
         mlenkf_step(one_level(np.zeros((2, 3)), 1), np.zeros(2), obs, CFG, HIER,
-                    0, 0, 0, "exact")
+                    0, (0,), 0, "exact")
     ml = MultilevelEnsemble((
         PairEnsemble(np.zeros((0, 3)), np.zeros((1, 3)), 0),
         PairEnsemble(np.zeros((1, 3)), np.zeros((2, 3)), 1),
     ))
     with pytest.raises(ValueError, match="outside the regime"):
-        mlenkf_step(ml, np.zeros(2), obs, CFG, HIER, 0, 0, 0, "exact")
+        mlenkf_step(ml, np.zeros(2), obs, CFG, HIER, 0, (0,), 0, "exact")
 
 
 def test_empirical_qoi_single_level():
     e = one_level(np.array([[1.0, 3.0], [2.0, 4.0]]), 1)
-    qoi = np.array([1.0, -1.0])
-    assert empirical_qoi(e, qoi) == pytest.approx(((1 - 2) + (3 - 4)) / 2.0)
+    obs = ObservationModel(np.ones((1, 2)), np.eye(1), np.array([1.0, -1.0]))
+    assert empirical_qoi(e, obs) == pytest.approx(((1 - 2) + (3 - 4)) / 2.0)
 
 
 def test_empirical_qoi_telescopes_by_hand():
@@ -420,9 +426,9 @@ def test_empirical_qoi_telescopes_by_hand():
         PairEnsemble(np.zeros((0, 2)), f0, 0),
         PairEnsemble(f1[:1].copy(), f1, 1),
     ))
-    qoi = np.array([1.0, 0.5])
+    obs = ObservationModel(np.ones((1, 2)), np.eye(1), np.array([1.0, 0.5]))
     want = (1.0 + 2.0) / 2 + ((3.0 + 0.5) + (5.0 - 0.5)) / 2 - (3.0 + 5.0) / 2
-    assert empirical_qoi(ml, qoi) == pytest.approx(want, rel=1e-14)
+    assert empirical_qoi(ml, obs) == pytest.approx(want, rel=1e-14)
 
 
 def three_direction_problem(seed):
@@ -443,10 +449,10 @@ def test_compute_r_ml_three_directions_matches_dense():
 
 def test_ml_update_three_directions_matches_matmul_formula():
     obs, ml = three_direction_problem(97)
-    (k,) = ml_gain(compute_R_ml(ml, obs), obs)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
     y = np.array([0.3, -0.8, 1.1])
     seed, realization, step = 12, 1, 3
-    out = ml_update(copied(ml), k, y, obs, seed, realization, step)
+    out = ml_update(copied(ml), k, y, obs, seed, (realization,), step)
     chol = np.linalg.cholesky(obs.Gamma)
     # the levels read consecutive blocks of the step's one stream
     rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
@@ -455,7 +461,7 @@ def test_ml_update_three_directions_matches_matmul_formula():
         ytilde = y[:, None] + chol @ z
         for v, v_new in ((pe.fine, got.fine), (pe.coarse, got.coarse)):
             n = v.shape[0]
-            want = v + k[:n] @ (ytilde - obs.H[:, :n] @ v)
+            want = v + k[0, :n] @ (ytilde - obs.H[:, :n] @ v)
             assert np.allclose(v_new, want, rtol=0, atol=1e-13)
 
 
@@ -464,7 +470,7 @@ def test_empirical_qoi_three_directions_matches_matmul_formula():
     q = obs.qoi
     want = sum(np.mean(q[: pe.fine.shape[0]] @ pe.fine)
                - np.mean(q[: pe.coarse.shape[0]] @ pe.coarse) for pe in ml.levels)
-    assert empirical_qoi(ml, q) == pytest.approx(want, rel=0, abs=1e-14)
+    assert empirical_qoi(ml, obs) == pytest.approx(want, rel=0, abs=1e-14)
 
 
 def hand_step(ml, y, obs, seed, realization, step, solver):
@@ -483,7 +489,7 @@ def hand_step(ml, y, obs, seed, realization, step, solver):
         nc, m = pe.coarse.shape
         z = block[: n * m].reshape(n, m)
         if solver == "exact":
-            a, std = _exact_coefficients(n, CFG.T, CFG.b)
+            a, std, _ = _exact_coefficients(n, CFG.T, CFG.b)
             fine = a[:, None] * pe.fine + std[:, None] * z
             coarse = a[:nc, None] * pe.coarse + std[:nc, None] * z[:nc]
         else:
@@ -525,12 +531,12 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
         return generator(key)
 
     monkeypatch.setattr(RngKey, "generator", counted)
-    got = mlenkf_step(ml, y, obs, CFG, HIER, seed, realization, step, solver)
+    got = mlenkf_step(ml, y, obs, CFG, HIER, seed, (realization,), step, solver)
     assert opened == [RngKey(seed, "forward", realization, 0, step),
                       RngKey(seed, "obs-perturbation", realization, 0, step)]
     monkeypatch.undo()
     pred, want = hand_step(ml, y, obs, seed, realization, step, solver)
-    engine_pred = ml_predict(ml, CFG, HIER, seed, realization, step, solver)
+    engine_pred = ml_predict(ml, CFG, HIER, seed, (realization,), step, solver)
     for pe, hand, upd, ref in zip(engine_pred.levels, pred.levels, got.levels, want.levels):
         assert np.array_equal(pe.fine, hand.fine) and np.array_equal(pe.coarse, hand.coarse)
         tol = 1e-13 * max(1.0, np.max(np.abs(ref.fine)))
@@ -578,9 +584,9 @@ def test_mlenkf_step_frees_an_input_it_was_handed_before_the_update(monkeypatch)
     monkeypatch.setattr(filters, "ml_update", spy)
     y, obs = np.array([0.3]), obs_1d(4)
     # plain positional calls: a star-args call would hold the input in its tuple
-    mlenkf_step(held[0], y, obs, CFG, HIER, 11, 0, 1, "exact")
+    mlenkf_step(held[0], y, obs, CFG, HIER, 11, (0,), 1, "exact")
     del kept
-    mlenkf_step(held.pop(), y, obs, CFG, HIER, 11, 0, 1, "exact")
+    mlenkf_step(held.pop(), y, obs, CFG, HIER, 11, (0,), 1, "exact")
     assert alive == [True, False]
 
 
@@ -599,7 +605,7 @@ def test_one_level_engine_at_level_l_matches_reference_enkf(solver):
     ml = one_level(v, level)
     for step in range(1, 6):
         y = rng.standard_normal(2)
-        ml = mlenkf_step(ml, y, obs, CFG, HIER, 19, 2, step, solver)
+        ml = mlenkf_step(ml, y, obs, CFG, HIER, 19, (2,), step, solver)
         v = enkf_step(v, level, y, obs, CFG, HIER, 19, 2, step, solver)
         assert ml.levels[-1].level == level and ml.levels[0].coarse.shape == (0, m_size)
         gap = np.max(np.abs(ml.levels[0].fine - v))
@@ -648,8 +654,10 @@ def test_kalman_predict_is_mode_diagonal_affine():
     out = kalman_predict(state, CFG)
     from mlenkf.model import exact_noise_var, propagator
     from mlenkf.spectral import eigenvalues
+    # bit for bit: the prediction reads the exact-flow memo, whose entries
+    # are these formulas
     lam = eigenvalues(2)
     a = propagator(lam, CFG.T)
-    assert np.allclose(out.mean, a * state.mean, rtol=1e-14)
-    assert np.allclose(out.cov_diag, a * a * state.cov_diag + exact_noise_var(lam, CFG.T, CFG.b),
-                       rtol=1e-14)
+    assert np.array_equal(out.mean, a * state.mean)
+    assert np.array_equal(out.cov_diag,
+                          a * a * state.cov_diag + exact_noise_var(lam, CFG.T, CFG.b))

@@ -434,7 +434,8 @@ def test_level_coefficients_are_cached_read_only_formula_values(hier):
         n, j, _, dt = hier.level_params(level)
         lam = eigenvalues(n)
         exact = _exact_coefficients(n, CFG.T, CFG.b)
-        want = (propagator(lam, CFG.T), np.sqrt(exact_noise_var(lam, CFG.T, CFG.b)))
+        var = exact_noise_var(lam, CFG.T, CFG.b)  # the Kalman prediction reads it too
+        want = (propagator(lam, CFG.T), np.sqrt(var), var)
         cases = [(exact, want, _exact_coefficients(n, CFG.T, CFG.b))]
         for nc in {0, hier.n_modes(level - 1) if level else 0}:
             got = _expeuler_coefficients(n, nc, j, dt, CFG.b)
