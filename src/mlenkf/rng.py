@@ -6,9 +6,12 @@ give identical streams.  A filter step opens one stream per purpose,
 ``(seed, purpose, realization, 0, step)``, and reads it in level order:
 each level takes the next consecutive block, so the levels' draws are
 disjoint, hence independent, and the particles of one level read
-disjoint draws of their block.  Opening a stream costs a
-``SeedSequence`` hash, so one per step rather than one per level and
-step keeps that cost independent of the number of levels.
+disjoint draws of their block.  One stream per step rather than one
+per level and step keeps the cost of opening streams independent of the
+number of levels.  That cost is mostly the ``SeedSequence`` hash of the
+key, so each key's PCG64 seed words are memoized: every accuracy target
+of a study reopens the same keys, and a reopened key only builds its
+generator, which replays the stream from its start.
 
 A batch of realizations runs as one ensemble, realization i's particles
 in column block i of every level array; a single realization is the
@@ -25,6 +28,7 @@ N_{l-1} rows of its fine partner's block.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,18 +69,56 @@ class RngKey:
                 raise ValueError(f"{name} must be nonnegative")
 
     def generator(self):
-        """Fresh ``numpy.random.Generator`` for this key."""
-        seq = np.random.SeedSequence(
-            entropy=self.seed,
-            spawn_key=(
-                PURPOSES.index(self.purpose),
-                self.realization,
-                self.level,
-                0,  # fixed slot; removing it would change every seeded stream
-                self.step,
-            ),
-        )
-        return np.random.default_rng(seq)
+        """Fresh ``numpy.random.Generator`` for this key.
+
+        Draw for draw the stream of ``np.random.default_rng(seq)``, with
+        ``seq`` the key's ``SeedSequence``, whose seed words are memoized.
+        """
+        return np.random.Generator(np.random.PCG64(_seed_words_type()(_seed_words(self))))
+
+
+# A study opens 2 R n_steps filter keys and 2 n_steps data keys, and every
+# accuracy target reopens the filter keys.  The bound keeps the memo under
+# 4 MB (keys included); a study with more keys evicts each before it is
+# reopened and pays one hash an open, as it would without the memo.
+@functools.lru_cache(maxsize=2 ** 13)
+def _seed_words(key):
+    """The 4 uint64 words that ``PCG64`` draws from ``key``'s
+    ``SeedSequence``, read-only, since every open of the key shares them."""
+    seq = np.random.SeedSequence(
+        entropy=key.seed,
+        spawn_key=(
+            PURPOSES.index(key.purpose),
+            key.realization,
+            key.level,
+            0,  # fixed slot; removing it would change every seeded stream
+            key.step,
+        ),
+    )
+    words = seq.generate_state(4, np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _seed_words_type():
+    """Seed-sequence type that hands ``PCG64`` memoized words.
+
+    Defined on first use, so that importing this module does not load
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds the 4 uint64 words PCG64 draws only")
+            return self.words
+
+    return SeedWords
 
 
 class ColumnBlocks:

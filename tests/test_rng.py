@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mlenkf import rng
+from mlenkf.experiment import ExperimentConfig, run_experiment
 from mlenkf.rng import ColumnBlocks, PURPOSES, RngKey
 
 
@@ -27,6 +29,44 @@ def test_distinct_keys_give_distinct_streams(other):
     a = base.generator().standard_normal(32)
     b = other.generator().standard_normal(32)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 20260823, 2 ** 63 + 5, 2 ** 64 - 1])
+def test_memoized_streams_are_seed_sequence_streams(seed):
+    # every stream is default_rng of the key's SeedSequence, draw for draw,
+    # and a memo hit replays it from its start
+    rng._seed_words.cache_clear()
+    for p, purpose in enumerate(PURPOSES):
+        for r in (0, 19, 10 ** 6):
+            for step in (0, 1, 10):
+                ref = np.random.default_rng(
+                    np.random.SeedSequence(seed, spawn_key=(p, r, 0, 0, step)))
+                want = [ref.standard_normal(7), ref.integers(0, 2 ** 62, 5), ref.random(3)]
+                for _ in range(2):
+                    g = RngKey(seed, purpose, r, 0, step).generator()
+                    got = [g.standard_normal(7), g.integers(0, 2 ** 62, 5), g.random(3)]
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b)
+    assert rng._seed_words.cache_info().hits == len(PURPOSES) * 3 * 3
+
+
+def test_memoized_seed_words_are_read_only():
+    words = rng._seed_words(RngKey(5, "truth", 1, 0, 2))
+    assert words.dtype == np.uint64 and words.shape == (4,)
+    assert not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0] = 0
+
+
+def test_every_target_of_a_study_reopens_the_memoized_keys():
+    # data synthesis opens 2 keys a step and each target 2 a realization
+    # and step: 6 + 24 misses, then the 2 later targets hit all 24 keys
+    rng._seed_words.cache_clear()
+    cfg = ExperimentConfig(example=1, eps_grid=(0.5, 0.25, 0.125), n_ref=16, n_steps=3,
+                           realizations=4, jobs=1)
+    run_experiment(cfg)
+    info = rng._seed_words.cache_info()
+    assert (info.hits, info.misses) == (48, 30)
 
 
 def test_draw_prefix_is_batch_size_invariant():
