@@ -72,8 +72,8 @@ _BRANCH_TOL = 1e-9
 class Schedule:
     """Level count and ensemble sizes for one accuracy target.
 
-    ``M`` is a per-level tuple for MLEnKF and a single integer for the
-    EnKF.
+    ``M`` is a tuple of L + 1 sizes, one per level, for the MLEnKF and a
+    single integer for the EnKF.
     """
 
     epsilon: float
@@ -82,6 +82,12 @@ class Schedule:
     method: str
 
     def __post_init__(self):
+        if self.method not in ("enkf", "mlenkf"):
+            raise ValueError("method must be 'enkf' or 'mlenkf'")
+        if self.method == "enkf" and not isinstance(self.M, (int, np.integer)):
+            raise ValueError("the EnKF takes one integer ensemble size")
+        if self.method == "mlenkf" and np.shape(self.M) != (self.L + 1,):
+            raise ValueError("the MLEnKF takes one ensemble size per level 0..L")
         ms = np.atleast_1d(np.asarray(self.M))
         if np.any(ms < 2):
             raise ValueError("all ensemble sizes must be >= 2")
@@ -248,8 +254,6 @@ def make_schedule(eps, hierarchy, method, base_constant=1.0):
     rate 1 + gamma_t, the EnKF uses ``M = ceil(c eps^{-2})``.
     """
     L = _level_count(eps, hierarchy)
-    if method not in ("enkf", "mlenkf"):
-        raise ValueError("method must be 'enkf' or 'mlenkf'")
     beta = hierarchy.beta
     if method == "enkf":
         m = math.ceil(base_constant / eps ** 2)
@@ -333,18 +337,18 @@ def _level_rows(schedule, hierarchy):
     )
 
 
-def initial_multilevel_ensemble(cfg, schedule, blocks=1):
-    """All members of ``blocks`` realizations start at the projected
+def initial_multilevel_ensemble(cfg, schedule, realizations=(0,)):
+    """All members of the batch of ``realizations`` start at the projected
     deterministic initial state."""
     pairs = tuple(
         PairEnsemble(
-            np.tile(cfg.u0[:n_c, None], (1, blocks * m_l)),
-            np.tile(cfg.u0[:n_f, None], (1, blocks * m_l)),
+            np.tile(cfg.u0[:n_c, None], (1, len(realizations) * m_l)),
+            np.tile(cfg.u0[:n_f, None], (1, len(realizations) * m_l)),
             l,
         )
         for l, n_f, n_c, m_l in _level_rows(schedule, cfg.hierarchy)
     )
-    return MultilevelEnsemble(pairs, blocks)
+    return MultilevelEnsemble(pairs, realizations)
 
 
 def run_filter_realizations(cfg, schedule, ys, realizations):
@@ -363,12 +367,12 @@ def run_filter_realizations(cfg, schedule, ys, realizations):
     # the wide levels' temporaries off the heap top, which glibc trims and
     # page-faults back in on the next step; either alone leaves the EnKF's
     # wide levels slower than building the update in fresh arrays.
-    held = [initial_multilevel_ensemble(cfg, schedule, len(realizations))]
+    held = [initial_multilevel_ensemble(cfg, schedule, realizations)]
     tracks[:, 0] = empirical_qoi(held[0], cfg.obs)
     for n in range(1, cfg.n_steps + 1):
         held.append(mlenkf_step(
             held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
-            cfg.master_seed, realizations, n, cfg.solver,
+            cfg.master_seed, n, cfg.solver,
         ))
         tracks[:, n] = empirical_qoi(held[0], cfg.obs)
     tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan

@@ -12,14 +12,14 @@ predicted members once, and the moments, the update and the QoI are
 ``np.einsum`` or broadcast kernels: no member array reaches BLAS, so
 seeded results do not depend on the BLAS thread count.
 
-An ensemble may carry a batch of B independent realizations as column
-blocks: each level array is (N_l, B M_l), realization i's particles in
-columns ``i M_l .. (i+1) M_l``.  Every step then runs once per level
-for the whole batch.  The moments, the gain and the QoI reduce per
-block, each block by the same kernel and in the same order as when it
-runs alone, and every block reads its realization's own streams (see
-:class:`~mlenkf.rng.ColumnBlocks`), so a realization's results do not
-depend on the batch it runs in.
+An ensemble carries a batch of B independent realizations, whose indices
+it holds, as column blocks: each level array is (N_l, B M_l), the i-th
+realization's particles in columns ``i M_l .. (i+1) M_l``.  Every step
+runs once per level for the whole batch.  The moments, the gain and the
+QoI reduce per block, each block by the same kernel and in the same
+order as when it runs alone, and every block reads its realization's
+own streams (see :class:`~mlenkf.rng.ColumnBlocks`), so a realization's
+results do not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -146,21 +146,23 @@ class MultilevelEnsemble:
     """Pair ensembles for contiguous levels, the lowest one without coarse
     partners: levels 0..L for the MLEnKF, the single level L for the EnKF.
 
-    ``blocks`` is the number B of realizations carried as column blocks;
-    every level holds B blocks of at least 2 particles each.
+    ``realizations`` holds the index of the realization in each column
+    block; every level holds one block of at least 2 particles per index.
     """
 
     levels: tuple
-    blocks: int = 1
+    realizations: tuple = (0,)
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
+        object.__setattr__(self, "realizations", tuple(self.realizations))
         if not self.levels:
             raise ValueError("need at least one level")
-        if self.blocks < 1:
+        b = len(self.realizations)
+        if not b:
             raise ValueError("need at least one block")
         for pe in self.levels:
-            if pe.size % self.blocks or pe.size // self.blocks < 2:
+            if pe.size % b or pe.size // b < 2:
                 raise ValueError("every level needs blocks of M >= 2 particles")
         if self.levels[0].coarse.shape[0] != 0:
             raise ValueError("the lowest level has no coarse partners")
@@ -237,7 +239,7 @@ def compute_R_ml(ml, obs, hv=None):
         hv = _project(ml, obs)
     levels = tuple(zip(ml.levels, hv))
     top = ml.levels[-1].fine
-    b = ml.blocks
+    b = len(ml.realizations)
     r = np.zeros((b, top.shape[0], obs.m))
     for (pe, (_, h_fine)), (up, (h_coarse, _)) in zip(levels, levels[1:]):
         r[:, : pe.fine.shape[0]] += _cov_action(pe.fine, h_fine, b)
@@ -268,15 +270,16 @@ def ml_gain(r, obs):
     """Gain ``K = R S^{-1}`` from a covariance action R, S = (HR)^+ + Gamma.
 
     ``r`` is one (N, m) action or a (B, N, m) stack, one per block; the
-    gain has the same shape.  A diverged block (non-finite R) gets a NaN
-    gain and leaves the other blocks alone, even when every block
-    diverged.  ``FloatingPointError`` is raised when an S is not positive
-    definite.
+    gain has the same shape.  A diverged block, whose HR is not finite
+    (a non-finite R, or a finite one that overflows), gets a NaN gain and
+    leaves the other blocks alone, even when every block diverged.
+    ``FloatingPointError`` is raised when an S is not positive definite.
     """
     r = np.asarray(r, dtype=float)
-    bad = ~np.isfinite(r).all(axis=(-2, -1))
-    r = np.where(bad[..., None, None], 0.0, r)
     hr = np.einsum("kn,...nj->...kj", obs.H[:, : r.shape[-2]], r)
+    bad = ~np.isfinite(hr).all(axis=(-2, -1))
+    r = np.where(bad[..., None, None], 0.0, r)
+    hr[bad] = 0.0
     s = positive_part(hr) + obs.Gamma
     try:
         low = np.linalg.cholesky(s)
@@ -301,15 +304,13 @@ def _add_correction(v, kt, innovation):
     v += correction.reshape(n, -1)
 
 
-def _streams(ml, seed, purpose, realizations, step):
+def _streams(ml, seed, purpose, step):
     """Column-block reader over the step's stream of each block's
-    realization, ``realizations`` holding one index per block."""
-    if len(realizations) != ml.blocks:
-        raise ValueError(f"{ml.blocks} blocks need as many realizations, got {len(realizations)}")
-    return ColumnBlocks(RngKey(seed, purpose, r, 0, step).generator() for r in realizations)
+    realization."""
+    return ColumnBlocks(RngKey(seed, purpose, r, 0, step).generator() for r in ml.realizations)
 
 
-def ml_update(ml, k, y, obs, seed, realizations, step, hv=None):
+def ml_update(ml, k, y, obs, seed, step, hv=None):
     """Perturbed-observation update of every pair, in place.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
@@ -317,7 +318,7 @@ def ml_update(ml, k, y, obs, seed, realizations, step, hv=None):
     corrected with its block's gain, ``k[i]`` of the (B, N, m) stack that
     :func:`ml_gain` returns, truncated to its own resolution.  The step's
     one perturbation stream of each block's realization,
-    ``RngKey(seed, "obs-perturbation", realizations[i], 0, step)``, is
+    ``RngKey(seed, "obs-perturbation", ml.realizations[i], 0, step)``, is
     read in level order: each level takes the next m M_l normals, so
     levels get disjoint blocks.  ``hv`` holds the members' projections
     (see :func:`_project`) when the caller has them already.
@@ -330,10 +331,10 @@ def ml_update(ml, k, y, obs, seed, realizations, step, hv=None):
     if hv is None:
         hv = _project(ml, obs)
     y = np.asarray(y, dtype=float).reshape(obs.m)
-    if k.shape[0] != ml.blocks:
-        raise ValueError(f"{ml.blocks} blocks need as many gains, got {k.shape[0]}")
+    if k.shape[0] != len(ml.realizations):
+        raise ValueError(f"{len(ml.realizations)} blocks need as many gains, got {k.shape[0]}")
     kt = k.transpose(1, 2, 0)[..., None]
-    rng = _streams(ml, seed, "obs-perturbation", realizations, step)
+    rng = _streams(ml, seed, "obs-perturbation", step)
     for pe, projections in zip(ml.levels, hv):
         members = [(v, h) for v, h in zip((pe.coarse, pe.fine), projections) if h is not None]
         ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
@@ -346,38 +347,38 @@ def ml_update(ml, k, y, obs, seed, realizations, step, hv=None):
     return ml
 
 
-def ml_predict(ml, cfg, hierarchy, seed, realizations, step, solver):
+def ml_predict(ml, cfg, hierarchy, seed, step, solver):
     """Propagate every pair one interval with coupled noise.
 
     The step's one forward stream of each block's realization,
-    ``RngKey(seed, "forward", realizations[i], 0, step)``, is read in level
-    order: each level's :func:`~mlenkf.model.propagate_pairs` call draws
-    the next block, so levels get disjoint draws and the two members of
-    a pair share theirs.  ``realizations`` holds one index per column
-    block.
+    ``RngKey(seed, "forward", ml.realizations[i], 0, step)``, is read in
+    level order: each level's :func:`~mlenkf.model.propagate_pairs` call
+    draws the next block, so levels get disjoint draws and the two
+    members of a pair share theirs.  The prediction carries the same
+    realizations.
     """
-    rng = _streams(ml, seed, "forward", realizations, step)
+    rng = _streams(ml, seed, "forward", step)
     out = []
     for pe in ml.levels:
         coarse, fine = propagate_pairs(
             pe.coarse, pe.fine, pe.level, cfg, hierarchy, rng, solver
         )
         out.append(PairEnsemble(coarse, fine, pe.level))
-    return MultilevelEnsemble(tuple(out), ml.blocks)
+    return MultilevelEnsemble(tuple(out), ml.realizations)
 
 
-def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realizations, step, solver):
+def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, step, solver):
     """One assimilation step of the ensemble engine: predict, gain, update.
 
     A multilevel ensemble makes this an MLEnKF step; a single level L
     without coarse partners makes it an EnKF step at level L.  A batch
-    of realizations steps as one ensemble, ``realizations`` naming one
-    per column block.  The update writes into the prediction and its
-    projections, which the step owns; ``ml`` itself is never written.
-    The step drops ``ml`` once it has predicted, so on CPython 3.11 and
-    later a caller that hands over its last reference frees the input
-    before the update runs; before 3.11 the caller's frame holds every
-    argument until the call returns, and the input lives through it.
+    of realizations steps as one ensemble, each block reading its own
+    realization's streams.  The update writes into the prediction and
+    its projections, which the step owns; ``ml`` itself is never
+    written.  The step drops ``ml`` once it has predicted, so on CPython
+    3.11 and later a caller that hands over its last reference frees the
+    input before the update runs; before 3.11 the caller's frame holds
+    every argument until the call returns, and the input lives through it.
     """
     n_top = ml.levels[-1].fine.shape[0]
     if obs.m >= n_top:
@@ -385,11 +386,11 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, realizations, step, solver):
             "observation dimension must stay below N_L "
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
-    pred = ml_predict(ml, cfg, hierarchy, seed, realizations, step, solver)
+    pred = ml_predict(ml, cfg, hierarchy, seed, step, solver)
     del ml
     hv = _project(pred, obs)
     k = ml_gain(compute_R_ml(pred, obs, hv), obs)
-    return ml_update(pred, k, y, obs, seed, realizations, step, hv)
+    return ml_update(pred, k, y, obs, seed, step, hv)
 
 
 # No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.
@@ -405,11 +406,12 @@ def empirical_qoi(ml, obs):
     one level, the ensemble average of ``phi(v_i)``.  ``phi`` is
     :meth:`ObservationModel.qoi_value`.
     """
-    total = np.zeros(ml.blocks)
+    b = len(ml.realizations)
+    total = np.zeros(b)
     for pe in ml.levels:
-        total += _block_means(obs.qoi_value(pe.fine), ml.blocks)
+        total += _block_means(obs.qoi_value(pe.fine), b)
         if pe.coarse.shape[0]:
-            total -= _block_means(obs.qoi_value(pe.coarse), ml.blocks)
+            total -= _block_means(obs.qoi_value(pe.coarse), b)
     return total
 
 

@@ -188,7 +188,7 @@ def check_degeneracy(seed):
     ml = filters.MultilevelEnsemble((filters.PairEnsemble(empty, v, level),))
     for step in range(1, 6):
         y = rng.standard_normal(1)
-        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, (0,), step, "exact")
+        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, step, "exact")
         # one level reads the first block of each of the step's streams
         fwd = RngKey(seed, "forward", 0, 0, step).generator()
         _, v = model.propagate_pairs(empty, v, level, cfg, hier, fwd, "exact")
@@ -245,8 +245,7 @@ def check_update_finite(seed):
     obs = _random_observation(rng, hier.n_modes(2), 1)
     ml = _random_multilevel(rng, hier, 2)
     for n in range(1, 4):
-        ml = filters.mlenkf_step(ml, rng.standard_normal(1), obs, cfg, hier, seed, (0,), n,
-                                 "expeuler")
+        ml = filters.mlenkf_step(ml, rng.standard_normal(1), obs, cfg, hier, seed, n, "expeuler")
         for pe in ml.levels:
             if not (np.all(np.isfinite(pe.fine)) and np.all(np.isfinite(pe.coarse))):
                 return False, f"non-finite member at step {n}"

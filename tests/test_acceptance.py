@@ -164,13 +164,13 @@ def test_criterion_5_ensemble_gain_approaches_kalman_gain():
     state = GaussianState.deterministic(u0)
     worst_gain = 0.0
     for n in range(1, 4):
-        pred = ml_predict(ens, model, hier, SEED, (0,), n, "exact")
+        pred = ml_predict(ens, model, hier, SEED, n, "exact")
         k = ml_gain(compute_R_ml(pred, obs), obs)
         state = kalman_predict(state, model)
         k_ref = ml_gain(state.cov_action(obs.H.T), obs)
         rel = np.linalg.norm(k[0] - k_ref) / np.linalg.norm(k_ref)
         worst_gain = max(worst_gain, float(rel))
-        ens = ml_update(pred, k, data.ys[n - 1], obs, SEED, (0,), n)
+        ens = ml_update(pred, k, data.ys[n - 1], obs, SEED, n)
         state = kalman_update(state, data.ys[n - 1], obs)
 
     # low-rank recursion against the dense oracle

@@ -10,6 +10,7 @@ import pytest
 
 import mlenkf.experiment
 import mlenkf.filters
+import mlenkf.verify
 from mlenkf.cli import RESULT_COLUMNS, SCHEDULE_COLUMNS, load_config, main
 
 
@@ -215,8 +216,13 @@ def test_summary_reports_balanced_branch_only_when_rates_balance(tmp_path):
     # example 1: beta = 2 equals 1 + gamma_t for expeuler only
     for solver, balanced in (("exact", False), ("expeuler", True)):
         out = tmp_path / solver
-        cfg = tiny_config(tmp_path, solver=solver)
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        run = ["run", "--config", str(tiny_config(tmp_path, solver=solver)), "--out", str(out)]
+        if balanced:
+            # at eps 0.5 the expeuler schedule sizes its top level 1, clamped to 2
+            with pytest.warns(UserWarning, match="ensemble sizes clamped to 2"):
+                assert main(run) == 0
+        else:
+            assert main(run) == 0
         summary = (out / "summary.txt").read_text()
         assert ("balanced-rate branch" in summary) == balanced
 
@@ -242,6 +248,16 @@ def test_verify_catches_injected_fault(monkeypatch, capsys):
                         lambda a: np.zeros_like(np.atleast_2d(np.asarray(a, dtype=float))))
     assert main(["verify", "--seed", "3"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+    # a check that raises counts as failed, and the checks after it still run
+    def broken(seed):
+        raise RuntimeError("no result")
+
+    monkeypatch.setattr(mlenkf.verify, "CHECKS", (("crashes", broken),
+                                                  ("passes", lambda seed: (True, "fine"))))
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] crashes: raised RuntimeError: no result" in out
+    assert "[ok] passes: fine" in out
 
 
 def test_slope_fits_groups_and_skips_small_ones(tmp_path, capsys):
@@ -265,6 +281,11 @@ def test_slope_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("method,mse\nenkf,1.0\n")
     assert main(["slope", "--in", str(bad)]) == 1
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(",".join(RESULT_COLUMNS) + "\n")
+    capsys.readouterr()
+    assert main(["slope", "--in", str(header_only)]) == 1
+    assert "no data rows" in capsys.readouterr().err
     text = tmp_path / "text.csv"
     with open(text, "w", newline="") as fh:
         w = csv.writer(fh)

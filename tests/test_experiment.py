@@ -121,12 +121,14 @@ def test_schedule_validation():
     hier = build_example(1, "exact", n_ref=64)[1]
     with pytest.raises(ValueError):
         make_schedule(0.0, hier, "mlenkf")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="method must be 'enkf' or 'mlenkf'"):
         make_schedule(0.1, hier, "ukf")
-    with pytest.raises(ValueError):
-        Schedule(0.5, 1, (4, 1), "mlenkf")
-    with pytest.raises(ValueError):
-        Schedule(0.5, 1, (4, 8), "mlenkf")
+    for bad in ((0.5, 1, (4, 1), "mlenkf"), (0.5, 1, (4, 8), "mlenkf"),
+                (0.25, 3, (8, 4), "mlenkf"), (0.25, 1, 8, "mlenkf"),
+                (0.25, 1, (8, 4), "MLEnKF"), (0.25, 2, (8, 4), "enkf"),
+                (0.25, 2, 8.0, "enkf")):
+        with pytest.raises(ValueError):
+            Schedule(*bad)
 
 
 def test_psi_cost_rates():
@@ -560,9 +562,9 @@ def test_batched_step_peaks_near_two_member_copies_above_its_input():
     cfg = ExperimentConfig(example=1, eps_grid=(2.0 ** -7,), realizations=3, n_ref=1024)
     sched = make_schedule(2.0 ** -7, cfg.hierarchy, "mlenkf")
     assert sched.L == 7
-    ml = initial_multilevel_ensemble(cfg, sched, blocks=3)
+    ml = initial_multilevel_ensemble(cfg, sched, realizations=(0, 1, 2))
     copy = sum(pe.coarse.nbytes + pe.fine.nbytes for pe in ml.levels)
-    args = (cfg.obs, cfg.model, cfg.hierarchy, cfg.master_seed, (0, 1, 2))
+    args = (cfg.obs, cfg.model, cfg.hierarchy, cfg.master_seed)
     y = np.array([0.1])
     ml = mlenkf_step(ml, y, *args, 1, "exact")  # fills the coefficient memos
     tracemalloc.start()

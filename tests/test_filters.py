@@ -39,19 +39,20 @@ def obs_1d(n_ref, gamma=0.25):
     return ObservationModel(h[None, :], np.array([[gamma]]), np.ones(n_ref))
 
 
-def one_level(fine, level):
+def one_level(fine, level, realizations=(0,)):
     """EnKF ensemble: one pair ensemble at ``level`` without coarse partners."""
-    return MultilevelEnsemble((PairEnsemble(np.zeros((0, fine.shape[1])), fine, level),))
+    return MultilevelEnsemble((PairEnsemble(np.zeros((0, fine.shape[1])), fine, level),),
+                              realizations)
 
 
-def random_multilevel(rng, hier, L, sizes, m=1):
+def random_multilevel(rng, hier, L, sizes, m=1, realizations=(0,)):
     pairs = []
     for l in range(L + 1):
         n = hier.n_modes(l)
         nc = hier.n_modes(l - 1) if l else 0
         pairs.append(PairEnsemble(rng.standard_normal((nc, sizes[l])),
                                   rng.standard_normal((n, sizes[l])), l))
-    return MultilevelEnsemble(tuple(pairs))
+    return MultilevelEnsemble(tuple(pairs), realizations)
 
 
 def copied(ml):
@@ -60,7 +61,7 @@ def copied(ml):
     updates a copy."""
     return MultilevelEnsemble(
         tuple(PairEnsemble(pe.coarse.copy(), pe.fine.copy(), pe.level) for pe in ml.levels),
-        ml.blocks,
+        ml.realizations,
     )
 
 
@@ -241,15 +242,14 @@ def test_ml_gain_failure_modes(monkeypatch):
 
 def test_ensemble_blocks_split_every_level():
     p0 = PairEnsemble(np.zeros((0, 6)), np.zeros((1, 6)), 0)
-    assert MultilevelEnsemble((p0,), 3).blocks == 3
-    for blocks in (0, 4, 6):  # none, uneven, one particle each
+    assert MultilevelEnsemble((p0,), [4, 0, 9]).realizations == (4, 0, 9)
+    assert MultilevelEnsemble((p0,)).realizations == (0,)
+    for realizations in ((), range(4), range(6)):  # none, uneven, one particle each
         with pytest.raises(ValueError, match="block"):
-            MultilevelEnsemble((p0,), blocks)
-    ml = MultilevelEnsemble((p0,), 2)
-    with pytest.raises(ValueError, match="2 blocks need as many realizations"):
-        ml_predict(ml, CFG, HIER, seed=1, realizations=(0,), step=1, solver="exact")
+            MultilevelEnsemble((p0,), realizations)
+    ml = MultilevelEnsemble((p0,), (0, 1))
     with pytest.raises(ValueError, match="2 blocks need as many gains"):
-        ml_update(ml, np.zeros((1, 1, 1)), np.zeros(1), obs_1d(1), 1, (0, 1), 0)
+        ml_update(ml, np.zeros((1, 1, 1)), np.zeros(1), obs_1d(1), 1, 0)
 
 
 def test_ml_gain_stack_matches_each_block_and_isolates_a_diverged_one():
@@ -258,10 +258,17 @@ def test_ml_gain_stack_matches_each_block_and_isolates_a_diverged_one():
     obs = ObservationModel(rng.standard_normal((3, 7)), g @ g.T + 0.1 * np.eye(3), np.zeros(7))
     r = rng.standard_normal((4, 7, 3))
     r[1, 2, 0] = np.inf
-    k = ml_gain(r, obs)
-    assert k.shape == r.shape and np.all(np.isnan(k[1]))
-    for i in (0, 2, 3):
-        assert np.array_equal(k[i], ml_gain(r[i], obs))
+    # block 1 of the second input is finite, but its HR overflows
+    sums = ObservationModel(np.ones((1, 4)), np.eye(1), np.zeros(4))
+    huge = rng.standard_normal((3, 4, 1))
+    huge[1] = 1e308
+    for stack, model in ((r, obs), (huge, sums)):
+        k = ml_gain(stack, model)
+        assert k.shape == stack.shape and np.all(np.isnan(k[1]))
+        assert np.all(np.isnan(ml_gain(stack[1], model)))
+        for i in range(stack.shape[0]):
+            if i != 1:
+                assert np.array_equal(k[i], ml_gain(stack[i], model))
     # every block diverged: every gain is NaN, and nothing raises
     assert np.all(np.isnan(ml_gain(np.full((2, 7, 3), np.nan), obs)))
 
@@ -271,8 +278,7 @@ def test_ml_update_zero_gain_is_identity():
     ml = random_multilevel(rng, HIER, L=1, sizes=(4, 3))
     obs = obs_1d(2)
     given = copied(ml)
-    out = ml_update(given, np.zeros((1, 2, 1)), np.array([0.4]), obs, seed=1, realizations=(0,),
-                    step=0)
+    out = ml_update(given, np.zeros((1, 2, 1)), np.array([0.4]), obs, seed=1, step=0)
     for l in range(2):
         assert np.array_equal(out.levels[l].fine, ml.levels[l].fine)
         assert np.array_equal(out.levels[l].coarse, ml.levels[l].coarse)
@@ -288,7 +294,7 @@ def test_ml_update_unit_gain_pins_members_to_datum():
     ml = MultilevelEnsemble((PairEnsemble(np.zeros((0, 5)), fine, 0),))
     obs = ObservationModel(np.eye(2), 1e-30 * np.eye(2), np.zeros(2))
     y = np.array([0.7, -0.2])
-    out = ml_update(ml, np.eye(2)[None], y, obs, seed=2, realizations=(0,), step=0)
+    out = ml_update(ml, np.eye(2)[None], y, obs, seed=2, step=0)
     assert np.allclose(out.levels[0].fine, y[:, None], atol=1e-12)
 
 
@@ -300,11 +306,11 @@ def test_ml_update_pair_coherence_under_coarse_supported_h():
     ml = MultilevelEnsemble((
         PairEnsemble(np.zeros((0, 3)), rng.standard_normal((2, 3)), 0),
         PairEnsemble(fine[:2].copy(), fine, 1),
-    ))
+    ), (1,))
     h = np.array([[0.3, -1.1, 0.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.5]]), np.zeros(4))
     k = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, k, np.array([0.1]), obs, seed=3, realizations=(1,), step=2)
+    out = ml_update(ml, k, np.array([0.1]), obs, seed=3, step=2)
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:2], atol=1e-13)
 
 
@@ -318,7 +324,7 @@ def test_ml_update_pair_residual_identity_general_h():
     ))
     obs = ObservationModel(rng.standard_normal((1, 4)), np.array([[0.5]]), np.zeros(4))
     k = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(copied(ml), k, np.array([-0.3]), obs, seed=4, realizations=(0,), step=1)
+    out = ml_update(copied(ml), k, np.array([-0.3]), obs, seed=4, step=1)
     got = out.levels[1].coarse - out.levels[1].fine[:2]
     want = (coarse - fine[:2]) + k[0, :2] @ (obs.observe(fine) - obs.observe(coarse))
     assert np.allclose(got, want, rtol=0, atol=1e-13)
@@ -336,7 +342,7 @@ def test_ml_update_shares_perturbation_within_pair():
     h = np.array([[1.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.25]]), np.zeros(2))
     k = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, k, np.array([0.2]), obs, seed=5, realizations=(0,), step=0)
+    out = ml_update(ml, k, np.array([0.2]), obs, seed=5, step=0)
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:1], atol=1e-13)
 
 
@@ -344,10 +350,9 @@ def test_zero_gain_update_then_predict_is_open_loop():
     rng = np.random.default_rng(61)
     ml = random_multilevel(rng, HIER, L=2, sizes=(5, 3, 2))
     obs = obs_1d(4)
-    upd = ml_update(copied(ml), np.zeros((1, 4, 1)), np.array([1.0]), obs, seed=6,
-                    realizations=(0,), step=0)
-    a = ml_predict(upd, CFG, HIER, seed=6, realizations=(0,), step=0, solver="exact")
-    b = ml_predict(ml, CFG, HIER, seed=6, realizations=(0,), step=0, solver="exact")
+    upd = ml_update(copied(ml), np.zeros((1, 4, 1)), np.array([1.0]), obs, seed=6, step=0)
+    a = ml_predict(upd, CFG, HIER, seed=6, step=0, solver="exact")
+    b = ml_predict(ml, CFG, HIER, seed=6, step=0, solver="exact")
     for l in range(3):
         assert np.array_equal(a.levels[l].fine, b.levels[l].fine)
         assert np.array_equal(a.levels[l].coarse, b.levels[l].coarse)
@@ -360,12 +365,13 @@ def test_ml_predict_keeps_nested_pairs_nested():
         PairEnsemble(np.zeros((0, 4)), rng.standard_normal((1, 4)), 0),
         PairEnsemble(fine1[:1].copy(), fine1, 1),
     ))
-    out = ml_predict(ml, CFG, HIER, seed=7, realizations=(0,), step=3, solver="exact")
+    out = ml_predict(ml, CFG, HIER, seed=7, step=3, solver="exact")
     assert np.array_equal(out.levels[1].coarse, out.levels[1].fine[:1])
 
 
 def test_enkf_two_member_hand_oracle():
-    pred = one_level(np.array([[1.0, 3.0], [2.0, 0.0]]), 1)
+    seed, realization, step = 11, 2, 4
+    pred = one_level(np.array([[1.0, 3.0], [2.0, 0.0]]), 1, (realization,))
     obs = obs_1d(2, gamma=0.5)
     r = compute_R_ml(pred, obs)
     assert np.allclose(r, [[[2.0], [-2.0]]], atol=1e-14)
@@ -373,8 +379,7 @@ def test_enkf_two_member_hand_oracle():
     k = ml_gain(r, obs)
     assert np.allclose(k, [[[0.8], [-0.8]]], atol=1e-14)
     y = np.array([0.6])
-    seed, realization, step = 11, 2, 4
-    out = ml_update(copied(pred), k, y, obs, seed, (realization,), step)
+    out = ml_update(copied(pred), k, y, obs, seed, step)
     # the step's perturbation stream has level slot 0 whatever the
     # ensemble's level; its one level reads the first block
     eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 0, step)\
@@ -395,7 +400,7 @@ def test_gain_norm_bounded_by_noise_floor():
     k = ml_gain(r, obs)
     bound = np.linalg.norm(r[0], 2) / 1e6
     assert np.linalg.norm(k[0], 2) <= bound * (1 + 1e-12)
-    out = ml_update(copied(e), k, np.array([0.5, -0.5]), obs, seed=8, realizations=(0,), step=0)
+    out = ml_update(copied(e), k, np.array([0.5, -0.5]), obs, seed=8, step=0)
     # K eta has size ~ |R| / sqrt(Gamma), tiny against the members
     assert np.max(np.abs(out.levels[0].fine - e.levels[0].fine)) <= 1e-2
 
@@ -403,14 +408,13 @@ def test_gain_norm_bounded_by_noise_floor():
 def test_step_drivers_reject_wide_observation():
     obs = ObservationModel(np.eye(2), 0.1 * np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="outside the regime"):
-        mlenkf_step(one_level(np.zeros((2, 3)), 1), np.zeros(2), obs, CFG, HIER,
-                    0, (0,), 0, "exact")
+        mlenkf_step(one_level(np.zeros((2, 3)), 1), np.zeros(2), obs, CFG, HIER, 0, 0, "exact")
     ml = MultilevelEnsemble((
         PairEnsemble(np.zeros((0, 3)), np.zeros((1, 3)), 0),
         PairEnsemble(np.zeros((1, 3)), np.zeros((2, 3)), 1),
     ))
     with pytest.raises(ValueError, match="outside the regime"):
-        mlenkf_step(ml, np.zeros(2), obs, CFG, HIER, 0, (0,), 0, "exact")
+        mlenkf_step(ml, np.zeros(2), obs, CFG, HIER, 0, 0, "exact")
 
 
 def test_empirical_qoi_single_level():
@@ -452,7 +456,7 @@ def test_ml_update_three_directions_matches_matmul_formula():
     k = ml_gain(compute_R_ml(ml, obs), obs)
     y = np.array([0.3, -0.8, 1.1])
     seed, realization, step = 12, 1, 3
-    out = ml_update(copied(ml), k, y, obs, seed, (realization,), step)
+    out = ml_update(MultilevelEnsemble(copied(ml).levels, (realization,)), k, y, obs, seed, step)
     chol = np.linalg.cholesky(obs.Gamma)
     # the levels read consecutive blocks of the step's one stream
     rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
@@ -520,9 +524,9 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
     b = rng.standard_normal((2, 2))
     obs = ObservationModel(rng.standard_normal((2, 8)), b @ b.T + 0.1 * np.eye(2),
                            np.zeros(8))
-    ml = random_multilevel(rng, HIER, L, sizes=(9, 6, 4, 3)[: L + 1])
-    y = rng.standard_normal(2)
     seed, realization, step = 23, 4, 2
+    ml = random_multilevel(rng, HIER, L, (9, 6, 4, 3)[: L + 1], realizations=(realization,))
+    y = rng.standard_normal(2)
     opened = []
     generator = RngKey.generator
 
@@ -531,17 +535,24 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
         return generator(key)
 
     monkeypatch.setattr(RngKey, "generator", counted)
-    got = mlenkf_step(ml, y, obs, CFG, HIER, seed, (realization,), step, solver)
+    got = mlenkf_step(ml, y, obs, CFG, HIER, seed, step, solver)
     assert opened == [RngKey(seed, "forward", realization, 0, step),
                       RngKey(seed, "obs-perturbation", realization, 0, step)]
     monkeypatch.undo()
     pred, want = hand_step(ml, y, obs, seed, realization, step, solver)
-    engine_pred = ml_predict(ml, CFG, HIER, seed, (realization,), step, solver)
+    engine_pred = ml_predict(ml, CFG, HIER, seed, step, solver)
     for pe, hand, upd, ref in zip(engine_pred.levels, pred.levels, got.levels, want.levels):
         assert np.array_equal(pe.fine, hand.fine) and np.array_equal(pe.coarse, hand.coarse)
         tol = 1e-13 * max(1.0, np.max(np.abs(ref.fine)))
         for v, w in ((upd.fine, ref.fine), (upd.coarse, ref.coarse)):
             assert np.allclose(v, w, rtol=0, atol=tol)
+    # a two-block batch opens each purpose's keys in block order
+    batch = random_multilevel(rng, HIER, L, (12, 8, 6, 4)[: L + 1], realizations=(5, 3))
+    opened.clear()
+    monkeypatch.setattr(RngKey, "generator", counted)
+    mlenkf_step(batch, y, obs, CFG, HIER, seed, step, solver)
+    assert opened == [RngKey(seed, purpose, r, 0, step)
+                      for purpose in ("forward", "obs-perturbation") for r in (5, 3)]
 
 
 @pytest.mark.parametrize("solver", ["exact", "expeuler"])
@@ -552,10 +563,10 @@ def test_mlenkf_step_leaves_the_callers_batch_untouched(solver, L):
         ml = one_level(rng.standard_normal((HIER.n_modes(2), 8)), 2)
     else:
         ml = random_multilevel(rng, HIER, L, (8, 6, 4))
-    ml = MultilevelEnsemble(ml.levels, blocks=2)
+    ml = MultilevelEnsemble(ml.levels, (3, 5))
     inputs = [a for pe in ml.levels for a in (pe.coarse, pe.fine)]
     kept = [a.copy() for a in inputs]
-    out = mlenkf_step(ml, np.array([0.3]), obs_1d(4), CFG, HIER, 11, (3, 5), 1, solver)
+    out = mlenkf_step(ml, np.array([0.3]), obs_1d(4), CFG, HIER, 11, 1, solver)
     outputs = [a for pe in out.levels for a in (pe.coarse, pe.fine)]
     assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
     for i, a in enumerate(outputs):
@@ -584,9 +595,9 @@ def test_mlenkf_step_frees_an_input_it_was_handed_before_the_update(monkeypatch)
     monkeypatch.setattr(filters, "ml_update", spy)
     y, obs = np.array([0.3]), obs_1d(4)
     # plain positional calls: a star-args call would hold the input in its tuple
-    mlenkf_step(held[0], y, obs, CFG, HIER, 11, (0,), 1, "exact")
+    mlenkf_step(held[0], y, obs, CFG, HIER, 11, 1, "exact")
     del kept
-    mlenkf_step(held.pop(), y, obs, CFG, HIER, 11, (0,), 1, "exact")
+    mlenkf_step(held.pop(), y, obs, CFG, HIER, 11, 1, "exact")
     assert alive == [True, False]
 
 
@@ -602,10 +613,10 @@ def test_one_level_engine_at_level_l_matches_reference_enkf(solver):
     obs = ObservationModel(rng.standard_normal((2, n)), np.array([[0.4, 0.1], [0.1, 0.3]]),
                            np.zeros(n))
     v = np.tile(rng.standard_normal(n)[:, None], (1, m_size))
-    ml = one_level(v, level)
+    ml = one_level(v, level, (2,))
     for step in range(1, 6):
         y = rng.standard_normal(2)
-        ml = mlenkf_step(ml, y, obs, CFG, HIER, 19, (2,), step, solver)
+        ml = mlenkf_step(ml, y, obs, CFG, HIER, 19, step, solver)
         v = enkf_step(v, level, y, obs, CFG, HIER, 19, 2, step, solver)
         assert ml.levels[-1].level == level and ml.levels[0].coarse.shape == (0, m_size)
         gap = np.max(np.abs(ml.levels[0].fine - v))
