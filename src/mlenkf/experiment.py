@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .filters import (
     mlenkf_step,
 )
 from .model import SOLVERS, ModelConfig, _exact_coefficients
-from .rng import RngKey
+from .rng import PrefetchedBlocks, RngKey
 from .spectral import LevelHierarchy
 
 __all__ = [
@@ -351,30 +352,79 @@ def initial_multilevel_ensemble(cfg, schedule, realizations=(0,)):
     return MultilevelEnsemble(pairs, realizations)
 
 
+def _usable_cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _step_normals(cfg, schedule):
+    """Normals a block reads in one step, per purpose: each level's forward
+    draw, plus its coarse partners' own under exponential Euler, and m
+    perturbations a pair."""
+    rows = _level_rows(schedule, cfg.hierarchy)
+    coupled = cfg.solver == "expeuler"
+    return {
+        "forward": sum((n_f + coupled * n_c) * m_l for _, n_f, n_c, m_l in rows),
+        "obs-perturbation": cfg.obs.m * sum(m_l for *_, m_l in rows),
+    }
+
+
+@contextlib.contextmanager
+def _prefetched_streams(cfg, schedule, realizations):
+    """The batch's draws, filled one step ahead on a helper thread that
+    ends with the block: a :class:`~mlenkf.rng.PrefetchedBlocks` per
+    purpose, or ``None`` when the process has no CPU beyond ``cfg.jobs``.
+    """
+    if _usable_cpus() <= cfg.jobs:
+        yield None
+        return
+    # imported here: a study without a spare CPU never pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        yield {
+            purpose: PrefetchedBlocks(cfg.master_seed, purpose, realizations, length,
+                                      cfg.n_steps, helper.submit)
+            for purpose, length in _step_normals(cfg, schedule).items()
+        }
+
+
 def run_filter_realizations(cfg, schedule, ys, realizations):
     """QoI tracks over steps 0..N, one row per realization.
 
     The realizations run as the column blocks of one ensemble; each row
     equals the realization's track run alone.  A realization whose filter
-    diverges gets a row of NaN.
+    diverges gets a row of NaN.  When the process may run on more CPUs
+    than ``cfg.jobs``, one helper thread fills each step's draws while
+    the step before computes; it ends with the call, and the tracks are
+    byte-identical either way.
     """
     realizations = tuple(realizations)
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
-    # The list hands each step the only reference to its input ensemble,
-    # so the step frees the input once it has predicted (CPython 3.11+, see
-    # mlenkf_step) and the update's temporaries reuse its memory.  With
-    # propagate_pairs taking its fine product before its draw, this keeps
-    # the wide levels' temporaries off the heap top, which glibc trims and
-    # page-faults back in on the next step; either alone leaves the EnKF's
-    # wide levels slower than building the update in fresh arrays.
-    held = [initial_multilevel_ensemble(cfg, schedule, realizations)]
-    tracks[:, 0] = empirical_qoi(held[0], cfg.obs)
-    for n in range(1, cfg.n_steps + 1):
-        held.append(mlenkf_step(
-            held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
-            cfg.master_seed, n, cfg.solver,
-        ))
-        tracks[:, n] = empirical_qoi(held[0], cfg.obs)
+    with _prefetched_streams(cfg, schedule, realizations) as streams:
+        # The list hands each step the only reference to its input ensemble,
+        # so the step frees the input once it has predicted (CPython 3.11+,
+        # see mlenkf_step) and the update's temporaries reuse its memory.
+        # With propagate_pairs taking its fine product before its draw, this
+        # keeps the wide levels' temporaries off the heap top, which glibc
+        # trims and page-faults back in on the next step; either alone leaves
+        # the EnKF's wide levels slower than building the update in fresh
+        # arrays.  The prefetched draws keep that order: their buffers are
+        # allocated once, before the ensemble, and each read copies out
+        # into an array allocated where a direct draw allocates its own.
+        held = [initial_multilevel_ensemble(cfg, schedule, realizations)]
+        tracks[:, 0] = empirical_qoi(held[0], cfg.obs)
+        for n in range(1, cfg.n_steps + 1):
+            held.append(mlenkf_step(
+                held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
+                cfg.master_seed, n, cfg.solver, streams,
+            ))
+            tracks[:, n] = empirical_qoi(held[0], cfg.obs)
+        for reader in (streams or {}).values():
+            reader.finish()
     tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan
     return tracks
 

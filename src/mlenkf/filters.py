@@ -19,7 +19,10 @@ runs once per level for the whole batch.  The moments, the gain and the
 QoI reduce per block, each block by the same kernel and in the same
 order as when it runs alone, and every block reads its realization's
 own streams (see :class:`~mlenkf.rng.ColumnBlocks`), so a realization's
-results do not depend on the batch it runs in.
+results do not depend on the batch it runs in.  A step opens its two
+readers, one per purpose, from the keys, or takes them from the batch's
+``streams`` when a helper fills them ahead (see
+:class:`~mlenkf.rng.PrefetchedBlocks`); the draws are the same.
 """
 
 from __future__ import annotations
@@ -161,6 +164,8 @@ class MultilevelEnsemble:
         b = len(self.realizations)
         if not b:
             raise ValueError("need at least one block")
+        if len(set(self.realizations)) != b:
+            raise ValueError("every block needs its own realization")
         for pe in self.levels:
             if pe.size % b or pe.size // b < 2:
                 raise ValueError("every level needs blocks of M >= 2 particles")
@@ -304,13 +309,16 @@ def _add_correction(v, kt, innovation):
     v += correction.reshape(n, -1)
 
 
-def _streams(ml, seed, purpose, step):
+def _streams(ml, seed, purpose, step, streams):
     """Column-block reader over the step's stream of each block's
-    realization."""
+    realization: ``streams[purpose]`` at the start of the step when the
+    batch's draws are filled ahead, else one over the freshly opened keys."""
+    if streams is not None:
+        return streams[purpose].begin(step)
     return ColumnBlocks(RngKey(seed, purpose, r, 0, step).generator() for r in ml.realizations)
 
 
-def ml_update(ml, k, y, obs, seed, step, hv=None):
+def ml_update(ml, k, y, obs, seed, step, hv=None, streams=None):
     """Perturbed-observation update of every pair, in place.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
@@ -321,7 +329,9 @@ def ml_update(ml, k, y, obs, seed, step, hv=None):
     ``RngKey(seed, "obs-perturbation", ml.realizations[i], 0, step)``, is
     read in level order: each level takes the next m M_l normals, so
     levels get disjoint blocks.  ``hv`` holds the members' projections
-    (see :func:`_project`) when the caller has them already.
+    (see :func:`_project`) when the caller has them already.  ``streams``
+    maps each purpose to the batch's :class:`~mlenkf.rng.PrefetchedBlocks`
+    when a helper fills the draws ahead; ``None`` opens the keys here.
 
     The update consumes its inputs: the corrections are added into the
     member arrays of ``ml``, which it returns, and the innovations
@@ -334,7 +344,7 @@ def ml_update(ml, k, y, obs, seed, step, hv=None):
     if k.shape[0] != len(ml.realizations):
         raise ValueError(f"{len(ml.realizations)} blocks need as many gains, got {k.shape[0]}")
     kt = k.transpose(1, 2, 0)[..., None]
-    rng = _streams(ml, seed, "obs-perturbation", step)
+    rng = _streams(ml, seed, "obs-perturbation", step, streams)
     for pe, projections in zip(ml.levels, hv):
         members = [(v, h) for v, h in zip((pe.coarse, pe.fine), projections) if h is not None]
         ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
@@ -347,7 +357,7 @@ def ml_update(ml, k, y, obs, seed, step, hv=None):
     return ml
 
 
-def ml_predict(ml, cfg, hierarchy, seed, step, solver):
+def ml_predict(ml, cfg, hierarchy, seed, step, solver, streams=None):
     """Propagate every pair one interval with coupled noise.
 
     The step's one forward stream of each block's realization,
@@ -355,9 +365,9 @@ def ml_predict(ml, cfg, hierarchy, seed, step, solver):
     level order: each level's :func:`~mlenkf.model.propagate_pairs` call
     draws the next block, so levels get disjoint draws and the two
     members of a pair share theirs.  The prediction carries the same
-    realizations.
+    realizations.  ``streams`` is as in :func:`ml_update`.
     """
-    rng = _streams(ml, seed, "forward", step)
+    rng = _streams(ml, seed, "forward", step, streams)
     out = []
     for pe in ml.levels:
         coarse, fine = propagate_pairs(
@@ -367,14 +377,15 @@ def ml_predict(ml, cfg, hierarchy, seed, step, solver):
     return MultilevelEnsemble(tuple(out), ml.realizations)
 
 
-def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, step, solver):
+def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, step, solver, streams=None):
     """One assimilation step of the ensemble engine: predict, gain, update.
 
     A multilevel ensemble makes this an MLEnKF step; a single level L
     without coarse partners makes it an EnKF step at level L.  A batch
     of realizations steps as one ensemble, each block reading its own
-    realization's streams.  The update writes into the prediction and
-    its projections, which the step owns; ``ml`` itself is never
+    realization's streams, from ``streams`` when a helper fills them
+    ahead (see :func:`ml_update`).  The update writes into the prediction
+    and its projections, which the step owns; ``ml`` itself is never
     written.  The step drops ``ml`` once it has predicted, so on CPython
     3.11 and later a caller that hands over its last reference frees the
     input before the update runs; before 3.11 the caller's frame holds
@@ -386,11 +397,11 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, step, solver):
             "observation dimension must stay below N_L "
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
-    pred = ml_predict(ml, cfg, hierarchy, seed, step, solver)
+    pred = ml_predict(ml, cfg, hierarchy, seed, step, solver, streams)
     del ml
     hv = _project(pred, obs)
     k = ml_gain(compute_R_ml(pred, obs, hv), obs)
-    return ml_update(pred, k, y, obs, seed, step, hv)
+    return ml_update(pred, k, y, obs, seed, step, hv, streams)
 
 
 # No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.

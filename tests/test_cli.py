@@ -482,3 +482,25 @@ def test_real_pool_writes_the_serial_outputs(tmp_path):
         assert r1 == r2
     for name in ("schedule.csv", "summary.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("method,solver", [("mlenkf", "exact"), ("enkf", "expeuler")])
+def test_prefetched_draws_write_the_same_study(tmp_path, monkeypatch, method, solver):
+    # at jobs 1, one usable CPU draws in line and four fill the draws
+    # ahead on a helper thread: the written study is the same, byte for byte
+    outs = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(mlenkf.experiment, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["run", "--method", method, "--solver", solver, "--eps", "0.25,0.125",
+                     "--realizations", "3", "--n-ref", "128", "--jobs", "1",
+                     "--out", str(out)]) == 0
+        outs.append(out)
+    wall = RESULT_COLUMNS.index("wall_seconds")
+    rows_1, rows_4 = (read_rows(o / "results.csv") for o in outs)
+    assert len(rows_1) == len(rows_4) == 3
+    for r1, r4 in zip(rows_1, rows_4):
+        del r1[wall], r4[wall]
+        assert r1 == r4
+    for name in ("schedule.csv", "summary.txt"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -31,9 +32,10 @@ from mlenkf.experiment import (
     synthesize_truth_and_obs,
     theoretical_cost,
 )
+import mlenkf.filters as filters
 from mlenkf.filters import mlenkf_step
 from mlenkf.model import SOLVERS, exact_noise_var, propagator, unit_counter
-from mlenkf.rng import RngKey
+from mlenkf.rng import PrefetchedBlocks, RngKey
 from mlenkf.spectral import LevelHierarchy, eigenvalues
 
 
@@ -605,6 +607,107 @@ def test_batched_realizations_match_solo_runs(method, solver):
         assert np.array_equal(batch, solo)
         # a batch reads each realization's own streams, wherever it sits
         assert np.array_equal(run_filter_realizations(cfg, sched, data.ys, [3, 1]), solo[[3, 1]])
+
+
+# eps of each case: two or more levels for the MLEnKF, and the EnKF's
+# single level, which under expeuler ends each step with an empty draw
+HELPER_CASES = {
+    ("mlenkf", "exact"): 0.125,
+    ("mlenkf", "expeuler"): 0.125,
+    ("enkf", "exact"): 0.25,
+    ("enkf", "expeuler"): 0.25,
+}
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("method,solver", sorted(HELPER_CASES))
+def test_prefetched_draws_leave_the_tracks_byte_identical(monkeypatch, method, solver):
+    # at jobs 1, one CPU runs the step's draws in line and four CPUs fill
+    # them ahead on a helper thread; the tracks must not tell the two apart,
+    # also when the threads switch every microsecond
+    cfg = ExperimentConfig(example=1, method=method, solver=solver,
+                           eps_grid=(HELPER_CASES[method, solver],), n_steps=3,
+                           realizations=3, n_ref=128)
+    data = synthesize_truth_and_obs(cfg)
+    sched = make_schedule(cfg.eps_grid[0], cfg.hierarchy, method)
+    built = []
+    monkeypatch.setattr(experiment, "PrefetchedBlocks",
+                        lambda *args: built.append(args[1]) or PrefetchedBlocks(*args))
+    tracks = {}
+    interval = sys.getswitchinterval()
+    try:
+        for count in (1, 4):
+            cpus(monkeypatch, count)
+            sys.setswitchinterval(1e-6 if count > 1 else interval)
+            for batch in ((0, 1, 2), (1,)):
+                tracks[count, batch] = run_filter_realizations(cfg, sched, data.ys, batch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert built == ["forward", "obs-perturbation"] * 2  # four CPUs only
+    for batch in ((0, 1, 2), (1,)):
+        assert np.all(np.isfinite(tracks[1, batch]))
+        assert np.array_equal(tracks[1, batch], tracks[4, batch])
+    assert np.array_equal(tracks[4, (0, 1, 2)][1:2], tracks[4, (1,)])
+
+
+def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
+    assert 1 <= experiment._usable_cpus() <= os.cpu_count()
+    cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_ref=16, n_steps=2, realizations=2)
+    sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
+    for count, jobs, helper in ((2, 1, True), (2, 2, False), (3, 2, True), (1, 1, False)):
+        cpus(monkeypatch, count)
+        with experiment._prefetched_streams(replace(cfg, jobs=jobs), sched, (0, 1)) as streams:
+            assert (streams is not None) == helper
+
+
+def test_step_normals_are_the_reads_of_a_step():
+    cfg = ExperimentConfig(example=1, solver="expeuler", eps_grid=(0.25,), n_ref=64)
+    sched = make_schedule(0.25, cfg.hierarchy, "mlenkf")
+    rows = [(n_f, n_c, m_l) for _, n_f, n_c, m_l in experiment._level_rows(sched, cfg.hierarchy)]
+    # expeuler draws the fine noise, then the coarse partners' own
+    assert experiment._step_normals(cfg, sched) == {
+        "forward": sum((n_f + n_c) * m_l for n_f, n_c, m_l in rows),
+        "obs-perturbation": sum(m_l for *_, m_l in rows),
+    }
+    exact = replace(cfg, solver="exact")
+    assert experiment._step_normals(exact, sched)["forward"] == sum(
+        n_f * m_l for n_f, _, m_l in rows)
+
+
+def test_a_failing_batch_ends_its_helper_thread(monkeypatch):
+    # the gain raises at step 3: the batch re-raises it, and the helper
+    # that was filling step 4's draws is gone when it does
+    cfg = ExperimentConfig(example=1, eps_grid=(0.25,), n_ref=64, n_steps=5, realizations=3)
+    data = synthesize_truth_and_obs(cfg)
+    sched = make_schedule(0.25, cfg.hierarchy, "mlenkf")
+    cpus(monkeypatch, 4)
+    gain = filters.ml_gain
+    calls = []
+
+    def failing(r, obs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ValueError("gain fails at step 3")
+        return gain(r, obs)
+
+    monkeypatch.setattr(filters, "ml_gain", failing)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="gain fails at step 3"):
+        run_filter_realizations(cfg, sched, data.ys, range(3))
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+def test_a_finished_study_leaves_no_thread(monkeypatch):
+    cpus(monkeypatch, 4)
+    before = threading.active_count()
+    cfg = ExperimentConfig(example=1, eps_grid=(0.5, 0.25), n_ref=32, n_steps=2, realizations=3)
+    records, _ = run_experiment(cfg)
+    assert len(records) == 2
+    assert threading.active_count() == before
 
 
 def test_diverging_realization_leaves_its_batch_mates_alone(monkeypatch):

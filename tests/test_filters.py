@@ -107,6 +107,10 @@ def test_ensemble_containers_validate():
     assert ml.levels[-1].level == 3 and tuple(pe.size for pe in ml.levels) == (4, 2)
     with pytest.raises(ValueError):
         MultilevelEnsemble((PairEnsemble(np.zeros((2, 2)), np.zeros((4, 2)), 2),))
+    # two blocks of one realization would step identical draws, which the
+    # QoI would then average as if they were independent
+    with pytest.raises(ValueError, match="own realization"):
+        MultilevelEnsemble((PairEnsemble(np.zeros((0, 8)), np.ones((2, 8)), 1),), (3, 3))
 
 
 def test_sample_cov_action_antithetic_pair():

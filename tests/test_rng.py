@@ -1,9 +1,11 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from mlenkf import rng
 from mlenkf.experiment import ExperimentConfig, run_experiment
-from mlenkf.rng import ColumnBlocks, PURPOSES, RngKey
+from mlenkf.rng import ColumnBlocks, PURPOSES, PrefetchedBlocks, RngKey
 
 
 def test_same_key_replays_identically():
@@ -107,3 +109,69 @@ def test_column_blocks_fill_block_i_from_stream_i():
             assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="blocks"):
         ColumnBlocks(RngKey(7, "forward", r).generator() for r in range(3)).standard_normal((2, 7))
+
+
+def read_steps(reader, steps, reads):
+    """Each step's reads of ``reader``, (rows, columns) shapes in order."""
+    out = []
+    for step in steps:
+        rng = reader(step)
+        out.append([rng.standard_normal(shape) for shape in reads])
+    return out
+
+
+# (rows, columns) reads of one step over three blocks: 2 x 4 + 0 + 1 x 2 +
+# 3 x 1 normals per block, an empty read in the middle and one at the end
+STEP_READS = ((2, 12), (0, 12), (1, 6), (3, 3), (0, 3))
+
+
+@pytest.mark.parametrize("realizations", [(4, 0, 9), (2,)])
+def test_prefetched_blocks_read_as_column_blocks(realizations):
+    # the whole step stream filled at once on a helper reads as the
+    # step's column-block draws; each read is a fresh array
+    b = len(realizations)
+    reads = tuple((rows, cols * b // 3) for rows, cols in STEP_READS)
+    length = sum(rows * cols // b for rows, cols in reads)
+    want = read_steps(lambda step: ColumnBlocks(
+        RngKey(5, "forward", r, 0, step).generator() for r in realizations), (1, 2, 3), reads)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pre = PrefetchedBlocks(5, "forward", realizations, length, 3, helper.submit)
+        got = read_steps(pre.begin, (1, 2, 3), reads)
+        pre.finish()
+    for got_step, want_step in zip(got, want):
+        for g, w in zip(got_step, want_step):
+            assert g.flags.writeable and g.flags.c_contiguous
+            assert np.array_equal(g, w)
+    assert not np.shares_memory(got[0][0], got[1][0])
+
+
+def test_prefetched_blocks_raise_on_a_step_that_leaves_its_plan():
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        def reader(length):
+            return PrefetchedBlocks(5, "obs-perturbation", (0, 1), length, 2, helper.submit)
+
+        # a read past the plan raises there, within the step and at its end
+        with pytest.raises(RuntimeError, match="more than its 5 planned"):
+            reader(5).begin(1).standard_normal((3, 4))
+        over = reader(6)
+        over.begin(1).standard_normal((3, 4))
+        with pytest.raises(RuntimeError, match="step 1 reads more"):
+            over.standard_normal((1, 2))
+        # a step that reads less is caught when the next one begins, or at
+        # the end of the last one
+        short = reader(6)
+        short.begin(1).standard_normal((2, 4))
+        with pytest.raises(RuntimeError, match="at 4 of step 1's 6 planned"):
+            short.begin(2)
+        last = reader(4)
+        last.begin(1).standard_normal((2, 4))
+        last.begin(2).standard_normal((1, 4))
+        with pytest.raises(RuntimeError, match="the end of step 2"):
+            last.finish()
+        # a step must begin before it reads, and in order
+        with pytest.raises(RuntimeError, match="more than"):
+            reader(4).standard_normal((1, 2))
+        with pytest.raises(RuntimeError, match="the start of step 2"):
+            reader(4).begin(2)
+        with pytest.raises(ValueError, match="blocks"):
+            reader(4).begin(1).standard_normal((1, 3))
