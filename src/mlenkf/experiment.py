@@ -30,7 +30,7 @@ from .filters import (
     mlenkf_step,
 )
 from .model import SOLVERS, ModelConfig, _exact_coefficients
-from .rng import PrefetchedBlocks, RngKey
+from .rng import Helper, RngKey, StreamReader
 from .spectral import LevelHierarchy
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "theoretical_cost",
     "synthesize_truth_and_obs",
     "initial_multilevel_ensemble",
+    "batch_readers",
     "run_filter_realizations",
     "realization_batches",
     "estimate_mse",
@@ -360,51 +361,47 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _step_normals(cfg, schedule):
-    """Normals a block reads in one step, per purpose: each level's forward
-    draw, plus its coarse partners' own under exponential Euler, and m
-    perturbations a pair."""
-    rows = _level_rows(schedule, cfg.hierarchy)
-    coupled = cfg.solver == "expeuler"
-    return {
-        "forward": sum((n_f + coupled * n_c) * m_l for _, n_f, n_c, m_l in rows),
-        "obs-perturbation": cfg.obs.m * sum(m_l for *_, m_l in rows),
-    }
+def _step_normals(rows, m, solver):
+    """Normals a block reads in one step per purpose, over level rows as in
+    :func:`_level_rows`: each level's forward draw, plus its coarse
+    partners' own under exponential Euler, and m perturbations a pair."""
+    coupled = solver == "expeuler"
+    return {"forward": sum((n_f + coupled * n_c) * m_l for _, n_f, n_c, m_l in rows),
+            "obs-perturbation": m * sum(m_l for *_, m_l in rows)}
 
 
-@contextlib.contextmanager
-def _prefetched_streams(cfg, schedule, realizations):
-    """The batch's draws, filled one step ahead on a helper thread that
-    ends with the block: a :class:`~mlenkf.rng.PrefetchedBlocks` per
-    purpose, or ``None`` when the process has no CPU beyond ``cfg.jobs``.
-    """
+def batch_readers(seed, ml, m, solver, steps, helper=None):
+    """A :class:`~mlenkf.rng.StreamReader` per purpose over the batch ``ml``'s
+    draws at ``steps``, planned for engine steps with ``m`` observed
+    directions and ``solver``, filled by ``helper`` when given."""
+    b = len(ml.realizations)
+    rows = [(pe.level, pe.fine.shape[0], pe.coarse.shape[0], pe.size // b) for pe in ml.levels]
+    return {purpose: StreamReader(seed, purpose, ml.realizations, length, steps, helper)
+            for purpose, length in _step_normals(rows, m, solver).items()}
+
+
+def _draw_helper(cfg, schedule, blocks):
+    """A :class:`~mlenkf.rng.Helper` for batches of up to ``blocks``
+    realizations, or a null context without a CPU beyond ``cfg.jobs``."""
     if _usable_cpus() <= cfg.jobs:
-        yield None
-        return
-    # imported here: a study without a spare CPU never pays for it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        yield {
-            purpose: PrefetchedBlocks(cfg.master_seed, purpose, realizations, length,
-                                      cfg.n_steps, helper.submit)
-            for purpose, length in _step_normals(cfg, schedule).items()
-        }
+        return contextlib.nullcontext()
+    plan = _step_normals(_level_rows(schedule, cfg.hierarchy), cfg.obs.m, cfg.solver)
+    return Helper({purpose: blocks * length for purpose, length in plan.items()})
 
 
-def run_filter_realizations(cfg, schedule, ys, realizations):
+def run_filter_realizations(cfg, schedule, ys, realizations, helper=None):
     """QoI tracks over steps 0..N, one row per realization.
 
     The realizations run as the column blocks of one ensemble; each row
     equals the realization's track run alone.  A realization whose filter
-    diverges gets a row of NaN.  When the process may run on more CPUs
-    than ``cfg.jobs``, one helper thread fills each step's draws while
-    the step before computes; it ends with the call, and the tracks are
-    byte-identical either way.
+    diverges gets a row of NaN.  ``helper`` fills draws on a second thread,
+    else one that the call starts when the process has a CPU beyond
+    ``cfg.jobs`` (see :class:`~mlenkf.rng.Helper`); the tracks are the same.
     """
     realizations = tuple(realizations)
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
-    with _prefetched_streams(cfg, schedule, realizations) as streams:
+    with (_draw_helper(cfg, schedule, len(realizations)) if helper is None
+          else contextlib.nullcontext(helper)) as helper:
         # The list hands each step the only reference to its input ensemble,
         # so the step frees the input once it has predicted (CPython 3.11+,
         # see mlenkf_step) and the update's temporaries reuse its memory.
@@ -412,18 +409,17 @@ def run_filter_realizations(cfg, schedule, ys, realizations):
         # keeps the wide levels' temporaries off the heap top, which glibc
         # trims and page-faults back in on the next step; either alone leaves
         # the EnKF's wide levels slower than building the update in fresh
-        # arrays.  The prefetched draws keep that order: their buffers are
-        # allocated once, before the ensemble, and each read copies out
-        # into an array allocated where a direct draw allocates its own.
+        # arrays.  A helper keeps that order: its slots come before the
+        # ensemble, and a read copies out where a direct draw allocates.
         held = [initial_multilevel_ensemble(cfg, schedule, realizations)]
+        readers = batch_readers(cfg.master_seed, held[0], cfg.obs.m, cfg.solver,
+                                range(1, cfg.n_steps + 1), helper)
         tracks[:, 0] = empirical_qoi(held[0], cfg.obs)
         for n in range(1, cfg.n_steps + 1):
-            held.append(mlenkf_step(
-                held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
-                cfg.master_seed, n, cfg.solver, streams,
-            ))
+            held.append(mlenkf_step(held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
+                                    n, cfg.solver, readers))
             tracks[:, n] = empirical_qoi(held[0], cfg.obs)
-        for reader in (streams or {}).values():
+        for reader in readers.values():
             reader.finish()
     tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan
     return tracks
@@ -480,8 +476,8 @@ def _worker_heap_policy():
 
 
 def _squared_errors(args):
-    cfg, schedule, ys, ref_qoi, realizations = args
-    tracks = run_filter_realizations(cfg, schedule, ys, realizations)
+    cfg, schedule, ys, ref_qoi, realizations, helper = args
+    tracks = run_filter_realizations(cfg, schedule, ys, realizations, helper)
     return [float(np.sum((track - ref_qoi) ** 2)) for track in tracks]
 
 
@@ -489,16 +485,17 @@ def estimate_mse(cfg, schedule, data, pool=None):
     """Average squared QoI error against the reference over realizations.
 
     The realizations run in the batches of :func:`realization_batches`,
-    mapped over ``pool`` when given, else in this process.  Non-finite
-    realizations (filter divergence) are excluded with a warning; the
-    record carries the number actually averaged.
+    mapped over ``pool`` when given, else in this process with one draw
+    helper for all of them when a CPU is spare.  Diverged (non-finite)
+    realizations are excluded with a warning; the record carries the
+    number actually averaged.
     """
     t0 = time.perf_counter()
-    tasks = [
-        (cfg, schedule, data.ys, data.ref_qoi, batch)
-        for batch in realization_batches(cfg, schedule)
-    ]
-    errs = np.concatenate(list((map if pool is None else pool.map)(_squared_errors, tasks)))
+    batches = realization_batches(cfg, schedule)
+    with (_draw_helper(cfg, schedule, max(map(len, batches))) if pool is None
+          else contextlib.nullcontext()) as helper:
+        tasks = [(cfg, schedule, data.ys, data.ref_qoi, batch, helper) for batch in batches]
+        errs = np.concatenate(list((map if pool is None else pool.map)(_squared_errors, tasks)))
     ok = np.isfinite(errs)
     if not np.all(ok):
         warnings.warn(f"excluded {int(np.sum(~ok))} diverged realizations")

@@ -16,13 +16,10 @@ An ensemble carries a batch of B independent realizations, whose indices
 it holds, as column blocks: each level array is (N_l, B M_l), the i-th
 realization's particles in columns ``i M_l .. (i+1) M_l``.  Every step
 runs once per level for the whole batch.  The moments, the gain and the
-QoI reduce per block, each block by the same kernel and in the same
-order as when it runs alone, and every block reads its realization's
-own streams (see :class:`~mlenkf.rng.ColumnBlocks`), so a realization's
-results do not depend on the batch it runs in.  A step opens its two
-readers, one per purpose, from the keys, or takes them from the batch's
-``streams`` when a helper fills them ahead (see
-:class:`~mlenkf.rng.PrefetchedBlocks`); the draws are the same.
+QoI reduce per block, each by the same kernel and in the same order as
+alone, and each block reads its realization's own streams through the
+batch's :class:`~mlenkf.rng.StreamReader` of each purpose, so a
+realization's results do not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ import numpy as np
 
 from . import model
 from .model import _exact_coefficients, propagate_pairs
-from .rng import ColumnBlocks, RngKey
 
 __all__ = [
     "ObservationModel",
@@ -309,16 +305,7 @@ def _add_correction(v, kt, innovation):
     v += correction.reshape(n, -1)
 
 
-def _streams(ml, seed, purpose, step, streams):
-    """Column-block reader over the step's stream of each block's
-    realization: ``streams[purpose]`` at the start of the step when the
-    batch's draws are filled ahead, else one over the freshly opened keys."""
-    if streams is not None:
-        return streams[purpose].begin(step)
-    return ColumnBlocks(RngKey(seed, purpose, r, 0, step).generator() for r in ml.realizations)
-
-
-def ml_update(ml, k, y, obs, seed, step, hv=None, streams=None):
+def ml_update(ml, k, y, obs, step, readers, hv=None):
     """Perturbed-observation update of every pair, in place.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
@@ -328,10 +315,9 @@ def ml_update(ml, k, y, obs, seed, step, hv=None, streams=None):
     one perturbation stream of each block's realization,
     ``RngKey(seed, "obs-perturbation", ml.realizations[i], 0, step)``, is
     read in level order: each level takes the next m M_l normals, so
-    levels get disjoint blocks.  ``hv`` holds the members' projections
-    (see :func:`_project`) when the caller has them already.  ``streams``
-    maps each purpose to the batch's :class:`~mlenkf.rng.PrefetchedBlocks`
-    when a helper fills the draws ahead; ``None`` opens the keys here.
+    levels get disjoint blocks.  ``readers`` are the batch's (see
+    :func:`~mlenkf.experiment.batch_readers`).  ``hv`` holds the members'
+    projections (see :func:`_project`) when the caller has them already.
 
     The update consumes its inputs: the corrections are added into the
     member arrays of ``ml``, which it returns, and the innovations
@@ -344,7 +330,7 @@ def ml_update(ml, k, y, obs, seed, step, hv=None, streams=None):
     if k.shape[0] != len(ml.realizations):
         raise ValueError(f"{len(ml.realizations)} blocks need as many gains, got {k.shape[0]}")
     kt = k.transpose(1, 2, 0)[..., None]
-    rng = _streams(ml, seed, "obs-perturbation", step, streams)
+    rng = readers["obs-perturbation"].begin(step)
     for pe, projections in zip(ml.levels, hv):
         members = [(v, h) for v, h in zip((pe.coarse, pe.fine), projections) if h is not None]
         ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
@@ -357,7 +343,7 @@ def ml_update(ml, k, y, obs, seed, step, hv=None, streams=None):
     return ml
 
 
-def ml_predict(ml, cfg, hierarchy, seed, step, solver, streams=None):
+def ml_predict(ml, cfg, hierarchy, step, solver, readers):
     """Propagate every pair one interval with coupled noise.
 
     The step's one forward stream of each block's realization,
@@ -365,9 +351,9 @@ def ml_predict(ml, cfg, hierarchy, seed, step, solver, streams=None):
     level order: each level's :func:`~mlenkf.model.propagate_pairs` call
     draws the next block, so levels get disjoint draws and the two
     members of a pair share theirs.  The prediction carries the same
-    realizations.  ``streams`` is as in :func:`ml_update`.
+    realizations.  ``readers`` is as in :func:`ml_update`.
     """
-    rng = _streams(ml, seed, "forward", step, streams)
+    rng = readers["forward"].begin(step)
     out = []
     for pe in ml.levels:
         coarse, fine = propagate_pairs(
@@ -377,19 +363,19 @@ def ml_predict(ml, cfg, hierarchy, seed, step, solver, streams=None):
     return MultilevelEnsemble(tuple(out), ml.realizations)
 
 
-def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, step, solver, streams=None):
+def mlenkf_step(ml, y, obs, cfg, hierarchy, step, solver, readers):
     """One assimilation step of the ensemble engine: predict, gain, update.
 
     A multilevel ensemble makes this an MLEnKF step; a single level L
     without coarse partners makes it an EnKF step at level L.  A batch
     of realizations steps as one ensemble, each block reading its own
-    realization's streams, from ``streams`` when a helper fills them
-    ahead (see :func:`ml_update`).  The update writes into the prediction
-    and its projections, which the step owns; ``ml`` itself is never
-    written.  The step drops ``ml`` once it has predicted, so on CPython
-    3.11 and later a caller that hands over its last reference frees the
-    input before the update runs; before 3.11 the caller's frame holds
-    every argument until the call returns, and the input lives through it.
+    realization's streams through ``readers`` (see :func:`ml_update`).
+    The update writes into the prediction and its projections, which the
+    step owns; ``ml`` itself is never written.  The step drops ``ml`` once
+    it has predicted, so on CPython 3.11 and later a caller that hands
+    over its last reference frees the input before the update runs;
+    before 3.11 the caller's frame holds every argument until the call
+    returns, and the input lives through it.
     """
     n_top = ml.levels[-1].fine.shape[0]
     if obs.m >= n_top:
@@ -397,16 +383,15 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, seed, step, solver, streams=None):
             "observation dimension must stay below N_L "
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
-    pred = ml_predict(ml, cfg, hierarchy, seed, step, solver, streams)
+    pred = ml_predict(ml, cfg, hierarchy, step, solver, readers)
     del ml
     hv = _project(pred, obs)
     k = ml_gain(compute_R_ml(pred, obs, hv), obs)
-    return ml_update(pred, k, y, obs, seed, step, hv, streams)
+    return ml_update(pred, k, y, obs, step, readers, hv)
 
 
-# No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.
+# No caller in the library; the benchmark tracer (perfbench/tracer.py) patches these names.
 enkf_step = mlenkf_step
-# No caller in the library; the benchmark tracer (perfbench/tracer.py) patches this name.
 enkf_update = ml_update
 
 

@@ -173,7 +173,7 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
         Coarse members; 0 rows at level 0 (the v^{-1} := 0 convention).
     fine : ndarray, shape (N_l, M)
         Fine members.
-    rng : numpy.random.Generator
+    rng : numpy.random.Generator or mlenkf.rng.StreamReader
         Stream positioned at this level's block.  The exact solver
         draws N_l M normals and the coarse member reuses the first
         N_{l-1} rows.  The expeuler solver draws the fine noise X

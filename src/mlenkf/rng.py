@@ -5,42 +5,35 @@ key tuples give statistically independent streams and identical tuples
 give identical streams.  A filter step opens one stream per purpose,
 ``(seed, purpose, realization, 0, step)``, and reads it in level order:
 each level takes the next consecutive block, so the levels' draws are
-disjoint, hence independent, and the particles of one level read
-disjoint draws of their block.  One stream per step rather than one
-per level and step keeps the cost of opening streams independent of the
-number of levels.  That cost is mostly the ``SeedSequence`` hash of the
-key, so each key's PCG64 seed words are memoized: every accuracy target
-of a study reopens the same keys, and a reopened key only builds its
-generator, which replays the stream from its start.
+disjoint, and so are the particles' within a level.  One stream per step
+keeps the cost of opening streams independent of the number of levels.
+That cost is mostly the ``SeedSequence`` hash of the key, so each key's
+PCG64 seed words are memoized: every accuracy target of a study reopens
+the same keys, and a reopened key only builds its generator.
 
 A batch of realizations runs as one ensemble, realization i's particles
-in column block i of every level array; a single realization is the
-batch of one.  Each realization opens and reads its own streams: a
-:class:`ColumnBlocks` reader fills column block i of every draw from
-realization i's stream, in the order and amounts that the realization
-would read alone, so its draws do not depend on the batch it runs in.
-
-Streams are consumed sequentially and numpy fills arrays in C order, so
-two consumers that read different amounts from the same position see
-the same draw prefix.  This is what lets a coarse solve share the first
-N_{l-1} rows of its fine partner's block, and what lets one fill of a
-block's whole step stream stand in for the step's reads of it, level by
-level.  A step's draws depend only on the key and the level shapes,
-never on the state, so a batch may fill the next step's streams while
-this step computes: :class:`PrefetchedBlocks` reads column blocks, as
-:class:`ColumnBlocks` does, from rows that a helper thread filled one
-step ahead.  Keys are opened on the calling thread; the helper only
-runs generators.
+in column block i of every level array.  A :class:`StreamReader` fills
+column block i of every draw from realization i's stream, in the order
+and amounts that the realization would read alone, and checks each read
+against the step's plan.  Streams are consumed sequentially and numpy
+fills arrays in C order, so two consumers that read different amounts
+from the same position see the same draw prefix: a coarse solve shares
+the first N_{l-1} rows of its fine partner's block, and one fill of a
+block's whole step stream stands in for the step's reads of it.  Those
+fills depend only on the keys and the level shapes, so a :class:`Helper`
+thread may run them ahead of the steps; keys are opened on the calling
+thread only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PURPOSES", "RngKey", "ColumnBlocks", "PrefetchedBlocks"]
+__all__ = ["PURPOSES", "RngKey", "StreamReader", "Helper"]
 
 PURPOSES = ("forward", "obs-perturbation", "truth", "data-noise")
 
@@ -109,11 +102,8 @@ def _seed_words(key):
 
 @functools.cache
 def _seed_words_type():
-    """Seed-sequence type that hands ``PCG64`` memoized words.
-
-    Defined on first use, so that importing this module does not load
-    ``numpy.random``.
-    """
+    """Seed-sequence type that hands ``PCG64`` memoized words, defined on
+    first use so that importing this module does not load ``numpy.random``."""
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
@@ -128,115 +118,139 @@ def _seed_words_type():
     return SeedWords
 
 
-class ColumnBlocks:
-    """Draws for a batch of realizations, one stream per column block.
+# steps a reader keeps in a helper's slots: step s reads while s + 1 fills
+SLOTS = 2
 
-    ``standard_normal((rows, B * M))`` fills columns ``i M .. (i+1) M``
-    with the next ``rows x M`` normals of stream i, in C order, exactly
-    as ``generators[i].standard_normal((rows, M))`` would.  Each block is
-    drawn into its own contiguous slab, so one block (B = 1) returns the
-    slab itself and B > 1 blocks cost one interleaving copy.  Every read
-    returns a fresh array, which the caller may write into; so does
-    :class:`PrefetchedBlocks`, the same contract over prefilled rows.
+
+def _draw(generator, out):
+    # the one draw site of both paths; numpy releases the GIL while it fills
+    generator.standard_normal(out=out)
+
+
+class Helper(contextlib.AbstractContextManager):
+    """Step slots of a batch's readers, and a thread that fills them.
+
+    ``sizes`` maps each purpose to one step's normals of the widest batch
+    served, so consecutive batches reuse the slots.  Each unit, one block's
+    whole step stream of one purpose, is drawn by one thread.  Leaving the
+    ``with`` block drops the unclaimed units and joins the thread.
     """
 
-    def __init__(self, generators):
-        self.generators = tuple(generators)
+    def __init__(self, sizes):
+        from concurrent.futures import ThreadPoolExecutor  # loaded only with a spare CPU
 
-    def standard_normal(self, size):
-        rows, cols = size
-        b = len(self.generators)
-        if cols % b:
-            raise ValueError(f"{cols} columns do not split into {b} blocks")
-        out = np.empty((b, rows, cols // b))
-        for g, block in zip(self.generators, out):
-            g.standard_normal(out=block)
-        return out.transpose(1, 0, 2).reshape(rows, cols)
+        self.slots = {p: np.empty((SLOTS, n)) for p, n in sizes.items()}
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._queue = []  # published units that may be unclaimed
+
+    def __exit__(self, *exc):
+        self._pool.shutdown(cancel_futures=True)
+
+    def publish(self, fills):
+        # each unit is [future, fill]; its future turns None when the caller claims it
+        units = [[self._pool.submit(fill), fill] for fill in fills]
+        self._queue = [u for u in self._queue if u[0] is not None and not u[0].done()] + units
+        return units
+
+    def _claim(self):
+        # the first published unit that nobody has claimed, now the caller's
+        return next((u for u in self._queue if u[0] is not None and u[0].cancel()), None)
+
+    def wait(self, units):
+        """Return once ``units`` are filled, raising a fill's error.  The caller
+        fills each one nobody claimed, and while the thread fills one, the
+        first published one nobody claimed; it blocks only if none is left."""
+        for unit in units:
+            while unit[0] is not None and not unit[0].done():
+                job = unit if unit[0].cancel() else self._claim()
+                if job is None:
+                    break
+                job[0] = None
+                job[1]()
+            if unit[0] is not None:
+                unit[0].result()  # waits for the thread's fill and raises its error
 
 
-def _fill(generators, rows):
-    # one call per block, each of which releases the GIL while it fills
-    for g, row in zip(generators, rows):
-        g.standard_normal(out=row)
+class StreamReader:
+    """One purpose's draws of a batch, read step by step against the plan.
 
-
-class PrefetchedBlocks:
-    """:class:`ColumnBlocks` reads over one purpose's step streams of a
-    batch, each step's filled one step ahead by a helper.
-
-    Every step reads ``length`` normals from each block's stream
-    ``RngKey(seed, purpose, realizations[i], 0, step)``, the plan.  Row i
-    of a (B, length) buffer holds them: ``submit(fn, *args)`` runs the
-    fill of steps 1..``n_steps`` on the helper and returns its future, as
-    ``Executor.submit`` does.  The fill of step 1 starts on construction,
-    and the read that takes a step's last planned entry opens the next
-    step's keys, on the calling thread, and submits their fill into the
-    same buffer, so the helper draws while the rest of the step computes.
-
-    A step calls :meth:`begin` and then reads through
-    :meth:`standard_normal`, which copies each draw out into a fresh
-    array.  A step that reads more than the plan raises at the read that
-    overruns it, and one that reads less raises at the next
-    :meth:`begin` or at :meth:`finish`, so a change in the order or the
-    amount of the draws fails instead of shifting the streams.  An empty
-    read, such as the coarse draw of a level without partners, reads
-    nothing and checks nothing but its shape.
+    Each of ``steps`` reads ``length`` normals from each block's stream
+    ``RngKey(seed, purpose, realizations[i], 0, step)``.  After
+    :meth:`begin`, ``standard_normal((rows, B * M))`` fills columns
+    ``i M .. (i+1) M`` of a fresh array with the next ``rows x M`` normals
+    of stream i, in C order: drawn there without a ``helper``, else copied
+    out of the helper's slot, which the read that ends a step frees for the
+    step :data:`SLOTS` later.  A step that reads more than its plan raises
+    ``RuntimeError`` at that read, one that reads less at the next
+    :meth:`begin` or at :meth:`finish`.  An empty read checks its shape.
     """
 
-    def __init__(self, seed, purpose, realizations, length, n_steps, submit):
-        self._seed, self._purpose = seed, purpose
-        self._realizations = tuple(realizations)
-        self._rows = np.empty((len(self._realizations), length))
-        self._last = n_steps
-        self._submit = submit
+    def __init__(self, seed, purpose, realizations, length, steps, helper=None):
+        self._seed, self._purpose, self._blocks = seed, purpose, tuple(realizations)
+        self._length, self._steps, self._helper = length, tuple(steps), helper
+        self._index = self._pos = 0  # the reader stands at _pos of _steps[_index]
         self._open = None  # the step that has begun reading
-        self._load(1)
+        self._units = [None] * SLOTS
+        if helper is not None:
+            b = len(self._blocks)
+            self._slots = helper.slots[purpose][:, : b * length].reshape(SLOTS, b, length)
+            for index in range(min(SLOTS, len(self._steps))):
+                self._publish(index)
 
-    def _load(self, step):
-        generators = [RngKey(self._seed, self._purpose, r, 0, step).generator()
-                      for r in self._realizations]
-        self._filled = self._submit(_fill, generators, self._rows)
-        self._step, self._pos = step, 0
+    def _generators(self, index):
+        return [RngKey(self._seed, self._purpose, r, 0, self._steps[index]).generator()
+                for r in self._blocks]
+
+    def _publish(self, index):
+        self._units[index % SLOTS] = self._helper.publish(
+            functools.partial(_draw, g, row)
+            for g, row in zip(self._generators(index), self._slots[index % SLOTS]))
 
     def _misread(self, where):
-        return RuntimeError(
-            f"the {self._purpose} draws stand at {self._pos} of step {self._step}'s "
-            f"{self._rows.shape[1]} planned normals per block, not at {where}"
-        )
+        return RuntimeError(f"the {self._purpose} draws stand at {self._pos} of step "
+                            f"{self._steps[self._index]}'s {self._length} planned normals "
+                            f"per block, not at {where}")
 
     def begin(self, step):
-        """The reader at the start of ``step``, whose draws it holds.
-
-        Raises ``RuntimeError`` if the step before read less than its plan.
-        """
-        if (self._step, self._pos) != (step, 0):
+        """The reader at the start of ``step``; raises ``RuntimeError``
+        unless ``step`` is the plan's next and the one before read its plan."""
+        if self._pos or self._steps[self._index] != step or self._open == step:
             raise self._misread(f"the start of step {step}")
         self._open = step
+        if self._helper is None:
+            self._draws = self._generators(self._index)
         return self
 
     def finish(self):
-        """Raise ``RuntimeError`` unless step ``n_steps`` read its whole plan."""
-        if (self._step, self._pos) != (self._last, self._rows.shape[1]):
-            raise self._misread(f"the end of step {self._last}")
+        """Raise ``RuntimeError`` unless the last step read its whole plan."""
+        if (self._index, self._pos) != (len(self._steps) - 1, self._length):
+            raise self._misread(f"the end of step {self._steps[-1]}")
 
     def standard_normal(self, size):
         rows, cols = size
-        b, length = self._rows.shape
+        b = len(self._blocks)
         if cols % b:
             raise ValueError(f"{cols} columns do not split into {b} blocks")
         m = cols // b
-        out = np.empty((rows, b, m))
-        if not out.size:
-            return out.reshape(rows, cols)
-        end = self._pos + rows * m
-        if self._step != self._open or end > length:
-            raise RuntimeError(
-                f"step {self._open} reads more than its {length} planned "
-                f"{self._purpose} normals per block"
-            )
-        self._filled.result()  # waits for the helper only on a step's first read
-        np.copyto(out, self._rows[:, self._pos:end].reshape(b, rows, m).transpose(1, 0, 2))
+        if not rows * m:
+            return np.empty(size)
+        start, end = self._pos, self._pos + rows * m
+        if self._open != self._steps[self._index] or end > self._length:
+            raise RuntimeError(f"step {self._open} reads more than its {self._length} "
+                               f"planned {self._purpose} normals per block")
+        if self._helper is None:
+            out = np.empty((b, rows, m))
+            for g, block in zip(self._draws, out):
+                _draw(g, block)
+            out = out.transpose(1, 0, 2)
+        else:
+            if not start:
+                self._helper.wait(self._units[self._index % SLOTS])
+            filled = self._slots[self._index % SLOTS, :, start:end].reshape(b, rows, m)
+            out = filled.transpose(1, 0, 2).copy()
         self._pos = end
-        if end == length and self._step < self._last:
-            self._load(self._step + 1)
+        if end == self._length and self._index + 1 < len(self._steps):
+            if self._helper is not None and self._index + SLOTS < len(self._steps):
+                self._publish(self._index + SLOTS)
+            self._index, self._pos = self._index + 1, 0
         return out.reshape(rows, cols)

@@ -33,11 +33,8 @@ def _random_multilevel(rng, hierarchy, L):
         m_l = int(rng.integers(2, 8))
         n_f = hierarchy.n_modes(l)
         n_c = hierarchy.n_modes(l - 1) if l > 0 else 0
-        pairs.append(
-            filters.PairEnsemble(
-                rng.standard_normal((n_c, m_l)), rng.standard_normal((n_f, m_l)), l
-            )
-        )
+        pairs.append(filters.PairEnsemble(
+            rng.standard_normal((n_c, m_l)), rng.standard_normal((n_f, m_l)), l))
     return filters.MultilevelEnsemble(tuple(pairs))
 
 
@@ -186,9 +183,10 @@ def check_degeneracy(seed):
     v = np.tile(rng.standard_normal(n)[:, None], (1, m_size))
     empty = np.zeros((0, m_size))
     ml = filters.MultilevelEnsemble((filters.PairEnsemble(empty, v, level),))
+    readers = experiment.batch_readers(seed, ml, obs.m, "exact", range(1, 6))
     for step in range(1, 6):
         y = rng.standard_normal(1)
-        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, seed, step, "exact")
+        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, step, "exact", readers)
         # one level reads the first block of each of the step's streams
         fwd = RngKey(seed, "forward", 0, 0, step).generator()
         _, v = model.propagate_pairs(empty, v, level, cfg, hier, fwd, "exact")
@@ -244,8 +242,10 @@ def check_update_finite(seed):
     rng = np.random.default_rng(seed)
     obs = _random_observation(rng, hier.n_modes(2), 1)
     ml = _random_multilevel(rng, hier, 2)
+    readers = experiment.batch_readers(seed, ml, obs.m, "expeuler", range(1, 4))
     for n in range(1, 4):
-        ml = filters.mlenkf_step(ml, rng.standard_normal(1), obs, cfg, hier, seed, n, "expeuler")
+        ml = filters.mlenkf_step(ml, rng.standard_normal(1), obs, cfg, hier, n, "expeuler",
+                                 readers)
         for pe in ml.levels:
             if not (np.all(np.isfinite(pe.fine)) and np.all(np.isfinite(pe.coarse))):
                 return False, f"non-finite member at step {n}"

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -19,6 +20,7 @@ from mlenkf.experiment import (
     RunRecord,
     Schedule,
     TruthData,
+    batch_readers,
     build_example,
     estimate_mse,
     fit_loglog_slope,
@@ -33,9 +35,10 @@ from mlenkf.experiment import (
     theoretical_cost,
 )
 import mlenkf.filters as filters
+import mlenkf.rng as rng
 from mlenkf.filters import mlenkf_step
 from mlenkf.model import SOLVERS, exact_noise_var, propagator, unit_counter
-from mlenkf.rng import PrefetchedBlocks, RngKey
+from mlenkf.rng import Helper, RngKey
 from mlenkf.spectral import LevelHierarchy, eigenvalues
 
 
@@ -274,7 +277,7 @@ def test_mse_zero_when_filter_reproduces_reference(monkeypatch):
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
     monkeypatch.setattr(experiment, "run_filter_realizations",
-                        lambda c, s, ys, rs: np.tile(data.ref_qoi, (len(rs), 1)))
+                        lambda c, s, ys, rs, helper: np.tile(data.ref_qoi, (len(rs), 1)))
     rec = estimate_mse(cfg, sched, data)
     assert rec.mse == 0.0
     assert rec.realizations == 4
@@ -296,7 +299,7 @@ def test_mse_excludes_diverged_realizations(monkeypatch):
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
 
-    def flaky(c, s, ys, rs):
+    def flaky(c, s, ys, rs, helper):
         out = np.tile(data.ref_qoi, (len(rs), 1))
         out[np.asarray(rs) == 0, 0] = np.nan
         return out
@@ -306,7 +309,7 @@ def test_mse_excludes_diverged_realizations(monkeypatch):
         rec = estimate_mse(cfg, sched, data)
     assert rec.realizations == 2 and rec.mse == 0.0
     monkeypatch.setattr(experiment, "run_filter_realizations",
-                        lambda c, s, ys, rs: np.full((len(rs), data.ref_qoi.size), np.nan))
+                        lambda c, s, ys, rs, helper: np.full((len(rs), data.ref_qoi.size), np.nan))
     with pytest.warns(UserWarning, match="diverged"):
         with pytest.raises(RuntimeError):
             estimate_mse(cfg, sched, data)
@@ -331,7 +334,7 @@ def test_other_realization_errors_still_propagate(monkeypatch):
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
 
-    def broken(c, s, ys, rs):
+    def broken(c, s, ys, rs, helper):
         raise ValueError("not a divergence")
 
     monkeypatch.setattr(experiment, "run_filter_realizations", broken)
@@ -566,12 +569,13 @@ def test_batched_step_peaks_near_two_member_copies_above_its_input():
     assert sched.L == 7
     ml = initial_multilevel_ensemble(cfg, sched, realizations=(0, 1, 2))
     copy = sum(pe.coarse.nbytes + pe.fine.nbytes for pe in ml.levels)
-    args = (cfg.obs, cfg.model, cfg.hierarchy, cfg.master_seed)
+    args = (cfg.obs, cfg.model, cfg.hierarchy)
+    readers = batch_readers(cfg.master_seed, ml, cfg.obs.m, "exact", (1, 2))
     y = np.array([0.1])
-    ml = mlenkf_step(ml, y, *args, 1, "exact")  # fills the coefficient memos
+    ml = mlenkf_step(ml, y, *args, 1, "exact", readers)  # fills the coefficient memos
     tracemalloc.start()
     try:
-        out = mlenkf_step(ml, y, *args, 2, "exact")
+        out = mlenkf_step(ml, y, *args, 2, "exact", readers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -623,58 +627,108 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: count)
 
 
+def count_fills(monkeypatch, draw, helper_delay=0.0):
+    """Patch ``rng._draw`` to ``draw`` counting its fills per thread, which
+    it returns as ``{"main": n, "helper": n}``; each fill on the helper
+    thread first sleeps ``helper_delay`` seconds."""
+    fills = {"main": 0, "helper": 0}
+
+    def counted(generator, out):
+        if threading.current_thread() is threading.main_thread():
+            fills["main"] += 1
+        else:
+            fills["helper"] += 1
+            time.sleep(helper_delay)
+        draw(generator, out)
+
+    monkeypatch.setattr(rng, "_draw", counted)
+    return fills
+
+
 @pytest.mark.parametrize("method,solver", sorted(HELPER_CASES))
 def test_prefetched_draws_leave_the_tracks_byte_identical(monkeypatch, method, solver):
-    # at jobs 1, one CPU runs the step's draws in line and four CPUs fill
-    # them ahead on a helper thread; the tracks must not tell the two apart,
-    # also when the threads switch every microsecond
+    # at jobs 1, one CPU draws every read on the calling thread, and four
+    # fill the draws on a helper thread: also when the threads switch every
+    # microsecond, and when the helper's fills are slow, so that the calling
+    # thread fills most units itself; the tracks must not tell them apart
     cfg = ExperimentConfig(example=1, method=method, solver=solver,
                            eps_grid=(HELPER_CASES[method, solver],), n_steps=3,
                            realizations=3, n_ref=128)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(cfg.eps_grid[0], cfg.hierarchy, method)
     built = []
-    monkeypatch.setattr(experiment, "PrefetchedBlocks",
-                        lambda *args: built.append(args[1]) or PrefetchedBlocks(*args))
-    tracks = {}
+    monkeypatch.setattr(experiment, "Helper", lambda sizes: built.append(sizes) or Helper(sizes))
+    tracks, fills = {}, {}
+    draw = rng._draw
     interval = sys.getswitchinterval()
     try:
-        for count in (1, 4):
+        for case, count, switch, delay in (("direct", 1, interval, 0.0),
+                                           ("helper", 4, 1e-6, 0.0),
+                                           ("slow helper", 4, interval, 0.002)):
             cpus(monkeypatch, count)
-            sys.setswitchinterval(1e-6 if count > 1 else interval)
+            sys.setswitchinterval(switch)
+            fills[case] = count_fills(monkeypatch, draw, delay)
             for batch in ((0, 1, 2), (1,)):
-                tracks[count, batch] = run_filter_realizations(cfg, sched, data.ys, batch)
+                tracks[case, batch] = run_filter_realizations(cfg, sched, data.ys, batch)
     finally:
         sys.setswitchinterval(interval)
-    assert built == ["forward", "obs-perturbation"] * 2  # four CPUs only
+    assert [sorted(sizes) for sizes in built] == [["forward", "obs-perturbation"]] * 4
+    assert fills["direct"]["helper"] == 0
+    assert fills["slow helper"]["main"] > fills["slow helper"]["helper"]
     for batch in ((0, 1, 2), (1,)):
-        assert np.all(np.isfinite(tracks[1, batch]))
-        assert np.array_equal(tracks[1, batch], tracks[4, batch])
-    assert np.array_equal(tracks[4, (0, 1, 2)][1:2], tracks[4, (1,)])
+        assert np.all(np.isfinite(tracks["direct", batch]))
+        for case in ("helper", "slow helper"):
+            assert np.array_equal(tracks["direct", batch], tracks[case, batch])
+    assert np.array_equal(tracks["helper", (0, 1, 2)][1:2], tracks["helper", (1,)])
+
+
+@pytest.mark.parametrize("count", [1, 4], ids=["direct", "helper"])
+@pytest.mark.parametrize("method,solver", sorted(HELPER_CASES))
+def test_a_step_that_draws_an_extra_row_raises_on_either_path(monkeypatch, method, solver,
+                                                              count):
+    # a forward map that draws one row more than the plan must fail, not
+    # shift every later draw of its streams
+    cfg = ExperimentConfig(example=1, method=method, solver=solver,
+                           eps_grid=(HELPER_CASES[method, solver],), n_steps=2,
+                           realizations=2, n_ref=128)
+    data = synthesize_truth_and_obs(cfg)
+    sched = make_schedule(cfg.eps_grid[0], cfg.hierarchy, method)
+    propagate = filters.propagate_pairs
+
+    def extra_row(coarse, fine, level, model, hierarchy, rng, solver):
+        out = propagate(coarse, fine, level, model, hierarchy, rng, solver)
+        rng.standard_normal((1, fine.shape[1]))
+        return out
+
+    monkeypatch.setattr(filters, "propagate_pairs", extra_row)
+    cpus(monkeypatch, count)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="reads more than its"):
+        run_filter_realizations(cfg, sched, data.ys, (0, 1))
+    assert threading.active_count() == before
 
 
 def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
     assert 1 <= experiment._usable_cpus() <= os.cpu_count()
     cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_ref=16, n_steps=2, realizations=2)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
-    for count, jobs, helper in ((2, 1, True), (2, 2, False), (3, 2, True), (1, 1, False)):
+    for count, jobs, expected in ((2, 1, True), (2, 2, False), (3, 2, True), (1, 1, False)):
         cpus(monkeypatch, count)
-        with experiment._prefetched_streams(replace(cfg, jobs=jobs), sched, (0, 1)) as streams:
-            assert (streams is not None) == helper
+        with experiment._draw_helper(replace(cfg, jobs=jobs), sched, 2) as helper:
+            assert (helper is not None) == expected
 
 
 def test_step_normals_are_the_reads_of_a_step():
     cfg = ExperimentConfig(example=1, solver="expeuler", eps_grid=(0.25,), n_ref=64)
     sched = make_schedule(0.25, cfg.hierarchy, "mlenkf")
-    rows = [(n_f, n_c, m_l) for _, n_f, n_c, m_l in experiment._level_rows(sched, cfg.hierarchy)]
+    rows = experiment._level_rows(sched, cfg.hierarchy)
     # expeuler draws the fine noise, then the coarse partners' own
-    assert experiment._step_normals(cfg, sched) == {
-        "forward": sum((n_f + n_c) * m_l for n_f, n_c, m_l in rows),
-        "obs-perturbation": sum(m_l for *_, m_l in rows),
+    assert experiment._step_normals(rows, 3, "expeuler") == {
+        "forward": sum((n_f + n_c) * m_l for _, n_f, n_c, m_l in rows),
+        "obs-perturbation": 3 * sum(m_l for *_, m_l in rows),
     }
-    exact = replace(cfg, solver="exact")
-    assert experiment._step_normals(exact, sched)["forward"] == sum(
-        n_f * m_l for n_f, _, m_l in rows)
+    assert experiment._step_normals(rows, 3, "exact")["forward"] == sum(
+        n_f * m_l for _, n_f, _, m_l in rows)
 
 
 def test_a_failing_batch_ends_its_helper_thread(monkeypatch):
@@ -698,6 +752,23 @@ def test_a_failing_batch_ends_its_helper_thread(monkeypatch):
     with pytest.raises(ValueError, match="gain fails at step 3"):
         run_filter_realizations(cfg, sched, data.ys, range(3))
     assert len(calls) == 3
+    assert threading.active_count() == before
+    # a fill that raises on the helper is raised on the calling thread,
+    # which holds its own fills until the helper has tried one
+    monkeypatch.setattr(filters, "ml_gain", gain)
+    tried = threading.Event()
+    draw = rng._draw
+
+    def failing_fill(generator, out):
+        if threading.current_thread() is threading.main_thread():
+            assert tried.wait(10)
+            return draw(generator, out)
+        tried.set()
+        raise FloatingPointError("fill fails on the helper")
+
+    monkeypatch.setattr(rng, "_draw", failing_fill)
+    with pytest.raises(FloatingPointError, match="fill fails on the helper"):
+        run_filter_realizations(cfg, sched, data.ys, range(3))
     assert threading.active_count() == before
 
 

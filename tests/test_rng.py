@@ -1,11 +1,13 @@
-from concurrent.futures import ThreadPoolExecutor
+import contextlib
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from mlenkf import rng
 from mlenkf.experiment import ExperimentConfig, run_experiment
-from mlenkf.rng import ColumnBlocks, PURPOSES, PrefetchedBlocks, RngKey
+from mlenkf.rng import PURPOSES, Helper, RngKey, StreamReader
 
 
 def test_same_key_replays_identically():
@@ -101,22 +103,23 @@ def test_column_blocks_fill_block_i_from_stream_i():
     # three blocks, and one block, which reads exactly as its bare generator
     for realizations in ((4, 0, 9), (2,)):
         keys = [RngKey(7, "forward", r, 0, 3) for r in realizations]
-        reader = ColumnBlocks(k.generator() for k in keys)
+        reader = StreamReader(7, "forward", realizations, 20, (3,)).begin(3)
         solo = [k.generator() for k in keys]
         for rows in (1, 3, 0):
             got = reader.standard_normal((rows, len(keys) * 5))
             want = np.hstack([g.standard_normal((rows, 5)) for g in solo])
             assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="blocks"):
-        ColumnBlocks(RngKey(7, "forward", r).generator() for r in range(3)).standard_normal((2, 7))
+        StreamReader(7, "forward", range(3), 4, (1,)).begin(1).standard_normal((2, 7))
 
 
 def read_steps(reader, steps, reads):
     """Each step's reads of ``reader``, (rows, columns) shapes in order."""
     out = []
     for step in steps:
-        rng = reader(step)
+        rng = reader.begin(step)
         out.append([rng.standard_normal(shape) for shape in reads])
+    reader.finish()
     return out
 
 
@@ -125,53 +128,78 @@ def read_steps(reader, steps, reads):
 STEP_READS = ((2, 12), (0, 12), (1, 6), (3, 3), (0, 3))
 
 
+def slow_helper_fill(monkeypatch, seconds):
+    """Make every fill on the helper thread take ``seconds`` longer, so
+    the calling thread fills most units itself."""
+    draw = rng._draw
+
+    def slow(generator, out):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(seconds)
+        draw(generator, out)
+
+    monkeypatch.setattr(rng, "_draw", slow)
+
+
 @pytest.mark.parametrize("realizations", [(4, 0, 9), (2,)])
-def test_prefetched_blocks_read_as_column_blocks(realizations):
-    # the whole step stream filled at once on a helper reads as the
-    # step's column-block draws; each read is a fresh array
+def test_prefetched_blocks_read_as_column_blocks(monkeypatch, realizations):
+    # the whole step streams filled on either thread, by the helper or by
+    # the caller, read as the step's column-block draws on the calling
+    # thread; each read is a fresh array
     b = len(realizations)
     reads = tuple((rows, cols * b // 3) for rows, cols in STEP_READS)
     length = sum(rows * cols // b for rows, cols in reads)
-    want = read_steps(lambda step: ColumnBlocks(
-        RngKey(5, "forward", r, 0, step).generator() for r in realizations), (1, 2, 3), reads)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pre = PrefetchedBlocks(5, "forward", realizations, length, 3, helper.submit)
-        got = read_steps(pre.begin, (1, 2, 3), reads)
-        pre.finish()
-    for got_step, want_step in zip(got, want):
-        for g, w in zip(got_step, want_step):
-            assert g.flags.writeable and g.flags.c_contiguous
-            assert np.array_equal(g, w)
-    assert not np.shares_memory(got[0][0], got[1][0])
+    steps = (1, 2, 3, 5)
+    want = read_steps(StreamReader(5, "forward", realizations, length, steps), steps, reads)
+    got = []
+    for delay in (0, 0.005):
+        if delay:
+            slow_helper_fill(monkeypatch, delay)
+        with Helper({"forward": 4 * length}) as helper:
+            got.append(read_steps(
+                StreamReader(5, "forward", realizations, length, steps, helper), steps, reads))
+    for run in (want, *got):
+        for got_step, want_step in zip(run, want):
+            for g, w in zip(got_step, want_step):
+                assert g.flags.writeable and (run is want or g.flags.c_contiguous)
+                assert np.array_equal(g, w)
+        assert not np.shares_memory(run[0][0], run[1][0])
 
 
 def test_prefetched_blocks_raise_on_a_step_that_leaves_its_plan():
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        def reader(length):
-            return PrefetchedBlocks(5, "obs-perturbation", (0, 1), length, 2, helper.submit)
+    # on the direct path and on the helper's
+    for scope in (contextlib.nullcontext(), Helper({"obs-perturbation": 2 * 6})):
+        with scope as helper:
+            check_plan(lambda length: StreamReader(5, "obs-perturbation", (0, 1), length,
+                                                   (1, 2), helper))
 
-        # a read past the plan raises there, within the step and at its end
-        with pytest.raises(RuntimeError, match="more than its 5 planned"):
-            reader(5).begin(1).standard_normal((3, 4))
-        over = reader(6)
-        over.begin(1).standard_normal((3, 4))
-        with pytest.raises(RuntimeError, match="step 1 reads more"):
-            over.standard_normal((1, 2))
-        # a step that reads less is caught when the next one begins, or at
-        # the end of the last one
-        short = reader(6)
-        short.begin(1).standard_normal((2, 4))
-        with pytest.raises(RuntimeError, match="at 4 of step 1's 6 planned"):
-            short.begin(2)
-        last = reader(4)
-        last.begin(1).standard_normal((2, 4))
-        last.begin(2).standard_normal((1, 4))
-        with pytest.raises(RuntimeError, match="the end of step 2"):
-            last.finish()
-        # a step must begin before it reads, and in order
-        with pytest.raises(RuntimeError, match="more than"):
-            reader(4).standard_normal((1, 2))
-        with pytest.raises(RuntimeError, match="the start of step 2"):
-            reader(4).begin(2)
-        with pytest.raises(ValueError, match="blocks"):
-            reader(4).begin(1).standard_normal((1, 3))
+
+def check_plan(reader):
+    """Misreads of readers ``reader(length)`` of two steps over two blocks."""
+    # a read past the plan raises there, within the step and at its end
+    with pytest.raises(RuntimeError, match="more than its 5 planned"):
+        reader(5).begin(1).standard_normal((3, 4))
+    over = reader(6)
+    over.begin(1).standard_normal((3, 4))
+    with pytest.raises(RuntimeError, match="step 1 reads more"):
+        over.standard_normal((1, 2))
+    # a step that reads less is caught when the next one begins, or at
+    # the end of the last one
+    short = reader(6)
+    short.begin(1).standard_normal((2, 4))
+    with pytest.raises(RuntimeError, match="at 4 of step 1's 6 planned"):
+        short.begin(2)
+    last = reader(4)
+    last.begin(1).standard_normal((2, 4))
+    last.begin(2).standard_normal((1, 4))
+    with pytest.raises(RuntimeError, match="the end of step 2"):
+        last.finish()
+    # a step must begin before it reads, once, and in order
+    with pytest.raises(RuntimeError, match="more than"):
+        reader(4).standard_normal((1, 2))
+    with pytest.raises(RuntimeError, match="the start of step 2"):
+        reader(4).begin(2)
+    with pytest.raises(RuntimeError, match="the start of step 1"):
+        reader(4).begin(1).begin(1)
+    with pytest.raises(ValueError, match="blocks"):
+        reader(4).begin(1).standard_normal((1, 3))
