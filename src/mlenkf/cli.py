@@ -105,13 +105,23 @@ def _summary_text(records, hierarchy):
     return "\n".join(lines) + "\n"
 
 
+def _default_n_ref(fields):
+    """The CLI's one default of its own (the library's is 2^13): the
+    smallest power of two that is at least 1024 and at least 32 N_L of the
+    grid's finest target.  A truth cut at n_ref misses the modes beyond
+    it, so the MSE reads low by about N_L/n_ref: 2-5% at this rule, 9% at
+    eps 2^-6 and a third at 2^-8 with n_ref 1024."""
+    def get(name):
+        return fields.get(name, getattr(experiment.ExperimentConfig, name))
+
+    hierarchy = experiment.build_example(get("example"), get("solver"), 2)[1]
+    n_top = max((hierarchy.n_modes(experiment._level_count(eps, hierarchy))
+                 for eps in get("eps_grid")), default=1)
+    return 1 << (max(1024, 32 * n_top) - 1).bit_length()
+
+
 def _cmd_run(args):
-    # the CLI's one default of its own (the library's is 2^13): truth and
-    # reference cost grow with n_ref.  N_L reaches 1024 at eps = 2^-10, and the
-    # MSE reads low by about N_L/n_ref well before: -9% at 2^-6, -32% at 2^-8
-    settings = {"n_ref": 1024}
-    if args.config is not None:
-        settings.update(load_config(args.config))
+    settings = {} if args.config is None else load_config(args.config)
     for key in _FIELDS:
         value = getattr(args, key, None)
         if value is not None:
@@ -122,8 +132,11 @@ def _cmd_run(args):
         except ValueError as exc:
             raise ConfigError(f"bad eps list: {exc}") from exc
     try:
+        fields = {_FIELDS[k]: v for k, v in settings.items()}
+        if "n_ref" not in fields:
+            fields["n_ref"] = _default_n_ref(fields)
         # ExperimentConfig checks every setting and grid point before any compute
-        cfg = experiment.ExperimentConfig(**{_FIELDS[k]: v for k, v in settings.items()})
+        cfg = experiment.ExperimentConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out_dir = Path(args.out)

@@ -370,23 +370,14 @@ def _step_normals(rows, m, solver):
             "obs-perturbation": m * sum(m_l for *_, m_l in rows)}
 
 
-def batch_readers(seed, ml, m, solver, steps, helper=None):
+def batch_readers(seed, ml, m, solver, n_steps, helper=None):
     """A :class:`~mlenkf.rng.StreamReader` per purpose over the batch ``ml``'s
-    draws at ``steps``, planned for engine steps with ``m`` observed
-    directions and ``solver``, filled by ``helper`` when given."""
+    draws at steps 1..``n_steps``, planned for engine steps with ``m``
+    observed directions and ``solver``, filled by ``helper`` when given."""
     b = len(ml.realizations)
     rows = [(pe.level, pe.fine.shape[0], pe.coarse.shape[0], pe.size // b) for pe in ml.levels]
-    return {purpose: StreamReader(seed, purpose, ml.realizations, length, steps, helper)
+    return {purpose: StreamReader(seed, purpose, ml.realizations, length, n_steps, helper)
             for purpose, length in _step_normals(rows, m, solver).items()}
-
-
-def _draw_helper(cfg, schedule, blocks):
-    """A :class:`~mlenkf.rng.Helper` for batches of up to ``blocks``
-    realizations, or a null context without a CPU beyond ``cfg.jobs``."""
-    if _usable_cpus() <= cfg.jobs:
-        return contextlib.nullcontext()
-    plan = _step_normals(_level_rows(schedule, cfg.hierarchy), cfg.obs.m, cfg.solver)
-    return Helper({purpose: blocks * length for purpose, length in plan.items()})
 
 
 def run_filter_realizations(cfg, schedule, ys, realizations, helper=None):
@@ -394,33 +385,31 @@ def run_filter_realizations(cfg, schedule, ys, realizations, helper=None):
 
     The realizations run as the column blocks of one ensemble; each row
     equals the realization's track run alone.  A realization whose filter
-    diverges gets a row of NaN.  ``helper`` fills draws on a second thread,
-    else one that the call starts when the process has a CPU beyond
-    ``cfg.jobs`` (see :class:`~mlenkf.rng.Helper`); the tracks are the same.
+    diverges gets a row of NaN.  A :class:`~mlenkf.rng.Helper` given as
+    ``helper`` fills the draws on a second thread; without one, each read
+    draws on the calling thread.  The tracks are the same.
     """
     realizations = tuple(realizations)
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
-    with (_draw_helper(cfg, schedule, len(realizations)) if helper is None
-          else contextlib.nullcontext(helper)) as helper:
-        # The list hands each step the only reference to its input ensemble,
-        # so the step frees the input once it has predicted (CPython 3.11+,
-        # see mlenkf_step) and the update's temporaries reuse its memory.
-        # With propagate_pairs taking its fine product before its draw, this
-        # keeps the wide levels' temporaries off the heap top, which glibc
-        # trims and page-faults back in on the next step; either alone leaves
-        # the EnKF's wide levels slower than building the update in fresh
-        # arrays.  A helper keeps that order: its slots come before the
-        # ensemble, and a read copies out where a direct draw allocates.
-        held = [initial_multilevel_ensemble(cfg, schedule, realizations)]
-        readers = batch_readers(cfg.master_seed, held[0], cfg.obs.m, cfg.solver,
-                                range(1, cfg.n_steps + 1), helper)
-        tracks[:, 0] = empirical_qoi(held[0], cfg.obs)
-        for n in range(1, cfg.n_steps + 1):
-            held.append(mlenkf_step(held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
-                                    n, cfg.solver, readers))
-            tracks[:, n] = empirical_qoi(held[0], cfg.obs)
-        for reader in readers.values():
-            reader.finish()
+    # The list hands each step the only reference to its input ensemble,
+    # so the step frees the input once it has predicted (CPython 3.11+,
+    # see mlenkf_step) and the update's temporaries reuse its memory.
+    # With propagate_pairs taking its fine product before its draw, this
+    # keeps the wide levels' temporaries off the heap top, which glibc
+    # trims and page-faults back in on the next step; either alone leaves
+    # the EnKF's wide levels slower than building the update in fresh
+    # arrays.  A helper keeps that order: its slots come before the
+    # ensemble, and a read copies out where a direct draw allocates.
+    held = [initial_multilevel_ensemble(cfg, schedule, realizations)]
+    readers = batch_readers(cfg.master_seed, held[0], cfg.obs.m, cfg.solver, cfg.n_steps,
+                            helper)
+    tracks[:, 0] = empirical_qoi(held[0], cfg.obs)
+    for n in range(1, cfg.n_steps + 1):
+        held.append(mlenkf_step(held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
+                                cfg.solver, readers))
+        tracks[:, n] = empirical_qoi(held[0], cfg.obs)
+    for reader in readers.values():
+        reader.finish()
     tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan
     return tracks
 
@@ -485,15 +474,21 @@ def estimate_mse(cfg, schedule, data, pool=None):
     """Average squared QoI error against the reference over realizations.
 
     The realizations run in the batches of :func:`realization_batches`,
-    mapped over ``pool`` when given, else in this process with one draw
-    helper for all of them when a CPU is spare.  Diverged (non-finite)
-    realizations are excluded with a warning; the record carries the
-    number actually averaged.
+    mapped over ``pool`` when given, whose workers draw on their own
+    thread, else in this process.  There, when the process may run on a
+    CPU beyond ``cfg.jobs``, one :class:`~mlenkf.rng.Helper` fills the
+    draws of every batch, its slots sized for the largest and allocated
+    before any batch's ensemble.  Diverged (non-finite) realizations are
+    excluded with a warning; the record carries the number actually
+    averaged.
     """
     t0 = time.perf_counter()
     batches = realization_batches(cfg, schedule)
-    with (_draw_helper(cfg, schedule, max(map(len, batches))) if pool is None
-          else contextlib.nullcontext()) as helper:
+    helper = contextlib.nullcontext()
+    if pool is None and _usable_cpus() > cfg.jobs:
+        plan = _step_normals(_level_rows(schedule, cfg.hierarchy), cfg.obs.m, cfg.solver)
+        helper = Helper({p: max(map(len, batches)) * n for p, n in plan.items()})
+    with helper as helper:
         tasks = [(cfg, schedule, data.ys, data.ref_qoi, batch, helper) for batch in batches]
         errs = np.concatenate(list((map if pool is None else pool.map)(_squared_errors, tasks)))
     ok = np.isfinite(errs)
@@ -521,8 +516,9 @@ def run_experiment(cfg, on_record=None, *, data=None):
     ``on_record(record, schedule)`` is called as each target finishes,
     so a caller can save finished rows before a later target fails.
     With ``cfg.jobs > 1`` every target's batches go through one process
-    pool, opened once for the study, whose workers keep the heap pages
-    they free (:func:`_worker_heap_policy`).
+    pool, opened once for the study, of at most ``cfg.jobs`` workers and
+    no more than there are realizations or usable CPUs; its workers keep
+    the heap pages they free (:func:`_worker_heap_policy`).
     """
     if data is None:
         data = synthesize_truth_and_obs(cfg)
@@ -532,8 +528,9 @@ def run_experiment(cfg, on_record=None, *, data=None):
         # imported here: a serial study never pays for the pool's modules
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool starts all its workers up front, so never more than there are realizations
-        pool = ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations),
+        # the pool starts all its workers up front, so never more than there
+        # are realizations or CPUs; the batches, and so the outputs, follow jobs
+        pool = ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations, _usable_cpus()),
                                    initializer=_worker_heap_policy)
     with pool as pool:
         for eps in cfg.eps_grid:

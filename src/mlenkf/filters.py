@@ -305,19 +305,19 @@ def _add_correction(v, kt, innovation):
     v += correction.reshape(n, -1)
 
 
-def ml_update(ml, k, y, obs, step, readers, hv=None):
+def ml_update(ml, k, y, obs, readers, hv=None):
     """Perturbed-observation update of every pair, in place.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
     pair and is independent across particles and levels; each member is
     corrected with its block's gain, ``k[i]`` of the (B, N, m) stack that
-    :func:`ml_gain` returns, truncated to its own resolution.  The step's
-    one perturbation stream of each block's realization,
-    ``RngKey(seed, "obs-perturbation", ml.realizations[i], 0, step)``, is
-    read in level order: each level takes the next m M_l normals, so
-    levels get disjoint blocks.  ``readers`` are the batch's (see
-    :func:`~mlenkf.experiment.batch_readers`).  ``hv`` holds the members'
-    projections (see :func:`_project`) when the caller has them already.
+    :func:`ml_gain` returns, truncated to its own resolution.
+    ``readers`` are the batch's (see
+    :func:`~mlenkf.experiment.batch_readers`); their next step's one
+    perturbation stream of each block's realization is read in level
+    order: each level takes the next m M_l normals, so levels get
+    disjoint blocks.  ``hv`` holds the members' projections (see
+    :func:`_project`) when the caller has them already.
 
     The update consumes its inputs: the corrections are added into the
     member arrays of ``ml``, which it returns, and the innovations
@@ -330,7 +330,7 @@ def ml_update(ml, k, y, obs, step, readers, hv=None):
     if k.shape[0] != len(ml.realizations):
         raise ValueError(f"{len(ml.realizations)} blocks need as many gains, got {k.shape[0]}")
     kt = k.transpose(1, 2, 0)[..., None]
-    rng = readers["obs-perturbation"].begin(step)
+    rng = readers["obs-perturbation"].begin()
     for pe, projections in zip(ml.levels, hv):
         members = [(v, h) for v, h in zip((pe.coarse, pe.fine), projections) if h is not None]
         ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
@@ -343,17 +343,17 @@ def ml_update(ml, k, y, obs, step, readers, hv=None):
     return ml
 
 
-def ml_predict(ml, cfg, hierarchy, step, solver, readers):
+def ml_predict(ml, cfg, hierarchy, solver, readers):
     """Propagate every pair one interval with coupled noise.
 
-    The step's one forward stream of each block's realization,
-    ``RngKey(seed, "forward", ml.realizations[i], 0, step)``, is read in
-    level order: each level's :func:`~mlenkf.model.propagate_pairs` call
-    draws the next block, so levels get disjoint draws and the two
-    members of a pair share theirs.  The prediction carries the same
-    realizations.  ``readers`` is as in :func:`ml_update`.
+    The readers' next step's one forward stream of each block's
+    realization is read in level order: each level's
+    :func:`~mlenkf.model.propagate_pairs` call draws the next block, so
+    levels get disjoint draws and the two members of a pair share theirs.
+    The prediction carries the same realizations.  ``readers`` is as in
+    :func:`ml_update`.
     """
-    rng = readers["forward"].begin(step)
+    rng = readers["forward"].begin()
     out = []
     for pe in ml.levels:
         coarse, fine = propagate_pairs(
@@ -363,13 +363,13 @@ def ml_predict(ml, cfg, hierarchy, step, solver, readers):
     return MultilevelEnsemble(tuple(out), ml.realizations)
 
 
-def mlenkf_step(ml, y, obs, cfg, hierarchy, step, solver, readers):
+def mlenkf_step(ml, y, obs, cfg, hierarchy, solver, readers):
     """One assimilation step of the ensemble engine: predict, gain, update.
 
     A multilevel ensemble makes this an MLEnKF step; a single level L
     without coarse partners makes it an EnKF step at level L.  A batch
     of realizations steps as one ensemble, each block reading its own
-    realization's streams through ``readers`` (see :func:`ml_update`).
+    realization's streams at the readers' next step (see :func:`ml_update`).
     The update writes into the prediction and its projections, which the
     step owns; ``ml`` itself is never written.  The step drops ``ml`` once
     it has predicted, so on CPython 3.11 and later a caller that hands
@@ -383,11 +383,11 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, step, solver, readers):
             "observation dimension must stay below N_L "
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
-    pred = ml_predict(ml, cfg, hierarchy, step, solver, readers)
+    pred = ml_predict(ml, cfg, hierarchy, solver, readers)
     del ml
     hv = _project(pred, obs)
     k = ml_gain(compute_R_ml(pred, obs, hv), obs)
-    return ml_update(pred, k, y, obs, step, readers, hv)
+    return ml_update(pred, k, y, obs, readers, hv)
 
 
 # No caller in the library; the benchmark tracer (perfbench/tracer.py) patches these names.

@@ -174,9 +174,9 @@ class Helper(contextlib.AbstractContextManager):
 class StreamReader:
     """One purpose's draws of a batch, read step by step against the plan.
 
-    Each of ``steps`` reads ``length`` normals from each block's stream
-    ``RngKey(seed, purpose, realizations[i], 0, step)``.  After
-    :meth:`begin`, ``standard_normal((rows, B * M))`` fills columns
+    Each of the steps 1..``n_steps`` reads ``length`` normals from each
+    block's stream ``RngKey(seed, purpose, realizations[i], 0, step)``.
+    After :meth:`begin`, ``standard_normal((rows, B * M))`` fills columns
     ``i M .. (i+1) M`` of a fresh array with the next ``rows x M`` normals
     of stream i, in C order: drawn there without a ``helper``, else copied
     out of the helper's slot, which the read that ends a step frees for the
@@ -185,46 +185,45 @@ class StreamReader:
     :meth:`begin` or at :meth:`finish`.  An empty read checks its shape.
     """
 
-    def __init__(self, seed, purpose, realizations, length, steps, helper=None):
+    def __init__(self, seed, purpose, realizations, length, n_steps, helper=None):
         self._seed, self._purpose, self._blocks = seed, purpose, tuple(realizations)
-        self._length, self._steps, self._helper = length, tuple(steps), helper
-        self._index = self._pos = 0  # the reader stands at _pos of _steps[_index]
-        self._open = None  # the step that has begun reading
+        self._length, self._n_steps, self._helper = length, n_steps, helper
+        self._step, self._pos = 1, 0  # the reader stands at _pos of _step
+        self._open = 0  # the last step that began reading, 0 before any
         self._units = [None] * SLOTS
         if helper is not None:
             b = len(self._blocks)
             self._slots = helper.slots[purpose][:, : b * length].reshape(SLOTS, b, length)
-            for index in range(min(SLOTS, len(self._steps))):
-                self._publish(index)
+            for step in range(1, min(SLOTS, n_steps) + 1):
+                self._publish(step)
 
-    def _generators(self, index):
-        return [RngKey(self._seed, self._purpose, r, 0, self._steps[index]).generator()
-                for r in self._blocks]
+    def _generators(self, step):
+        return [RngKey(self._seed, self._purpose, r, 0, step).generator() for r in self._blocks]
 
-    def _publish(self, index):
-        self._units[index % SLOTS] = self._helper.publish(
+    def _publish(self, step):
+        self._units[step % SLOTS] = self._helper.publish(
             functools.partial(_draw, g, row)
-            for g, row in zip(self._generators(index), self._slots[index % SLOTS]))
+            for g, row in zip(self._generators(step), self._slots[step % SLOTS]))
 
     def _misread(self, where):
         return RuntimeError(f"the {self._purpose} draws stand at {self._pos} of step "
-                            f"{self._steps[self._index]}'s {self._length} planned normals "
-                            f"per block, not at {where}")
+                            f"{self._step}'s {self._length} planned normals per block, "
+                            f"not at {where}")
 
-    def begin(self, step):
-        """The reader at the start of ``step``; raises ``RuntimeError``
-        unless ``step`` is the plan's next and the one before read its plan."""
-        if self._pos or self._steps[self._index] != step or self._open == step:
-            raise self._misread(f"the start of step {step}")
-        self._open = step
+    def begin(self):
+        """The reader at the start of its next step; raises ``RuntimeError``
+        unless the step before read its whole plan."""
+        if self._open == self._step:
+            raise self._misread(f"the start of step {self._step + 1}")
+        self._open = self._step
         if self._helper is None:
-            self._draws = self._generators(self._index)
+            self._draws = self._generators(self._step)
         return self
 
     def finish(self):
         """Raise ``RuntimeError`` unless the last step read its whole plan."""
-        if (self._index, self._pos) != (len(self._steps) - 1, self._length):
-            raise self._misread(f"the end of step {self._steps[-1]}")
+        if (self._step, self._pos) != (self._n_steps, self._length):
+            raise self._misread(f"the end of step {self._n_steps}")
 
     def standard_normal(self, size):
         rows, cols = size
@@ -235,7 +234,7 @@ class StreamReader:
         if not rows * m:
             return np.empty(size)
         start, end = self._pos, self._pos + rows * m
-        if self._open != self._steps[self._index] or end > self._length:
+        if self._open != self._step or end > self._length:
             raise RuntimeError(f"step {self._open} reads more than its {self._length} "
                                f"planned {self._purpose} normals per block")
         if self._helper is None:
@@ -245,12 +244,12 @@ class StreamReader:
             out = out.transpose(1, 0, 2)
         else:
             if not start:
-                self._helper.wait(self._units[self._index % SLOTS])
-            filled = self._slots[self._index % SLOTS, :, start:end].reshape(b, rows, m)
+                self._helper.wait(self._units[self._step % SLOTS])
+            filled = self._slots[self._step % SLOTS, :, start:end].reshape(b, rows, m)
             out = filled.transpose(1, 0, 2).copy()
         self._pos = end
-        if end == self._length and self._index + 1 < len(self._steps):
-            if self._helper is not None and self._index + SLOTS < len(self._steps):
-                self._publish(self._index + SLOTS)
-            self._index, self._pos = self._index + 1, 0
+        if end == self._length and self._step < self._n_steps:
+            if self._helper is not None and self._step + SLOTS <= self._n_steps:
+                self._publish(self._step + SLOTS)
+            self._step, self._pos = self._step + 1, 0
         return out.reshape(rows, cols)

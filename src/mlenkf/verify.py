@@ -183,10 +183,10 @@ def check_degeneracy(seed):
     v = np.tile(rng.standard_normal(n)[:, None], (1, m_size))
     empty = np.zeros((0, m_size))
     ml = filters.MultilevelEnsemble((filters.PairEnsemble(empty, v, level),))
-    readers = experiment.batch_readers(seed, ml, obs.m, "exact", range(1, 6))
+    readers = experiment.batch_readers(seed, ml, obs.m, "exact", 5)
     for step in range(1, 6):
         y = rng.standard_normal(1)
-        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, step, "exact", readers)
+        ml = filters.mlenkf_step(ml, y, obs, cfg, hier, "exact", readers)
         # one level reads the first block of each of the step's streams
         fwd = RngKey(seed, "forward", 0, 0, step).generator()
         _, v = model.propagate_pairs(empty, v, level, cfg, hier, fwd, "exact")
@@ -242,10 +242,9 @@ def check_update_finite(seed):
     rng = np.random.default_rng(seed)
     obs = _random_observation(rng, hier.n_modes(2), 1)
     ml = _random_multilevel(rng, hier, 2)
-    readers = experiment.batch_readers(seed, ml, obs.m, "expeuler", range(1, 4))
+    readers = experiment.batch_readers(seed, ml, obs.m, "expeuler", 3)
     for n in range(1, 4):
-        ml = filters.mlenkf_step(ml, rng.standard_normal(1), obs, cfg, hier, n, "expeuler",
-                                 readers)
+        ml = filters.mlenkf_step(ml, rng.standard_normal(1), obs, cfg, hier, "expeuler", readers)
         for pe in ml.levels:
             if not (np.all(np.isfinite(pe.fine)) and np.all(np.isfinite(pe.coarse))):
                 return False, f"non-finite member at step {n}"

@@ -200,6 +200,24 @@ def test_run_rejects_finest_level_wider_than_n_ref(tmp_path, monkeypatch, capsys
     assert code == 2 and "n_ref=32" in err and len(err.strip().splitlines()) == 1
 
 
+def test_run_derives_n_ref_from_the_grid_unless_it_is_set(tmp_path, monkeypatch):
+    # without --n-ref or a config value, n_ref is the smallest power of two
+    # that is at least 1024 and at least 32 N_L of the grid's finest target;
+    # example 1 has N_L = 64 at 2^-6, 256 at 2^-8 and 1024 at 2^-10
+    seen = []
+    monkeypatch.setattr(mlenkf.experiment, "run_experiment",
+                        lambda cfg, on_record: seen.append(cfg.n_ref) or ([], []))
+    out = str(tmp_path / "out")
+    for eps in ("0.5,0.25", "0.25,0.015625", "0.00390625", "0.0009765625,0.5"):
+        assert main(["run", "--eps", eps, "--out", out]) == 0
+    assert seen == [1024, 2048, 8192, 2 ** 15]
+    # an explicit value wins, from the file or from the flag
+    cfg = tiny_config(tmp_path, eps="0.0009765625", n_ref=2048)
+    assert main(["run", "--config", str(cfg), "--out", out]) == 0
+    assert main(["run", "--config", str(cfg), "--n-ref", "1024", "--out", out]) == 0
+    assert seen[4:] == [2048, 1024]
+
+
 @pytest.mark.parametrize("value", ["nan", "-3"])
 def test_run_rejects_bad_base_constant(tmp_path, monkeypatch, capsys, value):
     code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, base_constant=value)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import math
 import os
 import platform
@@ -477,7 +478,7 @@ def test_config_derives_its_parts_from_the_settings():
 
 
 def test_run_experiment_opens_one_pool_per_study(monkeypatch):
-    opened, initializers = [], []
+    opened, initializers, batches = [], [], []
 
     class InlinePool:
         def __init__(self, max_workers, initializer):
@@ -491,9 +492,14 @@ def test_run_experiment_opens_one_pool_per_study(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            # a pool task never carries a draw helper, even with CPUs to spare
+            assert all(task[-1] is None for task in items)
+            batches.append([len(task[4]) for task in items])
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cpus(monkeypatch, 8)
     cfg = ExperimentConfig(example=1, eps_grid=(0.5, 0.25), n_ref=16, n_steps=2,
                            realizations=3, jobs=64)
     pooled, _ = run_experiment(cfg)
@@ -502,6 +508,11 @@ def test_run_experiment_opens_one_pool_per_study(monkeypatch):
     serial, _ = run_experiment(replace(cfg, jobs=1))
     assert opened == [3]
     assert [r.mse for r in pooled] == [r.mse for r in serial]
+    # nor more workers than usable CPUs, while jobs still cuts the batches
+    cpus(monkeypatch, 2)
+    batches.clear()
+    run_experiment(replace(cfg, realizations=64))
+    assert opened == [3, 2] and batches == [[1] * 64] * 2
 
 
 @pytest.mark.skipif(
@@ -570,12 +581,12 @@ def test_batched_step_peaks_near_two_member_copies_above_its_input():
     ml = initial_multilevel_ensemble(cfg, sched, realizations=(0, 1, 2))
     copy = sum(pe.coarse.nbytes + pe.fine.nbytes for pe in ml.levels)
     args = (cfg.obs, cfg.model, cfg.hierarchy)
-    readers = batch_readers(cfg.master_seed, ml, cfg.obs.m, "exact", (1, 2))
+    readers = batch_readers(cfg.master_seed, ml, cfg.obs.m, "exact", 2)
     y = np.array([0.1])
-    ml = mlenkf_step(ml, y, *args, 1, "exact", readers)  # fills the coefficient memos
+    ml = mlenkf_step(ml, y, *args, "exact", readers)  # fills the coefficient memos
     tracemalloc.start()
     try:
-        out = mlenkf_step(ml, y, *args, 2, "exact", readers)
+        out = mlenkf_step(ml, y, *args, "exact", readers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -645,35 +656,48 @@ def count_fills(monkeypatch, draw, helper_delay=0.0):
     return fills
 
 
+def step_plan(cfg, sched):
+    """Normals a realization reads in one step per purpose."""
+    return experiment._step_normals(experiment._level_rows(sched, cfg.hierarchy), cfg.obs.m,
+                                    cfg.solver)
+
+
+def batch_helper(cfg, sched, blocks):
+    """A draw helper for batches of up to ``blocks`` realizations, sized as
+    :func:`estimate_mse` sizes its own."""
+    return Helper({purpose: blocks * n for purpose, n in step_plan(cfg, sched).items()})
+
+
 @pytest.mark.parametrize("method,solver", sorted(HELPER_CASES))
 def test_prefetched_draws_leave_the_tracks_byte_identical(monkeypatch, method, solver):
-    # at jobs 1, one CPU draws every read on the calling thread, and four
-    # fill the draws on a helper thread: also when the threads switch every
-    # microsecond, and when the helper's fills are slow, so that the calling
-    # thread fills most units itself; the tracks must not tell them apart
+    # without a helper every read draws on the calling thread, CPUs to
+    # spare or not; one helper, serving a batch of three and then a batch
+    # of one, fills the draws on its thread: also when the threads switch
+    # every microsecond, and when the helper's fills are slow, so that the
+    # calling thread fills most units itself; the tracks must not tell
+    # them apart
     cfg = ExperimentConfig(example=1, method=method, solver=solver,
                            eps_grid=(HELPER_CASES[method, solver],), n_steps=3,
                            realizations=3, n_ref=128)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(cfg.eps_grid[0], cfg.hierarchy, method)
-    built = []
-    monkeypatch.setattr(experiment, "Helper", lambda sizes: built.append(sizes) or Helper(sizes))
+    cpus(monkeypatch, 4)
     tracks, fills = {}, {}
     draw = rng._draw
     interval = sys.getswitchinterval()
     try:
-        for case, count, switch, delay in (("direct", 1, interval, 0.0),
-                                           ("helper", 4, 1e-6, 0.0),
-                                           ("slow helper", 4, interval, 0.002)):
-            cpus(monkeypatch, count)
+        for case, switch, delay in (("direct", interval, 0.0), ("helper", 1e-6, 0.0),
+                                    ("slow helper", interval, 0.002)):
             sys.setswitchinterval(switch)
             fills[case] = count_fills(monkeypatch, draw, delay)
-            for batch in ((0, 1, 2), (1,)):
-                tracks[case, batch] = run_filter_realizations(cfg, sched, data.ys, batch)
+            with (contextlib.nullcontext() if case == "direct"
+                  else batch_helper(cfg, sched, 3)) as helper:
+                for batch in ((0, 1, 2), (1,)):
+                    tracks[case, batch] = run_filter_realizations(cfg, sched, data.ys, batch,
+                                                                  helper)
     finally:
         sys.setswitchinterval(interval)
-    assert [sorted(sizes) for sizes in built] == [["forward", "obs-perturbation"]] * 4
-    assert fills["direct"]["helper"] == 0
+    assert fills["direct"]["helper"] == 0 and fills["helper"]["helper"] > 0
     assert fills["slow helper"]["main"] > fills["slow helper"]["helper"]
     for batch in ((0, 1, 2), (1,)):
         assert np.all(np.isfinite(tracks["direct", batch]))
@@ -704,18 +728,30 @@ def test_a_step_that_draws_an_extra_row_raises_on_either_path(monkeypatch, metho
     cpus(monkeypatch, count)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="reads more than its"):
-        run_filter_realizations(cfg, sched, data.ys, (0, 1))
+        estimate_mse(cfg, sched, data)
     assert threading.active_count() == before
 
 
 def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
+    # a target in this process gets one helper, sized for its largest
+    # batch and allocated before the first batch's ensemble, when the
+    # process may run on a CPU beyond the jobs
     assert 1 <= experiment._usable_cpus() <= os.cpu_count()
-    cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_ref=16, n_steps=2, realizations=2)
+    cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_ref=16, n_steps=2, realizations=3)
+    data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
+    events = []
+    ensemble = experiment.initial_multilevel_ensemble
+    monkeypatch.setattr(experiment, "Helper", lambda sizes: events.append(sizes) or Helper(sizes))
+    monkeypatch.setattr(experiment, "initial_multilevel_ensemble",
+                        lambda *args: events.append(len(args[2])) or ensemble(*args))
     for count, jobs, expected in ((2, 1, True), (2, 2, False), (3, 2, True), (1, 1, False)):
         cpus(monkeypatch, count)
-        with experiment._draw_helper(replace(cfg, jobs=jobs), sched, 2) as helper:
-            assert (helper is not None) == expected
+        events.clear()
+        estimate_mse(replace(cfg, jobs=jobs), sched, data)
+        batches = [3] if jobs == 1 else [2, 1]
+        helper = [{purpose: batches[0] * n for purpose, n in step_plan(cfg, sched).items()}]
+        assert events == (helper if expected else []) + batches
 
 
 def test_step_normals_are_the_reads_of_a_step():
@@ -732,7 +768,7 @@ def test_step_normals_are_the_reads_of_a_step():
 
 
 def test_a_failing_batch_ends_its_helper_thread(monkeypatch):
-    # the gain raises at step 3: the batch re-raises it, and the helper
+    # the gain raises at step 3: the target re-raises it, and the helper
     # that was filling step 4's draws is gone when it does
     cfg = ExperimentConfig(example=1, eps_grid=(0.25,), n_ref=64, n_steps=5, realizations=3)
     data = synthesize_truth_and_obs(cfg)
@@ -750,7 +786,7 @@ def test_a_failing_batch_ends_its_helper_thread(monkeypatch):
     monkeypatch.setattr(filters, "ml_gain", failing)
     before = threading.active_count()
     with pytest.raises(ValueError, match="gain fails at step 3"):
-        run_filter_realizations(cfg, sched, data.ys, range(3))
+        estimate_mse(cfg, sched, data)
     assert len(calls) == 3
     assert threading.active_count() == before
     # a fill that raises on the helper is raised on the calling thread,
@@ -768,7 +804,7 @@ def test_a_failing_batch_ends_its_helper_thread(monkeypatch):
 
     monkeypatch.setattr(rng, "_draw", failing_fill)
     with pytest.raises(FloatingPointError, match="fill fails on the helper"):
-        run_filter_realizations(cfg, sched, data.ys, range(3))
+        estimate_mse(cfg, sched, data)
     assert threading.active_count() == before
 
 

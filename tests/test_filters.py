@@ -56,9 +56,9 @@ def random_multilevel(rng, hier, L, sizes, m=1, realizations=(0,)):
     return MultilevelEnsemble(tuple(pairs), realizations)
 
 
-def readers(seed, ml, step, m=1, solver="exact"):
-    """The readers of ``ml``'s draws for one engine step at ``step``."""
-    return batch_readers(seed, ml, m, solver, (step,))
+def readers(seed, ml, m=1, solver="exact"):
+    """The readers of ``ml``'s draws for one engine step, step 1."""
+    return batch_readers(seed, ml, m, solver, 1)
 
 
 def copied(ml):
@@ -259,7 +259,7 @@ def test_ensemble_blocks_split_every_level():
             MultilevelEnsemble((p0,), realizations)
     ml = MultilevelEnsemble((p0,), (0, 1))
     with pytest.raises(ValueError, match="2 blocks need as many gains"):
-        ml_update(ml, np.zeros((1, 1, 1)), np.zeros(1), obs_1d(1), 0, readers(1, ml, 0))
+        ml_update(ml, np.zeros((1, 1, 1)), np.zeros(1), obs_1d(1), readers(1, ml))
 
 
 def test_ml_gain_stack_matches_each_block_and_isolates_a_diverged_one():
@@ -288,7 +288,7 @@ def test_ml_update_zero_gain_is_identity():
     ml = random_multilevel(rng, HIER, L=1, sizes=(4, 3))
     obs = obs_1d(2)
     given = copied(ml)
-    out = ml_update(given, np.zeros((1, 2, 1)), np.array([0.4]), obs, 0, readers(1, given, 0))
+    out = ml_update(given, np.zeros((1, 2, 1)), np.array([0.4]), obs, readers(1, given))
     for l in range(2):
         assert np.array_equal(out.levels[l].fine, ml.levels[l].fine)
         assert np.array_equal(out.levels[l].coarse, ml.levels[l].coarse)
@@ -304,7 +304,7 @@ def test_ml_update_unit_gain_pins_members_to_datum():
     ml = MultilevelEnsemble((PairEnsemble(np.zeros((0, 5)), fine, 0),))
     obs = ObservationModel(np.eye(2), 1e-30 * np.eye(2), np.zeros(2))
     y = np.array([0.7, -0.2])
-    out = ml_update(ml, np.eye(2)[None], y, obs, 0, readers(2, ml, 0, m=2))
+    out = ml_update(ml, np.eye(2)[None], y, obs, readers(2, ml, m=2))
     assert np.allclose(out.levels[0].fine, y[:, None], atol=1e-12)
 
 
@@ -320,7 +320,7 @@ def test_ml_update_pair_coherence_under_coarse_supported_h():
     h = np.array([[0.3, -1.1, 0.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.5]]), np.zeros(4))
     k = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, k, np.array([0.1]), obs, 2, readers(3, ml, 2))
+    out = ml_update(ml, k, np.array([0.1]), obs, readers(3, ml))
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:2], atol=1e-13)
 
 
@@ -334,7 +334,7 @@ def test_ml_update_pair_residual_identity_general_h():
     ))
     obs = ObservationModel(rng.standard_normal((1, 4)), np.array([[0.5]]), np.zeros(4))
     k = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(copied(ml), k, np.array([-0.3]), obs, 1, readers(4, ml, 1))
+    out = ml_update(copied(ml), k, np.array([-0.3]), obs, readers(4, ml))
     got = out.levels[1].coarse - out.levels[1].fine[:2]
     want = (coarse - fine[:2]) + k[0, :2] @ (obs.observe(fine) - obs.observe(coarse))
     assert np.allclose(got, want, rtol=0, atol=1e-13)
@@ -352,7 +352,7 @@ def test_ml_update_shares_perturbation_within_pair():
     h = np.array([[1.0, 0.0]])
     obs = ObservationModel(h, np.array([[0.25]]), np.zeros(2))
     k = ml_gain(compute_R_ml(ml, obs), obs)
-    out = ml_update(ml, k, np.array([0.2]), obs, 0, readers(5, ml, 0))
+    out = ml_update(ml, k, np.array([0.2]), obs, readers(5, ml))
     assert np.allclose(out.levels[1].coarse, out.levels[1].fine[:1], atol=1e-13)
 
 
@@ -360,9 +360,9 @@ def test_zero_gain_update_then_predict_is_open_loop():
     rng = np.random.default_rng(61)
     ml = random_multilevel(rng, HIER, L=2, sizes=(5, 3, 2))
     obs = obs_1d(4)
-    upd = ml_update(copied(ml), np.zeros((1, 4, 1)), np.array([1.0]), obs, 0, readers(6, ml, 0))
-    a = ml_predict(upd, CFG, HIER, 0, "exact", readers(6, upd, 0))
-    b = ml_predict(ml, CFG, HIER, 0, "exact", readers(6, ml, 0))
+    upd = ml_update(copied(ml), np.zeros((1, 4, 1)), np.array([1.0]), obs, readers(6, ml))
+    a = ml_predict(upd, CFG, HIER, "exact", readers(6, upd))
+    b = ml_predict(ml, CFG, HIER, "exact", readers(6, ml))
     for l in range(3):
         assert np.array_equal(a.levels[l].fine, b.levels[l].fine)
         assert np.array_equal(a.levels[l].coarse, b.levels[l].coarse)
@@ -375,12 +375,12 @@ def test_ml_predict_keeps_nested_pairs_nested():
         PairEnsemble(np.zeros((0, 4)), rng.standard_normal((1, 4)), 0),
         PairEnsemble(fine1[:1].copy(), fine1, 1),
     ))
-    out = ml_predict(ml, CFG, HIER, 3, "exact", readers(7, ml, 3))
+    out = ml_predict(ml, CFG, HIER, "exact", readers(7, ml))
     assert np.array_equal(out.levels[1].coarse, out.levels[1].fine[:1])
 
 
 def test_enkf_two_member_hand_oracle():
-    seed, realization, step = 11, 2, 4
+    seed, realization, step = 11, 2, 1
     pred = one_level(np.array([[1.0, 3.0], [2.0, 0.0]]), 1, (realization,))
     obs = obs_1d(2, gamma=0.5)
     r = compute_R_ml(pred, obs)
@@ -389,7 +389,7 @@ def test_enkf_two_member_hand_oracle():
     k = ml_gain(r, obs)
     assert np.allclose(k, [[[0.8], [-0.8]]], atol=1e-14)
     y = np.array([0.6])
-    out = ml_update(copied(pred), k, y, obs, step, readers(seed, pred, step))
+    out = ml_update(copied(pred), k, y, obs, readers(seed, pred))
     # the step's perturbation stream has level slot 0 whatever the
     # ensemble's level; its one level reads the first block
     eta = math.sqrt(0.5) * RngKey(seed, "obs-perturbation", realization, 0, step)\
@@ -410,7 +410,7 @@ def test_gain_norm_bounded_by_noise_floor():
     k = ml_gain(r, obs)
     bound = np.linalg.norm(r[0], 2) / 1e6
     assert np.linalg.norm(k[0], 2) <= bound * (1 + 1e-12)
-    out = ml_update(copied(e), k, np.array([0.5, -0.5]), obs, 0, readers(8, e, 0, m=2))
+    out = ml_update(copied(e), k, np.array([0.5, -0.5]), obs, readers(8, e, m=2))
     # K eta has size ~ |R| / sqrt(Gamma), tiny against the members
     assert np.max(np.abs(out.levels[0].fine - e.levels[0].fine)) <= 1e-2
 
@@ -419,13 +419,13 @@ def test_step_drivers_reject_wide_observation():
     obs = ObservationModel(np.eye(2), 0.1 * np.eye(2), np.zeros(2))
     narrow = one_level(np.zeros((2, 3)), 1)
     with pytest.raises(ValueError, match="outside the regime"):
-        mlenkf_step(narrow, np.zeros(2), obs, CFG, HIER, 0, "exact", readers(0, narrow, 0, m=2))
+        mlenkf_step(narrow, np.zeros(2), obs, CFG, HIER, "exact", readers(0, narrow, m=2))
     ml = MultilevelEnsemble((
         PairEnsemble(np.zeros((0, 3)), np.zeros((1, 3)), 0),
         PairEnsemble(np.zeros((1, 3)), np.zeros((2, 3)), 1),
     ))
     with pytest.raises(ValueError, match="outside the regime"):
-        mlenkf_step(ml, np.zeros(2), obs, CFG, HIER, 0, "exact", readers(0, ml, 0, m=2))
+        mlenkf_step(ml, np.zeros(2), obs, CFG, HIER, "exact", readers(0, ml, m=2))
 
 
 def test_empirical_qoi_single_level():
@@ -466,9 +466,9 @@ def test_ml_update_three_directions_matches_matmul_formula():
     obs, ml = three_direction_problem(97)
     k = ml_gain(compute_R_ml(ml, obs), obs)
     y = np.array([0.3, -0.8, 1.1])
-    seed, realization, step = 12, 1, 3
+    seed, realization, step = 12, 1, 1
     given = MultilevelEnsemble(copied(ml).levels, (realization,))
-    out = ml_update(given, k, y, obs, step, readers(seed, given, step, m=3))
+    out = ml_update(given, k, y, obs, readers(seed, given, m=3))
     chol = np.linalg.cholesky(obs.Gamma)
     # the levels read consecutive blocks of the step's one stream
     rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
@@ -536,7 +536,7 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
     b = rng.standard_normal((2, 2))
     obs = ObservationModel(rng.standard_normal((2, 8)), b @ b.T + 0.1 * np.eye(2),
                            np.zeros(8))
-    seed, realization, step = 23, 4, 2
+    seed, realization, step = 23, 4, 1
     ml = random_multilevel(rng, HIER, L, (9, 6, 4, 3)[: L + 1], realizations=(realization,))
     y = rng.standard_normal(2)
     opened = []
@@ -547,12 +547,12 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
         return generator(key)
 
     monkeypatch.setattr(RngKey, "generator", counted)
-    got = mlenkf_step(ml, y, obs, CFG, HIER, step, solver, readers(seed, ml, step, 2, solver))
+    got = mlenkf_step(ml, y, obs, CFG, HIER, solver, readers(seed, ml, m=2, solver=solver))
     assert opened == [RngKey(seed, "forward", realization, 0, step),
                       RngKey(seed, "obs-perturbation", realization, 0, step)]
     monkeypatch.undo()
     pred, want = hand_step(ml, y, obs, seed, realization, step, solver)
-    engine_pred = ml_predict(ml, CFG, HIER, step, solver, readers(seed, ml, step, 2, solver))
+    engine_pred = ml_predict(ml, CFG, HIER, solver, readers(seed, ml, m=2, solver=solver))
     for pe, hand, upd, ref in zip(engine_pred.levels, pred.levels, got.levels, want.levels):
         assert np.array_equal(pe.fine, hand.fine) and np.array_equal(pe.coarse, hand.coarse)
         tol = 1e-13 * max(1.0, np.max(np.abs(ref.fine)))
@@ -562,7 +562,7 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
     batch = random_multilevel(rng, HIER, L, (12, 8, 6, 4)[: L + 1], realizations=(5, 3))
     opened.clear()
     monkeypatch.setattr(RngKey, "generator", counted)
-    mlenkf_step(batch, y, obs, CFG, HIER, step, solver, readers(seed, batch, step, 2, solver))
+    mlenkf_step(batch, y, obs, CFG, HIER, solver, readers(seed, batch, m=2, solver=solver))
     assert opened == [RngKey(seed, purpose, r, 0, step)
                       for purpose in ("forward", "obs-perturbation") for r in (5, 3)]
 
@@ -578,8 +578,8 @@ def test_mlenkf_step_leaves_the_callers_batch_untouched(solver, L):
     ml = MultilevelEnsemble(ml.levels, (3, 5))
     inputs = [a for pe in ml.levels for a in (pe.coarse, pe.fine)]
     kept = [a.copy() for a in inputs]
-    out = mlenkf_step(ml, np.array([0.3]), obs_1d(4), CFG, HIER, 1, solver,
-                      readers(11, ml, 1, solver=solver))
+    out = mlenkf_step(ml, np.array([0.3]), obs_1d(4), CFG, HIER, solver,
+                      readers(11, ml, solver=solver))
     outputs = [a for pe in out.levels for a in (pe.coarse, pe.fine)]
     assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
     for i, a in enumerate(outputs):
@@ -607,11 +607,11 @@ def test_mlenkf_step_frees_an_input_it_was_handed_before_the_update(monkeypatch)
 
     monkeypatch.setattr(filters, "ml_update", spy)
     y, obs = np.array([0.3]), obs_1d(4)
-    first, second = (readers(11, kept, 1) for _ in range(2))
+    first, second = (readers(11, kept) for _ in range(2))
     # plain positional calls: a star-args call would hold the input in its tuple
-    mlenkf_step(held[0], y, obs, CFG, HIER, 1, "exact", first)
+    mlenkf_step(held[0], y, obs, CFG, HIER, "exact", first)
     del kept
-    mlenkf_step(held.pop(), y, obs, CFG, HIER, 1, "exact", second)
+    mlenkf_step(held.pop(), y, obs, CFG, HIER, "exact", second)
     assert alive == [True, False]
 
 
@@ -628,10 +628,10 @@ def test_one_level_engine_at_level_l_matches_reference_enkf(solver):
                            np.zeros(n))
     v = np.tile(rng.standard_normal(n)[:, None], (1, m_size))
     ml = one_level(v, level, (2,))
-    reads = batch_readers(19, ml, obs.m, solver, range(1, 6))
+    reads = batch_readers(19, ml, obs.m, solver, 5)
     for step in range(1, 6):
         y = rng.standard_normal(2)
-        ml = mlenkf_step(ml, y, obs, CFG, HIER, step, solver, reads)
+        ml = mlenkf_step(ml, y, obs, CFG, HIER, solver, reads)
         v = enkf_step(v, level, y, obs, CFG, HIER, 19, 2, step, solver)
         assert ml.levels[-1].level == level and ml.levels[0].coarse.shape == (0, m_size)
         gap = np.max(np.abs(ml.levels[0].fine - v))

@@ -102,22 +102,22 @@ def test_indices_must_be_nonnegative():
 def test_column_blocks_fill_block_i_from_stream_i():
     # three blocks, and one block, which reads exactly as its bare generator
     for realizations in ((4, 0, 9), (2,)):
-        keys = [RngKey(7, "forward", r, 0, 3) for r in realizations]
-        reader = StreamReader(7, "forward", realizations, 20, (3,)).begin(3)
+        keys = [RngKey(7, "forward", r, 0, 1) for r in realizations]
+        reader = StreamReader(7, "forward", realizations, 20, 1).begin()
         solo = [k.generator() for k in keys]
         for rows in (1, 3, 0):
             got = reader.standard_normal((rows, len(keys) * 5))
             want = np.hstack([g.standard_normal((rows, 5)) for g in solo])
             assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="blocks"):
-        StreamReader(7, "forward", range(3), 4, (1,)).begin(1).standard_normal((2, 7))
+        StreamReader(7, "forward", range(3), 4, 1).begin().standard_normal((2, 7))
 
 
-def read_steps(reader, steps, reads):
+def read_steps(reader, n_steps, reads):
     """Each step's reads of ``reader``, (rows, columns) shapes in order."""
     out = []
-    for step in steps:
-        rng = reader.begin(step)
+    for _ in range(n_steps):
+        rng = reader.begin()
         out.append([rng.standard_normal(shape) for shape in reads])
     reader.finish()
     return out
@@ -149,15 +149,14 @@ def test_prefetched_blocks_read_as_column_blocks(monkeypatch, realizations):
     b = len(realizations)
     reads = tuple((rows, cols * b // 3) for rows, cols in STEP_READS)
     length = sum(rows * cols // b for rows, cols in reads)
-    steps = (1, 2, 3, 5)
-    want = read_steps(StreamReader(5, "forward", realizations, length, steps), steps, reads)
+    want = read_steps(StreamReader(5, "forward", realizations, length, 4), 4, reads)
     got = []
     for delay in (0, 0.005):
         if delay:
             slow_helper_fill(monkeypatch, delay)
         with Helper({"forward": 4 * length}) as helper:
             got.append(read_steps(
-                StreamReader(5, "forward", realizations, length, steps, helper), steps, reads))
+                StreamReader(5, "forward", realizations, length, 4, helper), 4, reads))
     for run in (want, *got):
         for got_step, want_step in zip(run, want):
             for g, w in zip(got_step, want_step):
@@ -170,36 +169,40 @@ def test_prefetched_blocks_raise_on_a_step_that_leaves_its_plan():
     # on the direct path and on the helper's
     for scope in (contextlib.nullcontext(), Helper({"obs-perturbation": 2 * 6})):
         with scope as helper:
-            check_plan(lambda length: StreamReader(5, "obs-perturbation", (0, 1), length,
-                                                   (1, 2), helper))
+            check_plan(lambda length: StreamReader(5, "obs-perturbation", (0, 1), length, 2,
+                                                   helper))
 
 
 def check_plan(reader):
     """Misreads of readers ``reader(length)`` of two steps over two blocks."""
     # a read past the plan raises there, within the step and at its end
     with pytest.raises(RuntimeError, match="more than its 5 planned"):
-        reader(5).begin(1).standard_normal((3, 4))
+        reader(5).begin().standard_normal((3, 4))
     over = reader(6)
-    over.begin(1).standard_normal((3, 4))
+    over.begin().standard_normal((3, 4))
     with pytest.raises(RuntimeError, match="step 1 reads more"):
         over.standard_normal((1, 2))
     # a step that reads less is caught when the next one begins, or at
     # the end of the last one
     short = reader(6)
-    short.begin(1).standard_normal((2, 4))
+    short.begin().standard_normal((2, 4))
     with pytest.raises(RuntimeError, match="at 4 of step 1's 6 planned"):
-        short.begin(2)
+        short.begin()
     last = reader(4)
-    last.begin(1).standard_normal((2, 4))
-    last.begin(2).standard_normal((1, 4))
+    last.begin().standard_normal((2, 4))
+    last.begin().standard_normal((1, 4))
     with pytest.raises(RuntimeError, match="the end of step 2"):
         last.finish()
-    # a step must begin before it reads, once, and in order
+    # a step must begin before it reads, and once; the plan holds no
+    # step after the last
     with pytest.raises(RuntimeError, match="more than"):
         reader(4).standard_normal((1, 2))
-    with pytest.raises(RuntimeError, match="the start of step 2"):
-        reader(4).begin(2)
-    with pytest.raises(RuntimeError, match="the start of step 1"):
-        reader(4).begin(1).begin(1)
+    with pytest.raises(RuntimeError, match="at 0 of step 1's 4 planned .* start of step 2"):
+        reader(4).begin().begin()
+    done = reader(4)
+    for rows in (2, 2):
+        done.begin().standard_normal((rows, 4))
+    with pytest.raises(RuntimeError, match="at 4 of step 2's 4 planned .* start of step 3"):
+        done.begin()
     with pytest.raises(ValueError, match="blocks"):
-        reader(4).begin(1).standard_normal((1, 3))
+        reader(4).begin().standard_normal((1, 3))
