@@ -84,7 +84,7 @@ def _write_csv(path, columns, rows):
     os.replace(tmp, path)
 
 
-def _summary_text(records, hierarchy):
+def _summary_text(records, cfg):
     lines = []
     try:
         slope, intercept, stderr = experiment.fit_loglog_slope(records)
@@ -94,7 +94,7 @@ def _summary_text(records, hierarchy):
         )
     except ValueError as exc:
         lines.append(f"slope fit skipped: {exc}")
-    if records and records[0].method == "mlenkf" and experiment.balanced_rates(hierarchy):
+    if records and records[0].method == "mlenkf" and experiment.balanced_rates(cfg.hierarchy):
         lines.append("balanced-rate branch: bounded mse*cost/L^3 expected")
         series = experiment.normalized_series(records)
         for eps, lvl, val in series:
@@ -102,6 +102,13 @@ def _summary_text(records, hierarchy):
         vals = [v for _, _, v in series]
         if vals:
             lines.append(f"  spread max/min = {max(vals) / min(vals):.3f}")
+    n_top = _finest_modes(cfg.hierarchy, cfg.eps_grid)
+    ref = (f"reference dimension: n_ref={cfg.n_ref}, finest target N_L={n_top}, "
+           f"n_ref/N_L={cfg.n_ref // n_top}")
+    if cfg.n_ref < 32 * n_top:
+        # a truth cut at n_ref drops the tail beyond it, about N_L/n_ref of the MSE
+        ref += f"; below 32 the MSE may read low by about N_L/n_ref = {n_top / cfg.n_ref:.0%}"
+    lines.append(ref)
     return "\n".join(lines) + "\n"
 
 
@@ -115,9 +122,14 @@ def _default_n_ref(fields):
         return fields.get(name, getattr(experiment.ExperimentConfig, name))
 
     hierarchy = experiment.build_example(get("example"), get("solver"), 2)[1]
-    n_top = max((hierarchy.n_modes(experiment._level_count(eps, hierarchy))
-                 for eps in get("eps_grid")), default=1)
+    n_top = _finest_modes(hierarchy, get("eps_grid"))
     return 1 << (max(1024, 32 * n_top) - 1).bit_length()
+
+
+def _finest_modes(hierarchy, eps_grid):
+    """N_L of the grid's finest target, 1 for an empty grid."""
+    return max((hierarchy.n_modes(experiment._level_count(eps, hierarchy))
+                for eps in eps_grid), default=1)
 
 
 def _cmd_run(args):
@@ -166,7 +178,7 @@ def _cmd_run(args):
     # the callback goes in positionally: perfbench/setup_probe.py stops
     # the run here with a stand-in taking (cfg, data=None)
     records, _ = experiment.run_experiment(cfg, save)
-    (out_dir / "summary.txt").write_text(_summary_text(records, cfg.hierarchy))
+    (out_dir / "summary.txt").write_text(_summary_text(records, cfg))
     for r in records:
         print(
             f"{r.method} example={r.example} solver={r.solver} eps={_fmt(r.epsilon)} "
@@ -241,7 +253,10 @@ def main(argv=None):
     p_run.add_argument("--eps", help="comma-separated accuracy targets")
     p_run.add_argument("--realizations", type=int)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--n-ref", dest="n_ref", type=int, help="reference dimension (power of two)")
+    p_run.add_argument("--n-ref", dest="n_ref", type=int,
+                       help="reference dimension (power of two); default: the smallest power "
+                            "of two that is at least 1024 and at least 32 N_L of the grid's "
+                            "finest target")
     p_run.add_argument("--jobs", type=int, help="worker processes for the realization batches")
     p_run.set_defaults(func=_cmd_run)
 

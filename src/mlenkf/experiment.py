@@ -11,6 +11,7 @@ MSE-versus-cost slopes are machine independent.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import time
@@ -464,23 +465,17 @@ def _worker_heap_policy():
         mallopt(m_mmap_max, 65536)  # glibc's default: never one setting alone
 
 
-def _squared_errors(args):
-    cfg, schedule, ys, ref_qoi, realizations, helper = args
-    tracks = run_filter_realizations(cfg, schedule, ys, realizations, helper)
-    return [float(np.sum((track - ref_qoi) ** 2)) for track in tracks]
-
-
 def estimate_mse(cfg, schedule, data, pool=None):
     """Average squared QoI error against the reference over realizations.
 
-    The realizations run in the batches of :func:`realization_batches`,
-    mapped over ``pool`` when given, whose workers draw on their own
-    thread, else in this process.  There, when the process may run on a
-    CPU beyond ``cfg.jobs``, one :class:`~mlenkf.rng.Helper` fills the
-    draws of every batch, its slots sized for the largest and allocated
-    before any batch's ensemble.  Diverged (non-finite) realizations are
-    excluded with a warning; the record carries the number actually
-    averaged.
+    A target maps :func:`run_filter_realizations` over the batches of
+    :func:`realization_batches`, through ``pool`` when given (its workers
+    draw on their own thread), else in this process, where one
+    :class:`~mlenkf.rng.Helper` fills every batch's draws if a CPU beyond
+    ``cfg.jobs`` is usable, its slots sized for the largest batch and
+    allocated before any ensemble.  Each realization's squared error is
+    formed here from the tracks; diverged (non-finite) ones are excluded
+    with a warning, and the record carries the number actually averaged.
     """
     t0 = time.perf_counter()
     batches = realization_batches(cfg, schedule)
@@ -489,8 +484,9 @@ def estimate_mse(cfg, schedule, data, pool=None):
         plan = _step_normals(_level_rows(schedule, cfg.hierarchy), cfg.obs.m, cfg.solver)
         helper = Helper({p: max(map(len, batches)) * n for p, n in plan.items()})
     with helper as helper:
-        tasks = [(cfg, schedule, data.ys, data.ref_qoi, batch, helper) for batch in batches]
-        errs = np.concatenate(list((map if pool is None else pool.map)(_squared_errors, tasks)))
+        run = functools.partial(run_filter_realizations, cfg, schedule, data.ys, helper=helper)
+        tracks = np.concatenate(list((map if pool is None else pool.map)(run, batches)))
+    errs = np.sum((tracks - data.ref_qoi) ** 2, axis=1)
     ok = np.isfinite(errs)
     if not np.all(ok):
         warnings.warn(f"excluded {int(np.sum(~ok))} diverged realizations")

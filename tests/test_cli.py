@@ -218,6 +218,21 @@ def test_run_derives_n_ref_from_the_grid_unless_it_is_set(tmp_path, monkeypatch)
     assert seen[4:] == [2048, 1024]
 
 
+def test_summary_states_the_reference_dimension(tmp_path):
+    # example 1 has N_L = 4 at 2^-2 and 16 at 2^-4; the derived n_ref of
+    # 2^-2 is 1024, 256 times N_L, while 256 at 2^-4 is only 16 times it
+    for flags, line in (
+        (["--eps", "0.5,0.25"],
+         "reference dimension: n_ref=1024, finest target N_L=4, n_ref/N_L=256\n"),
+        (["--eps", "0.125,0.0625", "--n-ref", "256"],
+         "reference dimension: n_ref=256, finest target N_L=16, n_ref/N_L=16; below 32 "
+         "the MSE may read low by about N_L/n_ref = 6%\n"),
+    ):
+        out = tmp_path / flags[1]
+        assert main(["run", *flags, "--realizations", "2", "--out", str(out)]) == 0
+        assert (out / "summary.txt").read_text().endswith(line)
+
+
 @pytest.mark.parametrize("value", ["nan", "-3"])
 def test_run_rejects_bad_base_constant(tmp_path, monkeypatch, capsys, value):
     code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, base_constant=value)

@@ -493,9 +493,11 @@ def test_run_experiment_opens_one_pool_per_study(monkeypatch):
 
         def map(self, fn, items):
             items = list(items)
-            # a pool task never carries a draw helper, even with CPUs to spare
-            assert all(task[-1] is None for task in items)
-            batches.append([len(task[4]) for task in items])
+            # the pool runs the batch function itself, and never with a draw
+            # helper, even with CPUs to spare
+            assert fn.func is run_filter_realizations and fn.keywords == {"helper": None}
+            assert all(isinstance(batch, range) for batch in items)
+            batches.append([len(batch) for batch in items])
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)

@@ -13,6 +13,7 @@ import re
 import numpy as np
 import pytest
 
+import mlenkf.experiment as experiment
 from golden.regen import HERE, POOL_STUDIES, STUDIES, study_outputs, truth_record
 
 # a number with a fraction or an exponent; integers stay in the text
@@ -30,11 +31,19 @@ def assert_text_close(actual, expected, what):
             assert g == w, f"{what}: {g!r} != {w!r}"
 
 
+# a jobs-1 study draws through a helper thread when it may use a CPU beyond
+# its one job, else on the calling thread; each path runs on any host, with
+# the usable CPUs patched to 4 (helper) or 1 (the "-direct" cases).  The
+# pool study leaves them as the host has them.
 @pytest.mark.parametrize(
-    "name, jobs",
-    [(name, 1) for name in STUDIES] + [(name, 2) for name in POOL_STUDIES],
+    "name, jobs, cpus",
+    [pytest.param(name, 1, 4, id=f"{name}-1") for name in STUDIES]
+    + [pytest.param(name, 1, 1, id=f"{name}-1-direct") for name in STUDIES]
+    + [pytest.param(name, 2, None, id=f"{name}-2") for name in POOL_STUDIES],
 )
-def test_study_reproduces_its_pins(name, jobs):
+def test_study_reproduces_its_pins(name, jobs, cpus, monkeypatch):
+    if cpus is not None:
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
     outputs = study_outputs(name, jobs)
     assert outputs["schedule.csv"] == (HERE / name / "schedule.csv").read_text()
     for pin in ("results.csv", "summary.txt"):
