@@ -395,12 +395,12 @@ def run_filter_realizations(cfg, schedule, ys, realizations, helper=None):
     # The list hands each step the only reference to its input ensemble,
     # so the step frees the input once it has predicted (CPython 3.11+,
     # see mlenkf_step) and the update's temporaries reuse its memory.
-    # With propagate_pairs taking its fine product before its draw, this
-    # keeps the wide levels' temporaries off the heap top, which glibc
-    # trims and page-faults back in on the next step; either alone leaves
-    # the EnKF's wide levels slower than building the update in fresh
-    # arrays.  A helper keeps that order: its slots come before the
-    # ensemble, and a read copies out where a direct draw allocates.
+    # With propagate_pairs reading its draw before it takes the fine
+    # product, this keeps the wide levels' temporaries off the heap top,
+    # which glibc trims and page-faults back in on the next step; either
+    # alone leaves the EnKF's wide levels slower than building the update
+    # in fresh arrays.  A helper keeps that order: its slots come before
+    # the ensemble, and a read views its slot where a direct draw allocates.
     held = [initial_multilevel_ensemble(cfg, schedule, realizations)]
     readers = batch_readers(cfg.master_seed, held[0], cfg.obs.m, cfg.solver, cfg.n_steps,
                             helper)

@@ -314,10 +314,10 @@ def ml_update(ml, k, y, obs, readers, hv=None):
     :func:`ml_gain` returns, truncated to its own resolution.
     ``readers`` are the batch's (see
     :func:`~mlenkf.experiment.batch_readers`); their next step's one
-    perturbation stream of each block's realization is read in level
-    order: each level takes the next m M_l normals, so levels get
-    disjoint blocks.  ``hv`` holds the members' projections (see
-    :func:`_project`) when the caller has them already.
+    perturbation stream of each block's realization is read in place in
+    level order, then released: each level takes the next m M_l normals,
+    so levels get disjoint blocks.  ``hv`` holds the members' projections
+    (see :func:`_project`) when the caller has them already.
 
     The update consumes its inputs: the corrections are added into the
     member arrays of ``ml``, which it returns, and the innovations
@@ -333,13 +333,15 @@ def ml_update(ml, k, y, obs, readers, hv=None):
     rng = readers["obs-perturbation"].begin()
     for pe, projections in zip(ml.levels, hv):
         members = [(v, h) for v, h in zip((pe.coarse, pe.fine), projections) if h is not None]
-        ytilde = np.einsum("kj,jp->kp", obs.Gamma_factor, rng.standard_normal((obs.m, pe.size)))
+        eta = rng.standard_normal((obs.m, pe.size))
+        ytilde = np.einsum("kj,jbp->kbp", obs.Gamma_factor, eta).reshape(obs.m, -1)
         ytilde += y[:, None]
         for _, h in members:
             np.subtract(ytilde, h, out=h)
         del ytilde  # freed first, so the corrections' temporary can reuse its memory
         for v, h in members:
             _add_correction(v, kt, h)
+    rng.release()
     return ml
 
 
@@ -349,9 +351,9 @@ def ml_predict(ml, cfg, hierarchy, solver, readers):
     The readers' next step's one forward stream of each block's
     realization is read in level order: each level's
     :func:`~mlenkf.model.propagate_pairs` call draws the next block, so
-    levels get disjoint draws and the two members of a pair share theirs.
-    The prediction carries the same realizations.  ``readers`` is as in
-    :func:`ml_update`.
+    levels get disjoint draws and the two members of a pair share theirs;
+    then it is released.  The prediction, which holds none of its memory,
+    carries the same realizations.  ``readers`` is as in :func:`ml_update`.
     """
     rng = readers["forward"].begin()
     out = []
@@ -360,6 +362,7 @@ def ml_predict(ml, cfg, hierarchy, solver, readers):
             pe.coarse, pe.fine, pe.level, cfg, hierarchy, rng, solver
         )
         out.append(PairEnsemble(coarse, fine, pe.level))
+    rng.release()
     return MultilevelEnsemble(tuple(out), ml.realizations)
 
 

@@ -164,6 +164,11 @@ def _expeuler_coefficients(n, nc, j, dt, b):
     )
 
 
+def _blocks(z):
+    # a reader's (rows, B, M) draw as it is, a generator's (rows, M) as one block
+    return z if z.ndim == 3 else z[:, None]
+
+
 def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     """One interval for a whole level of coupled pairs, particles as columns.
 
@@ -178,7 +183,8 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
         draws N_l M normals and the coarse member reuses the first
         N_{l-1} rows.  The expeuler solver draws the fine noise X
         (N_l M normals), then the pair difference D given X (N_{l-1} M
-        more), from the joint law of the discrete scheme.
+        more), from the joint law of the discrete scheme.  A reader's
+        draws are scaled where it hands them out.
     solver : str
         "exact" or "expeuler".
 
@@ -186,9 +192,9 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
     -------
     (coarse_out, fine_out)
         Fresh arrays of the input shapes that share no memory with the
-        inputs or with each other; the inputs are left unchanged.  The
-        fine member is built in its own scaled draw, so a call makes no
-        full-size temporary beyond the draw and one product per member.
+        inputs, with each other or with the draws; the inputs are left
+        unchanged.  Each member is built in its own product, so a call
+        makes no full-size array beyond the draw and those two.
     """
     n, j, _, dt = hierarchy.level_params(level)
     nc, m = coarse.shape
@@ -201,32 +207,30 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
         raise ValueError(f"unknown solver {solver!r}")
     # each in-place sum adds the same two products as the written-out
     # a * x + s * z, and IEEE addition commutes, so results are bit-identical.
-    # The fine product is taken before the draw that becomes the output, so
-    # its freed block lies below the kept array (see run_filter_realizations)
+    # The draw is read before the fine product, so a draw allocated for the
+    # call frees a block below the kept product (see run_filter_realizations)
     if solver == "exact":
         a, std, _ = _exact_coefficients(n, cfg.T, cfg.b)
-        fine_part = a[:, None] * fine
-        z = rng.standard_normal((n, m))
-        z *= std[:, None]
-        coarse_out = a[:nc, None] * coarse
+        z = _blocks(rng.standard_normal((n, m)))
+        z *= std[:, None, None]
+        fine_out = a[:, None, None] * fine.reshape(z.shape)
+        fine_out += z
+        coarse_out = a[:nc, None, None] * coarse.reshape(z[:nc].shape)
         coarse_out += z[:nc]
-        fine_out = z
-        fine_out += fine_part
         unit_counter["forward"] += m * (n + nc)
-        return coarse_out, fine_out
+        return coarse_out.reshape(nc, m), fine_out.reshape(n, m)
     g_j, std_x, g_coarse, std_xc, std_d = _expeuler_coefficients(n, nc, j, dt, cfg.b)
-    fine_part = g_j[:, None] * fine
-    z = rng.standard_normal((n, m))
+    z = _blocks(rng.standard_normal((n, m)))
+    fine_out = g_j[:, None, None] * fine.reshape(z.shape)
     # coarse = G^{J/2} coarse + X - D with X = std_x z: D given X is
     # beta z, beta = cov / std_x, plus an independent normal of deviation
     # std_d; corr(X, D)^2 <= 0.19, so std_d does not cancel
-    coarse_out = g_coarse[:, None] * coarse
-    coarse_out += std_xc[:, None] * z[:nc]
-    w = rng.standard_normal((nc, m))
-    w *= std_d[:, None]
+    coarse_out = g_coarse[:, None, None] * coarse.reshape(z[:nc].shape)
+    coarse_out += std_xc[:, None, None] * z[:nc]
+    w = _blocks(rng.standard_normal((nc, m)))
+    w *= std_d[:, None, None]
     coarse_out -= w
-    z *= std_x[:, None]
-    fine_out = z
-    fine_out += fine_part
+    z *= std_x[:, None, None]
+    fine_out += z
     unit_counter["forward"] += m * (n * j + nc * (j // 2))
-    return coarse_out, fine_out
+    return coarse_out.reshape(nc, m), fine_out.reshape(n, m)

@@ -22,7 +22,7 @@ the first N_{l-1} rows of its fine partner's block, and one fill of a
 block's whole step stream stands in for the step's reads of it.  Those
 fills depend only on the keys and the level shapes, so a :class:`Helper`
 thread may run them ahead of the steps; keys are opened on the calling
-thread only.
+thread only.  A read hands out its draws where they lie.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def _seed_words_type():
     return SeedWords
 
 
-# steps a reader keeps in a helper's slots: step s reads while s + 1 fills
-SLOTS = 2
+# steps a reader keeps in a helper's slots: step s reads while s + 1 and s + 2 fill
+SLOTS = 3
 
 
 def _draw(generator, out):
@@ -132,8 +132,9 @@ class Helper(contextlib.AbstractContextManager):
 
     ``sizes`` maps each purpose to one step's normals of the widest batch
     served, so consecutive batches reuse the slots.  Each unit, one block's
-    whole step stream of one purpose, is drawn by one thread.  Leaving the
-    ``with`` block drops the unclaimed units and joins the thread.
+    whole step stream of one purpose, is drawn by one thread into a slot
+    that no read views.  Leaving the ``with`` block drops the unclaimed
+    units and joins the thread.
     """
 
     def __init__(self, sizes):
@@ -176,11 +177,11 @@ class StreamReader:
 
     Each of the steps 1..``n_steps`` reads ``length`` normals from each
     block's stream ``RngKey(seed, purpose, realizations[i], 0, step)``.
-    After :meth:`begin`, ``standard_normal((rows, B * M))`` fills columns
-    ``i M .. (i+1) M`` of a fresh array with the next ``rows x M`` normals
-    of stream i, in C order: drawn there without a ``helper``, else copied
-    out of the helper's slot, which the read that ends a step frees for the
-    step :data:`SLOTS` later.  A step that reads more than its plan raises
+    After :meth:`begin`, ``standard_normal((rows, B * M))`` returns a
+    (rows, B, M) view whose ``[:, i]`` holds the next ``rows x M`` normals
+    of stream i, in C order: of one (B, rows, M) draw without a ``helper``,
+    else of the step's slot, valid until :meth:`release` or the next
+    :meth:`begin`.  A step that reads more than its plan raises
     ``RuntimeError`` at that read, one that reads less at the next
     :meth:`begin` or at :meth:`finish`.  An empty read checks its shape.
     """
@@ -190,6 +191,7 @@ class StreamReader:
         self._length, self._n_steps, self._helper = length, n_steps, helper
         self._step, self._pos = 1, 0  # the reader stands at _pos of _step
         self._open = 0  # the last step that began reading, 0 before any
+        self._held = 0  # the step whose reads are valid, 0 once released
         self._units = [None] * SLOTS
         if helper is not None:
             b = len(self._blocks)
@@ -215,10 +217,17 @@ class StreamReader:
         unless the step before read its whole plan."""
         if self._open == self._step:
             raise self._misread(f"the start of step {self._step + 1}")
-        self._open = self._step
+        self.release()
+        self._open = self._held = self._step
         if self._helper is None:
             self._draws = self._generators(self._step)
         return self
+
+    def release(self):
+        """End the open step's reads; from here the helper may refill its slot."""
+        step, self._held = self._held, 0
+        if self._helper is not None and step and step + SLOTS <= self._n_steps:
+            self._publish(step + SLOTS)
 
     def finish(self):
         """Raise ``RuntimeError`` unless the last step read its whole plan."""
@@ -232,24 +241,20 @@ class StreamReader:
             raise ValueError(f"{cols} columns do not split into {b} blocks")
         m = cols // b
         if not rows * m:
-            return np.empty(size)
+            return np.empty((rows, b, m))
         start, end = self._pos, self._pos + rows * m
-        if self._open != self._step or end > self._length:
+        if self._held != self._step or end > self._length:
             raise RuntimeError(f"step {self._open} reads more than its {self._length} "
                                f"planned {self._purpose} normals per block")
         if self._helper is None:
             out = np.empty((b, rows, m))
             for g, block in zip(self._draws, out):
                 _draw(g, block)
-            out = out.transpose(1, 0, 2)
         else:
             if not start:
                 self._helper.wait(self._units[self._step % SLOTS])
-            filled = self._slots[self._step % SLOTS, :, start:end].reshape(b, rows, m)
-            out = filled.transpose(1, 0, 2).copy()
+            out = self._slots[self._step % SLOTS, :, start:end].reshape(b, rows, m)
         self._pos = end
         if end == self._length and self._step < self._n_steps:
-            if self._helper is not None and self._step + SLOTS <= self._n_steps:
-                self._publish(self._step + SLOTS)
             self._step, self._pos = self._step + 1, 0
-        return out.reshape(rows, cols)
+        return out.transpose(1, 0, 2)

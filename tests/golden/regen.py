@@ -12,7 +12,9 @@ regenerates the pins from the repository root with
 
     PYTHONPATH=src python tests/golden/regen.py
 
-and shows the diff in its change notes.
+and shows the diff in its change notes.  A pin whose fresh text the test
+would still accept is kept as it is, so last-digit noise of another CPU
+leaves it alone and the diff holds only the pins that really moved.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -49,6 +53,38 @@ STUDIES = {
 POOL_STUDIES = ("ex1-mlenkf-expeuler",)
 
 TEXT_PINS = ("results.csv", "schedule.csv", "summary.txt")
+
+# pins held exactly; the others hold their floats to REL (see test_golden)
+EXACT_PINS = ("schedule.csv",)
+
+# a number with a fraction or an exponent; integers stay in the text
+_FLOAT = re.compile(r"([-+]?(?:\d+\.\d*(?:[eE][-+]?\d+)?|\d+[eE][-+]?\d+))")
+REL = 1e-12
+
+
+def assert_text_close(actual, expected, what):
+    got, want = _FLOAT.split(actual), _FLOAT.split(expected)
+    assert len(got) == len(want), f"{what}: different layout"
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i % 2:
+            assert math.isclose(float(g), float(w), rel_tol=REL), f"{what}: {g} != {w}"
+        else:
+            assert g == w, f"{what}: {g!r} != {w!r}"
+
+
+def pin_holds(path, text):
+    """Whether the pin file at ``path`` already holds ``text`` as the test
+    reads it: exactly for :data:`EXACT_PINS`, else to :data:`REL`."""
+    if not path.exists():
+        return False
+    pinned = path.read_text()
+    if path.name in EXACT_PINS:
+        return text == pinned
+    try:
+        assert_text_close(text, pinned, path.name)
+    except AssertionError:
+        return False
+    return True
 
 
 def study_outputs(name, jobs=1):
@@ -87,13 +123,16 @@ def truth_record():
 
 
 def main():
+    fresh = {HERE / "truth.json": json.dumps(truth_record(), indent=1) + "\n"}
     for name in STUDIES:
-        folder = HERE / name
-        folder.mkdir(exist_ok=True)
-        for pin, text in study_outputs(name).items():
-            (folder / pin).write_text(text)
-    (HERE / "truth.json").write_text(json.dumps(truth_record(), indent=1) + "\n")
-    print(f"wrote pins of {len(STUDIES)} studies and truth.json under {HERE}")
+        (HERE / name).mkdir(exist_ok=True)
+        fresh.update((HERE / name / pin, text) for pin, text in study_outputs(name).items())
+    moved = [path for path, text in fresh.items() if not pin_holds(path, text)]
+    for path in moved:
+        path.write_text(fresh[path])
+    print(f"rewrote {len(moved)} of {len(fresh)} pins under {HERE}, kept the rest")
+    for path in moved:
+        print(f"  {path.relative_to(HERE)}")
 
 
 if __name__ == "__main__":

@@ -677,9 +677,10 @@ def test_prefetched_draws_leave_the_tracks_byte_identical(monkeypatch, method, s
     # of one, fills the draws on its thread: also when the threads switch
     # every microsecond, and when the helper's fills are slow, so that the
     # calling thread fills most units itself; the tracks must not tell
-    # them apart
+    # them apart.  Five steps, more than the helper's slots, so the
+    # released slots are refilled
     cfg = ExperimentConfig(example=1, method=method, solver=solver,
-                           eps_grid=(HELPER_CASES[method, solver],), n_steps=3,
+                           eps_grid=(HELPER_CASES[method, solver],), n_steps=5,
                            realizations=3, n_ref=128)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(cfg.eps_grid[0], cfg.hierarchy, method)

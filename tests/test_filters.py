@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import weakref
@@ -25,7 +26,7 @@ from mlenkf.filters import (
 )
 from mlenkf.experiment import batch_readers
 from mlenkf.model import ModelConfig, _exact_coefficients, _expeuler_coefficients, unit_counter
-from mlenkf.rng import RngKey
+from mlenkf.rng import Helper, RngKey
 from mlenkf.spectral import LevelHierarchy
 from mlenkf.verify import _cov_matrix, _dense_r_ml, _kalman_dense_step
 from oracles import dense_cov_action, enkf_step
@@ -479,6 +480,50 @@ def test_ml_update_three_directions_matches_matmul_formula():
             n = v.shape[0]
             want = v + k[0, :n] @ (ytilde - obs.H[:, :n] @ v)
             assert np.allclose(v_new, want, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("solver", ["exact", "expeuler"])
+@pytest.mark.parametrize("helped", [False, True], ids=["direct", "helper"])
+def test_three_direction_batch_steps_as_its_realizations_alone(solver, helped):
+    # the (m, B, M) perturbation kernel over m = 3 directions, on draws
+    # read in place on either path: a batch of three realizations steps
+    # bit for bit as each realization alone, leaves its input unwritten,
+    # and its output holds no memory of the helper's slots
+    obs, ml = three_direction_problem(103)
+    hier = LevelHierarchy(kappa=2.0, n0=4)
+    realizations = (4, 0, 7)
+    batch = MultilevelEnsemble(
+        tuple(PairEnsemble(np.tile(pe.coarse, 3), np.tile(pe.fine, 3), pe.level)
+              for pe in ml.levels), realizations)
+    batch.levels[0].fine[:, 9:] *= 0.5  # blocks that start apart
+    y = np.array([0.3, -0.8, 1.1])
+
+    def step(ens):
+        # member entries bound either purpose's step normals at m = 3
+        n = obs.m * sum(pe.coarse.size + pe.fine.size for pe in ens.levels)
+        with (Helper({"forward": n, "obs-perturbation": n}) if helped
+              else contextlib.nullcontext()) as helper:
+            out = mlenkf_step(ens, y, obs, CFG, hier, solver,
+                              batch_readers(31, ens, obs.m, solver, 1, helper))
+            if helped:
+                slots = tuple(helper.slots.values())
+                assert not any(np.shares_memory(a, s) for pe in out.levels
+                               for a in (pe.coarse, pe.fine) for s in slots)
+        return out
+
+    inputs = [a for pe in batch.levels for a in (pe.coarse, pe.fine)]
+    kept = [a.copy() for a in inputs]
+    got = step(batch)
+    assert all(np.array_equal(a, k) for a, k in zip(inputs, kept))
+    for i, r in enumerate(realizations):
+        cols = [slice(i * pe.size // 3, (i + 1) * pe.size // 3) for pe in batch.levels]
+        solo = step(MultilevelEnsemble(
+            tuple(PairEnsemble(pe.coarse[:, c], pe.fine[:, c], pe.level)
+                  for pe, c in zip(batch.levels, cols)), (r,)))
+        for pe, c, alone in zip(got.levels, cols, solo.levels):
+            assert np.all(np.isfinite(alone.fine))
+            assert np.array_equal(pe.fine[:, c], alone.fine)
+            assert np.array_equal(pe.coarse[:, c], alone.coarse)
 
 
 def test_empirical_qoi_three_directions_matches_matmul_formula():

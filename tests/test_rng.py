@@ -100,25 +100,36 @@ def test_indices_must_be_nonnegative():
 
 
 def test_column_blocks_fill_block_i_from_stream_i():
-    # three blocks, and one block, which reads exactly as its bare generator
+    # three blocks, and one block, which reads exactly as its bare generator;
+    # a read is the (rows, B, M) view of one (B, rows, M) draw, so a batch
+    # read writes each normal once
     for realizations in ((4, 0, 9), (2,)):
+        b = len(realizations)
         keys = [RngKey(7, "forward", r, 0, 1) for r in realizations]
         reader = StreamReader(7, "forward", realizations, 20, 1).begin()
         solo = [k.generator() for k in keys]
         for rows in (1, 3, 0):
-            got = reader.standard_normal((rows, len(keys) * 5))
-            want = np.hstack([g.standard_normal((rows, 5)) for g in solo])
-            assert np.array_equal(got, want)
+            got = reader.standard_normal((rows, b * 5))
+            want = np.stack([g.standard_normal((rows, 5)) for g in solo], axis=1)
+            assert got.shape == (rows, b, 5) and np.array_equal(got, want)
+            if rows:
+                assert got.base.shape == (b, rows, 5) and got.base.flags.c_contiguous
+                assert np.array_equal(got.base.transpose(1, 0, 2), got)
     with pytest.raises(ValueError, match="blocks"):
         StreamReader(7, "forward", range(3), 4, 1).begin().standard_normal((2, 7))
 
 
-def read_steps(reader, n_steps, reads):
-    """Each step's reads of ``reader``, (rows, columns) shapes in order."""
+def read_steps(reader, n_steps, reads, views=None):
+    """Copies of each step's reads of ``reader``, (rows, columns) shapes in
+    order; the reads themselves, valid until their step is released, are
+    appended to ``views`` when given."""
     out = []
     for _ in range(n_steps):
         rng = reader.begin()
-        out.append([rng.standard_normal(shape) for shape in reads])
+        step = [rng.standard_normal(shape) for shape in reads]
+        out.append([r.copy() for r in step])
+        if views is not None:
+            views.extend(step)
     reader.finish()
     return out
 
@@ -145,24 +156,56 @@ def slow_helper_fill(monkeypatch, seconds):
 def test_prefetched_blocks_read_as_column_blocks(monkeypatch, realizations):
     # the whole step streams filled on either thread, by the helper or by
     # the caller, read as the step's column-block draws on the calling
-    # thread; each read is a fresh array
+    # thread; each read is a view of the helper's slots, not a copy
     b = len(realizations)
     reads = tuple((rows, cols * b // 3) for rows, cols in STEP_READS)
     length = sum(rows * cols // b for rows, cols in reads)
-    want = read_steps(StreamReader(5, "forward", realizations, length, 4), 4, reads)
+    want = read_steps(StreamReader(5, "forward", realizations, length, 5), 5, reads)
     got = []
     for delay in (0, 0.005):
         if delay:
             slow_helper_fill(monkeypatch, delay)
         with Helper({"forward": 4 * length}) as helper:
+            views = []
             got.append(read_steps(
-                StreamReader(5, "forward", realizations, length, 4, helper), 4, reads))
+                StreamReader(5, "forward", realizations, length, 5, helper), 5, reads, views))
+            slots = helper.slots["forward"]
+            assert all(np.shares_memory(v, slots) for v in views if v.size)
     for run in (want, *got):
         for got_step, want_step in zip(run, want):
             for g, w in zip(got_step, want_step):
-                assert g.flags.writeable and (run is want or g.flags.c_contiguous)
-                assert np.array_equal(g, w)
-        assert not np.shares_memory(run[0][0], run[1][0])
+                assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_helper_reads_keep_their_values_until_release(monkeypatch):
+    # a step's views of its slot hold while the helper fills the other
+    # slots; only the release publishes the refill of the step's slot
+    realizations = (4, 0, 9)
+    reads = STEP_READS
+    length = sum(rows * cols // 3 for rows, cols in reads)
+    n_steps = rng.SLOTS + 3
+    want = read_steps(StreamReader(5, "forward", realizations, length, n_steps), n_steps, reads)
+    slow_helper_fill(monkeypatch, 0.002)
+    with Helper({"forward": 3 * length}) as helper:
+        published = []
+        publish = helper.publish
+        monkeypatch.setattr(helper, "publish", lambda fills: published.append(1) or publish(fills))
+        reader = StreamReader(5, "forward", realizations, length, n_steps, helper)
+        for step in range(1, n_steps + 1):
+            before = len(published)
+            assert before == rng.SLOTS + min(step - 1, n_steps - rng.SLOTS)
+            reader.begin()
+            views = [reader.standard_normal(shape) for shape in reads]
+            assert len(published) == before  # the step read its whole plan
+            while not all(u[0] is None or u[0].done() for u in helper._queue):
+                time.sleep(0.001)  # the helper fills the steps after this one
+            for v, w in zip(views, want[step - 1]):
+                assert np.array_equal(v, w)
+            reader.release()
+            assert len(published) == before + (step + rng.SLOTS <= n_steps)
+            reader.release()  # a second release publishes nothing
+            assert len(published) == before + (step + rng.SLOTS <= n_steps)
+        reader.finish()
 
 
 def test_prefetched_blocks_raise_on_a_step_that_leaves_its_plan():
@@ -204,5 +247,11 @@ def check_plan(reader):
         done.begin().standard_normal((rows, 4))
     with pytest.raises(RuntimeError, match="at 4 of step 2's 4 planned .* start of step 3"):
         done.begin()
+    # a released step reads no more
+    released = reader(6)
+    released.begin().standard_normal((1, 4))
+    released.release()
+    with pytest.raises(RuntimeError, match="step 1 reads more"):
+        released.standard_normal((1, 4))
     with pytest.raises(ValueError, match="blocks"):
         reader(4).begin().standard_normal((1, 3))
