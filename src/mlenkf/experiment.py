@@ -31,7 +31,7 @@ from .filters import (
     mlenkf_step,
 )
 from .model import SOLVERS, ModelConfig, _exact_coefficients
-from .rng import Helper, RngKey, StreamReader
+from .rng import UNIT_NORMALS, Helper, RngKey, StreamReader
 from .spectral import LevelHierarchy
 
 __all__ = [
@@ -386,9 +386,10 @@ def run_filter_realizations(cfg, schedule, ys, realizations, helper=None):
 
     The realizations run as the column blocks of one ensemble; each row
     equals the realization's track run alone.  A realization whose filter
-    diverges gets a row of NaN.  A :class:`~mlenkf.rng.Helper` given as
-    ``helper`` fills the draws on a second thread; without one, each read
-    draws on the calling thread.  The tracks are the same.
+    diverges gets a row of NaN.  The target's :class:`~mlenkf.rng.Helper`,
+    whose next batch this must be, fills the draws on a second thread when
+    given as ``helper``; without one, each read draws on the calling
+    thread.  The tracks are the same.
     """
     realizations = tuple(realizations)
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
@@ -425,6 +426,8 @@ def realization_batches(cfg, schedule):
     finest target: a deep ladder batches even its finest target, while a
     grid whose finest realization alone exceeds the budget keeps that
     realization as its cap, so a batch never needs more memory than it.
+    The n batches that this size needs are cut equal, sizes differing by
+    at most one, the first R mod n one larger, so none grows past it.
     """
     def entries(sched):
         return sum((n_f + n_c) * m_l for _, n_f, n_c, m_l in _level_rows(sched, cfg.hierarchy))
@@ -434,7 +437,9 @@ def realization_batches(cfg, schedule):
         finest = make_schedule(min(cfg.eps_grid), cfg.hierarchy, cfg.method, cfg.base_constant)
     cap = max(entries(finest), BATCH_ENTRIES)
     size = max(1, min(-(-cfg.realizations // cfg.jobs), cap // entries(schedule)))
-    return [range(i, min(i + size, cfg.realizations)) for i in range(0, cfg.realizations, size)]
+    n = -(-cfg.realizations // size)
+    q, r = divmod(cfg.realizations, n)
+    return [range(k * q + min(k, r), (k + 1) * q + min(k + 1, r)) for k in range(n)]
 
 
 def _worker_heap_policy():
@@ -471,18 +476,21 @@ def estimate_mse(cfg, schedule, data, pool=None):
     A target maps :func:`run_filter_realizations` over the batches of
     :func:`realization_batches`, through ``pool`` when given (its workers
     draw on their own thread), else in this process, where one
-    :class:`~mlenkf.rng.Helper` fills every batch's draws if a CPU beyond
-    ``cfg.jobs`` is usable, its slots sized for the largest batch and
-    allocated before any ensemble.  Each realization's squared error is
-    formed here from the tracks; diverged (non-finite) ones are excluded
-    with a warning, and the record carries the number actually averaged.
+    :class:`~mlenkf.rng.Helper` fills the draws of all the batches, across
+    their boundaries, if a CPU beyond ``cfg.jobs`` is usable and a step of
+    the widest batch draws at least :data:`~mlenkf.rng.UNIT_NORMALS`
+    forward normals; its slots are allocated before any ensemble.  Each
+    realization's squared error is formed here from the tracks; diverged
+    (non-finite) ones are excluded with a warning, and the record carries
+    the number actually averaged.
     """
     t0 = time.perf_counter()
     batches = realization_batches(cfg, schedule)
+    plan = _step_normals(_level_rows(schedule, cfg.hierarchy), cfg.obs.m, cfg.solver)
     helper = contextlib.nullcontext()
-    if pool is None and _usable_cpus() > cfg.jobs:
-        plan = _step_normals(_level_rows(schedule, cfg.hierarchy), cfg.obs.m, cfg.solver)
-        helper = Helper({p: max(map(len, batches)) * n for p, n in plan.items()})
+    if (pool is None and _usable_cpus() > cfg.jobs
+            and max(map(len, batches)) * plan["forward"] >= UNIT_NORMALS):
+        helper = Helper(cfg.master_seed, batches, plan, cfg.n_steps)
     with helper as helper:
         run = functools.partial(run_filter_realizations, cfg, schedule, data.ys, helper=helper)
         tracks = np.concatenate(list((map if pool is None else pool.map)(run, batches)))

@@ -21,8 +21,9 @@ from the same position see the same draw prefix: a coarse solve shares
 the first N_{l-1} rows of its fine partner's block, and one fill of a
 block's whole step stream stands in for the step's reads of it.  Those
 fills depend only on the keys and the level shapes, so a :class:`Helper`
-thread may run them ahead of the steps; keys are opened on the calling
-thread only.  A read hands out its draws where they lie.
+thread may run them ahead of the steps, across a target's batches; keys
+are opened on the calling thread only.  A read hands out its draws where
+they lie.
 """
 
 from __future__ import annotations
@@ -121,31 +122,84 @@ def _seed_words_type():
 # steps a reader keeps in a helper's slots: step s reads while s + 1 and s + 2 fill
 SLOTS = 3
 
+# normals a helper's unit holds at least, so that its submit and handoff cost
+# little beside its draw; a larger block stays a unit for both threads to share
+UNIT_NORMALS = 2 ** 15
+
 
 def _draw(generator, out):
     # the one draw site of both paths; numpy releases the GIL while it fills
     generator.standard_normal(out=out)
 
 
-class Helper(contextlib.AbstractContextManager):
-    """Step slots of a batch's readers, and a thread that fills them.
+def _fill(draws):
+    # one unit: each (generator, row) pair's whole step stream, in order
+    for generator, out in draws:
+        _draw(generator, out)
 
-    ``sizes`` maps each purpose to one step's normals of the widest batch
-    served, so consecutive batches reuse the slots.  Each unit, one block's
-    whole step stream of one purpose, is drawn by one thread into a slot
-    that no read views.  Leaving the ``with`` block drops the unclaimed
-    units and joins the thread.
+
+class Helper(contextlib.AbstractContextManager):
+    """Step slots of a target's readers, and a thread that fills them.
+
+    Step s of ``batches[k]``, whose blocks draw ``lengths[purpose]`` normals
+    a step, is position g = k ``n_steps`` + s of each purpose and fills slot
+    g mod :data:`SLOTS`, sized for the widest batch.  Releasing g publishes
+    g + ``SLOTS``, also across a batch boundary.  Each unit, consecutive
+    blocks of at least :data:`UNIT_NORMALS` normals or one larger block, is
+    drawn whole by one thread into a slot that no read views.  Leaving the
+    ``with`` block drops the unclaimed units and joins the thread.
     """
 
-    def __init__(self, sizes):
+    def __init__(self, seed, batches, lengths, n_steps):
         from concurrent.futures import ThreadPoolExecutor  # loaded only with a spare CPU
 
-        self.slots = {p: np.empty((SLOTS, n)) for p, n in sizes.items()}
+        self._seed, self._n_steps, self._lengths = seed, n_steps, dict(lengths)
+        self._batches = [tuple(batch) for batch in batches]
+        width = max(map(len, self._batches))
+        self.slots = {p: np.empty((SLOTS, width * n)) for p, n in self._lengths.items()}
+        self._entered = dict.fromkeys(self._lengths, 0)  # readers, one a batch
+        self._released = dict.fromkeys(self._lengths, 0)  # the last released position
+        self._published = dict.fromkeys(self._lengths, 0)  # the last published position
+        self._units = {p: [None] * SLOTS for p in self._lengths}
         self._pool = ThreadPoolExecutor(max_workers=1)
         self._queue = []  # published units that may be unclaimed
 
     def __exit__(self, *exc):
         self._pool.shutdown(cancel_futures=True)
+
+    def enter(self, purpose, blocks, length, n_steps):
+        """Position before the first step of a new reader of ``blocks``, the
+        target's next batch, once the batch before it is released."""
+        k = self._entered[purpose]
+        if (self._released[purpose], self._batches[k : k + 1], self._lengths[purpose],
+                self._n_steps) != (k * n_steps, [blocks], length, n_steps):
+            raise RuntimeError(f"a reader of {blocks} is not the {purpose} helper's next batch")
+        self._entered[purpose] += 1
+        self.release(purpose, k * n_steps)
+        return k * n_steps
+
+    def release(self, purpose, g):
+        """Free position ``g``'s slot, and publish each position through
+        ``g + SLOTS`` not yet published, opening its keys on this thread."""
+        self._released[purpose] = g
+        n = self._lengths[purpose]
+        per = -(-UNIT_NORMALS // n)  # blocks a unit
+        for h in range(self._published[purpose] + 1,
+                       min(g + SLOTS, len(self._batches) * self._n_steps) + 1):
+            k, s = divmod(h - 1, self._n_steps)
+            batch = self._batches[k]
+            rows = self.slots[purpose][h % SLOTS, : len(batch) * n].reshape(len(batch), n)
+            draws = [(RngKey(self._seed, purpose, r, 0, s + 1).generator(), row)
+                     for r, row in zip(batch, rows)]
+            self._units[purpose][h % SLOTS] = rows, self.publish(
+                [functools.partial(_fill, draws[i : i + per]) for i in range(0, len(draws), per)])
+            self._published[purpose] = h
+
+    def read(self, purpose, g):
+        """Position ``g``'s (B, length) slot, once its units are filled."""
+        rows, units = self._units[purpose][g % SLOTS]
+        self.wait(units)
+        return rows
 
     def publish(self, fills):
         # each unit is [future, fill]; its future turns None when the caller claims it
@@ -181,9 +235,10 @@ class StreamReader:
     (rows, B, M) view whose ``[:, i]`` holds the next ``rows x M`` normals
     of stream i, in C order: of one (B, rows, M) draw without a ``helper``,
     else of the step's slot, valid until :meth:`release` or the next
-    :meth:`begin`.  A step that reads more than its plan raises
-    ``RuntimeError`` at that read, one that reads less at the next
-    :meth:`begin` or at :meth:`finish`.  An empty read checks its shape.
+    :meth:`begin`; a ``helper``'s batch must be its target's next.  A step
+    that reads more than its plan raises ``RuntimeError`` at that read, one
+    that reads less at the next :meth:`begin` or at :meth:`finish`, and so
+    does any read, an empty one too, outside a begun, unreleased step.
     """
 
     def __init__(self, seed, purpose, realizations, length, n_steps, helper=None):
@@ -192,20 +247,8 @@ class StreamReader:
         self._step, self._pos = 1, 0  # the reader stands at _pos of _step
         self._open = 0  # the last step that began reading, 0 before any
         self._held = 0  # the step whose reads are valid, 0 once released
-        self._units = [None] * SLOTS
         if helper is not None:
-            b = len(self._blocks)
-            self._slots = helper.slots[purpose][:, : b * length].reshape(SLOTS, b, length)
-            for step in range(1, min(SLOTS, n_steps) + 1):
-                self._publish(step)
-
-    def _generators(self, step):
-        return [RngKey(self._seed, self._purpose, r, 0, step).generator() for r in self._blocks]
-
-    def _publish(self, step):
-        self._units[step % SLOTS] = self._helper.publish(
-            functools.partial(_draw, g, row)
-            for g, row in zip(self._generators(step), self._slots[step % SLOTS]))
+            self._base = helper.enter(purpose, self._blocks, length, n_steps)
 
     def _misread(self, where):
         return RuntimeError(f"the {self._purpose} draws stand at {self._pos} of step "
@@ -220,21 +263,26 @@ class StreamReader:
         self.release()
         self._open = self._held = self._step
         if self._helper is None:
-            self._draws = self._generators(self._step)
+            self._draws = [RngKey(self._seed, self._purpose, r, 0, self._step).generator()
+                           for r in self._blocks]
         return self
 
     def release(self):
         """End the open step's reads; from here the helper may refill its slot."""
         step, self._held = self._held, 0
-        if self._helper is not None and step and step + SLOTS <= self._n_steps:
-            self._publish(step + SLOTS)
+        if self._helper is not None and step:
+            self._helper.release(self._purpose, self._base + step)
 
     def finish(self):
-        """Raise ``RuntimeError`` unless the last step read its whole plan."""
+        """Release the last step; raise ``RuntimeError`` unless it read all."""
+        self.release()
         if (self._step, self._pos) != (self._n_steps, self._length):
             raise self._misread(f"the end of step {self._n_steps}")
 
     def standard_normal(self, size):
+        if not self._held:
+            raise RuntimeError(f"the {self._purpose} draws are read outside a begun, "
+                               f"unreleased step")
         rows, cols = size
         b = len(self._blocks)
         if cols % b:
@@ -248,12 +296,11 @@ class StreamReader:
                                f"planned {self._purpose} normals per block")
         if self._helper is None:
             out = np.empty((b, rows, m))
-            for g, block in zip(self._draws, out):
-                _draw(g, block)
+            _fill(zip(self._draws, out))
         else:
             if not start:
-                self._helper.wait(self._units[self._step % SLOTS])
-            out = self._slots[self._step % SLOTS, :, start:end].reshape(b, rows, m)
+                self._filled = self._helper.read(self._purpose, self._base + self._step)
+            out = self._filled[:, start:end].reshape(b, rows, m)
         self._pos = end
         if end == self._length and self._step < self._n_steps:
             self._step, self._pos = self._step + 1, 0

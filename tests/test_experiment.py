@@ -554,13 +554,13 @@ def batch_sizes(cfg):
         cfg, make_schedule(eps, cfg.hierarchy, cfg.method))] for eps in cfg.eps_grid]
 
 
-def test_realization_batches_follow_the_batch_rule():
+def test_realization_batches_follow_the_batch_rule(monkeypatch):
     # the deep exact ladder's finest realization (70,639 entries) is below
     # the entry budget, so every target fills batches up to the budget, at
     # most ceil(R / jobs) realizations each
     cfg = ExperimentConfig(example=1, eps_grid=tuple(2.0 ** -k for k in range(2, 8)),
                            realizations=20, n_ref=1024)
-    assert batch_sizes(cfg) == [[20], [20], [20], [20], [15, 5], [3] * 6 + [2]]
+    assert batch_sizes(cfg) == [[20], [20], [20], [20], [10, 10], [3] * 6 + [2]]
     # the wide grids' finest realization reaches the budget alone, so it
     # stays the cap: their finest target runs one realization per batch
     enkf = replace(cfg, method="enkf", solver="expeuler", eps_grid=cfg.eps_grid[:5],
@@ -570,6 +570,19 @@ def test_realization_batches_follow_the_batch_rule():
     assert batch_sizes(pooled) == [[5, 5]] * 4 + [[1] * 10]
     sched = make_schedule(0.25, pooled.hierarchy, "mlenkf")
     assert [list(b) for b in realization_batches(pooled, sched)] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    # the batches that the size needs are cut equal, the first ones larger
+    # by one, and none is larger than the size: ceil(R / jobs), or the cap
+    # over one realization's entries
+    for realizations, jobs, cap in ((20, 1, 15), (7, 2, 99), (11, 3, 99), (10, 1, 4), (3, 1, 1),
+                                    (20, 6, 5)):
+        entries = experiment.BATCH_ENTRIES // cap + 1
+        monkeypatch.setattr(experiment, "BATCH_ENTRIES", entries * cap)
+        sizes = [len(b) for b in realization_batches(
+            replace(cfg, realizations=realizations, jobs=jobs), Schedule(0.25, 0, entries, "enkf"))]
+        size = min(-(-realizations // jobs), cap)
+        assert sum(sizes) == realizations and len(sizes) == -(-realizations // size)
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= size
+        assert sizes == sorted(sizes, reverse=True)
 
 
 def test_batched_step_peaks_near_two_member_copies_above_its_input():
@@ -637,7 +650,10 @@ HELPER_CASES = {
 
 
 def cpus(monkeypatch, count):
+    """Patch the usable CPUs to ``count``, and lift the helper's floor: a
+    step of these small targets draws far fewer normals than one unit."""
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(experiment, "UNIT_NORMALS", 0)
 
 
 def count_fills(monkeypatch, draw, helper_delay=0.0):
@@ -664,10 +680,10 @@ def step_plan(cfg, sched):
                                     cfg.solver)
 
 
-def batch_helper(cfg, sched, blocks):
-    """A draw helper for batches of up to ``blocks`` realizations, sized as
-    :func:`estimate_mse` sizes its own."""
-    return Helper({purpose: blocks * n for purpose, n in step_plan(cfg, sched).items()})
+def target_helper(cfg, sched, batches):
+    """A draw helper for the target ``sched`` run as ``batches``, built as
+    :func:`estimate_mse` builds its own."""
+    return Helper(cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps)
 
 
 @pytest.mark.parametrize("method,solver", sorted(HELPER_CASES))
@@ -694,7 +710,7 @@ def test_prefetched_draws_leave_the_tracks_byte_identical(monkeypatch, method, s
             sys.setswitchinterval(switch)
             fills[case] = count_fills(monkeypatch, draw, delay)
             with (contextlib.nullcontext() if case == "direct"
-                  else batch_helper(cfg, sched, 3)) as helper:
+                  else target_helper(cfg, sched, [(0, 1, 2), (1,)])) as helper:
                 for batch in ((0, 1, 2), (1,)):
                     tracks[case, batch] = run_filter_realizations(cfg, sched, data.ys, batch,
                                                                   helper)
@@ -736,25 +752,67 @@ def test_a_step_that_draws_an_extra_row_raises_on_either_path(monkeypatch, metho
 
 
 def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
-    # a target in this process gets one helper, sized for its largest
-    # batch and allocated before the first batch's ensemble, when the
-    # process may run on a CPU beyond the jobs
+    # a target in this process gets one helper, given its batches and
+    # allocated before the first batch's ensemble, when the process may
+    # run on a CPU beyond the jobs
     assert 1 <= experiment._usable_cpus() <= os.cpu_count()
     cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_ref=16, n_steps=2, realizations=3)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
     events = []
     ensemble = experiment.initial_multilevel_ensemble
-    monkeypatch.setattr(experiment, "Helper", lambda sizes: events.append(sizes) or Helper(sizes))
+    monkeypatch.setattr(experiment, "Helper", lambda *args: events.append(args) or Helper(*args))
     monkeypatch.setattr(experiment, "initial_multilevel_ensemble",
                         lambda *args: events.append(len(args[2])) or ensemble(*args))
     for count, jobs, expected in ((2, 1, True), (2, 2, False), (3, 2, True), (1, 1, False)):
         cpus(monkeypatch, count)
         events.clear()
         estimate_mse(replace(cfg, jobs=jobs), sched, data)
-        batches = [3] if jobs == 1 else [2, 1]
-        helper = [{purpose: batches[0] * n for purpose, n in step_plan(cfg, sched).items()}]
-        assert events == (helper if expected else []) + batches
+        batches = [range(3)] if jobs == 1 else [range(2), range(2, 3)]
+        helper = [(cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps)]
+        assert events == (helper if expected else []) + list(map(len, batches))
+    # and only when a step of its widest batch draws one unit of forward
+    # normals or more: an EnKF target at B = 1 draws 4,096 at eps 2^-4 and
+    # 32,768, the floor, at 2^-5
+    cpus(monkeypatch, 3)
+    monkeypatch.setattr(experiment, "UNIT_NORMALS", rng.UNIT_NORMALS)
+    enkf = replace(cfg, method="enkf", eps_grid=(0.0625, 0.03125), n_ref=64, n_steps=1,
+                   realizations=2, jobs=2)
+    data = synthesize_truth_and_obs(enkf)
+    for eps, expected in ((0.0625, False), (0.03125, True)):
+        sched = make_schedule(eps, enkf.hierarchy, "enkf")
+        plan = step_plan(enkf, sched)
+        assert plan["forward"] == eps ** -3
+        events.clear()
+        estimate_mse(enkf, sched, data)
+        helper = [(enkf.master_seed, [range(1), range(1, 2)], plan, enkf.n_steps)]
+        assert events == (helper if expected else []) + [1, 1]
+
+
+def test_helper_fills_the_next_batch_before_this_one_finishes(monkeypatch):
+    # one helper serves a target's batches of 4 and 3: the first batch's
+    # last SLOTS steps publish the second's first SLOTS steps before the
+    # first batch finishes, also when the helper's fills are slow, and the
+    # tracks are those of the direct path
+    cfg = ExperimentConfig(example=1, eps_grid=(0.125,), n_steps=5, realizations=7, n_ref=128)
+    data = synthesize_truth_and_obs(cfg)
+    sched = make_schedule(0.125, cfg.hierarchy, "mlenkf")
+    batches = [range(4), range(4, 7)]
+    want = [run_filter_realizations(cfg, sched, data.ys, b) for b in batches]
+    fills = count_fills(monkeypatch, rng._draw, 0.002)
+    finish = rng.StreamReader.finish
+    with target_helper(cfg, sched, batches) as helper:
+        published, at_finish = [], []
+        publish = helper.publish
+        monkeypatch.setattr(helper, "publish", lambda units: published.append(1) or publish(units))
+        monkeypatch.setattr(rng.StreamReader, "finish",
+                            lambda reader: at_finish.append(len(published)) or finish(reader))
+        got = [run_filter_realizations(cfg, sched, data.ys, b, helper) for b in batches]
+    # two purposes, each with the first batch's steps and SLOTS more
+    assert at_finish[:2] == [2 * (cfg.n_steps + rng.SLOTS)] * 2
+    assert len(published) == 2 * 2 * cfg.n_steps and fills["helper"] > 0
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(w)) and np.array_equal(g, w)
 
 
 def test_step_normals_are_the_reads_of_a_step():

@@ -24,7 +24,7 @@ from mlenkf.filters import (
     positive_part,
     sample_cov_action,
 )
-from mlenkf.experiment import batch_readers
+from mlenkf.experiment import _step_normals, batch_readers
 from mlenkf.model import ModelConfig, _exact_coefficients, _expeuler_coefficients, unit_counter
 from mlenkf.rng import Helper, RngKey
 from mlenkf.spectral import LevelHierarchy
@@ -499,9 +499,10 @@ def test_three_direction_batch_steps_as_its_realizations_alone(solver, helped):
     y = np.array([0.3, -0.8, 1.1])
 
     def step(ens):
-        # member entries bound either purpose's step normals at m = 3
-        n = obs.m * sum(pe.coarse.size + pe.fine.size for pe in ens.levels)
-        with (Helper({"forward": n, "obs-perturbation": n}) if helped
+        b = len(ens.realizations)
+        rows = [(pe.level, pe.fine.shape[0], pe.coarse.shape[0], pe.size // b) for pe in ens.levels]
+        plan = _step_normals(rows, obs.m, solver)
+        with (Helper(31, [ens.realizations], plan, 1) if helped
               else contextlib.nullcontext()) as helper:
             out = mlenkf_step(ens, y, obs, CFG, hier, solver,
                               batch_readers(31, ens, obs.m, solver, 1, helper))

@@ -165,7 +165,7 @@ def test_prefetched_blocks_read_as_column_blocks(monkeypatch, realizations):
     for delay in (0, 0.005):
         if delay:
             slow_helper_fill(monkeypatch, delay)
-        with Helper({"forward": 4 * length}) as helper:
+        with Helper(5, [realizations], {"forward": length}, 5) as helper:
             views = []
             got.append(read_steps(
                 StreamReader(5, "forward", realizations, length, 5, helper), 5, reads, views))
@@ -186,7 +186,7 @@ def test_helper_reads_keep_their_values_until_release(monkeypatch):
     n_steps = rng.SLOTS + 3
     want = read_steps(StreamReader(5, "forward", realizations, length, n_steps), n_steps, reads)
     slow_helper_fill(monkeypatch, 0.002)
-    with Helper({"forward": 3 * length}) as helper:
+    with Helper(5, [realizations], {"forward": length}, n_steps) as helper:
         published = []
         publish = helper.publish
         monkeypatch.setattr(helper, "publish", lambda fills: published.append(1) or publish(fills))
@@ -209,11 +209,14 @@ def test_helper_reads_keep_their_values_until_release(monkeypatch):
 
 
 def test_prefetched_blocks_raise_on_a_step_that_leaves_its_plan():
-    # on the direct path and on the helper's
-    for scope in (contextlib.nullcontext(), Helper({"obs-perturbation": 2 * 6})):
-        with scope as helper:
-            check_plan(lambda length: StreamReader(5, "obs-perturbation", (0, 1), length, 2,
-                                                   helper))
+    # on the direct path and on the helper's, with a helper for each reader
+    check_plan(lambda length: StreamReader(5, "obs-perturbation", (0, 1), length, 2))
+    with contextlib.ExitStack() as helpers:
+        def helped(length):
+            helper = helpers.enter_context(Helper(5, [(0, 1)], {"obs-perturbation": length}, 2))
+            return StreamReader(5, "obs-perturbation", (0, 1), length, 2, helper)
+
+        check_plan(helped)
 
 
 def check_plan(reader):
@@ -236,10 +239,7 @@ def check_plan(reader):
     last.begin().standard_normal((1, 4))
     with pytest.raises(RuntimeError, match="the end of step 2"):
         last.finish()
-    # a step must begin before it reads, and once; the plan holds no
-    # step after the last
-    with pytest.raises(RuntimeError, match="more than"):
-        reader(4).standard_normal((1, 2))
+    # a step must begin once; the plan holds no step after the last
     with pytest.raises(RuntimeError, match="at 0 of step 1's 4 planned .* start of step 2"):
         reader(4).begin().begin()
     done = reader(4)
@@ -247,11 +247,86 @@ def check_plan(reader):
         done.begin().standard_normal((rows, 4))
     with pytest.raises(RuntimeError, match="at 4 of step 2's 4 planned .* start of step 3"):
         done.begin()
-    # a released step reads no more
-    released = reader(6)
-    released.begin().standard_normal((1, 4))
-    released.release()
-    with pytest.raises(RuntimeError, match="step 1 reads more"):
-        released.standard_normal((1, 4))
+    # every read, an empty one too, is of a begun step that is not released;
+    # the empty read after a step's last one (expeuler's coarse draw of an
+    # EnKF step) still belongs to that step
+    for rows in (1, 0):
+        with pytest.raises(RuntimeError, match="outside a begun, unreleased step"):
+            reader(4).standard_normal((rows, 2))
+        released = reader(6)
+        released.begin().standard_normal((1, 4))
+        released.release()
+        with pytest.raises(RuntimeError, match="outside a begun, unreleased step"):
+            released.standard_normal((rows, 4))
+    ended = reader(4)
+    for _ in range(2):
+        ended.begin().standard_normal((2, 4))
+        assert ended.standard_normal((0, 4)).shape == (0, 2, 2)
+    ended.finish()
+    with pytest.raises(RuntimeError, match="outside a begun, unreleased step"):
+        ended.standard_normal((0, 4))
     with pytest.raises(ValueError, match="blocks"):
         reader(4).begin().standard_normal((1, 3))
+
+
+def read_whole_steps(reader, n_steps):
+    """Each step's normals of ``reader``, read at once as one row a block."""
+    reads = read_steps(reader, n_steps, [(1, reader._length * len(reader._blocks))])
+    return np.stack([step[0] for step in reads])
+
+
+@pytest.mark.parametrize("blocks, length, units", [
+    # a deep ladder's 2^-5 target at B = 20: forward, then perturbation
+    (20, 3078, [11, 9]), (20, 1583, [20]),
+    # its finest target at B = 3, whose forward blocks stay units alone
+    (3, 52554, [1, 1, 1]), (3, 25341, [2, 1]),
+])
+def test_helper_groups_small_blocks_into_units(monkeypatch, blocks, length, units):
+    # a unit is a run of consecutive blocks of one step of at least
+    # UNIT_NORMALS normals, its last one perhaps smaller, and a block of
+    # that size is a unit alone; the reads stay those of the direct path
+    realizations = range(3, 3 + blocks)
+    want = read_whole_steps(StreamReader(5, "forward", realizations, length, 4), 4)
+    slow_helper_fill(monkeypatch, 0.001)
+    with Helper(5, [realizations], {"forward": length}, 4) as helper:
+        published = []
+        publish = helper.publish
+        monkeypatch.setattr(helper, "publish", lambda fills: published.append(
+            [len(fill.args[0]) for fill in fills]) or publish(fills))
+        got = read_whole_steps(StreamReader(5, "forward", realizations, length, 4, helper), 4)
+    assert published == [units] * 4
+    assert np.array_equal(got, want)
+
+
+def test_helper_fills_across_batch_boundaries(monkeypatch):
+    # batches of 4 and 3 blocks over five steps: releasing the first batch's
+    # last SLOTS steps publishes the second's first SLOTS steps, before the
+    # first batch finishes; the reads are those of the direct path
+    batches, n_steps, length = [range(4), range(4, 7)], 5, 10
+    want = [read_whole_steps(StreamReader(5, "forward", b, length, n_steps), n_steps)
+            for b in batches]
+    slow_helper_fill(monkeypatch, 0.002)
+    with Helper(5, batches, {"forward": length}, n_steps) as helper:
+        published = []
+        publish = helper.publish
+        monkeypatch.setattr(helper, "publish", lambda fills: published.append(1) or publish(fills))
+        first = StreamReader(5, "forward", batches[0], length, n_steps, helper)
+        # only the target's next batch gets a reader
+        for wrong in (batches[1], range(1, 5)):
+            with pytest.raises(RuntimeError, match="not the forward helper's next batch"):
+                StreamReader(5, "forward", wrong, length, n_steps, helper)
+        assert len(published) == rng.SLOTS
+        got = [[]]
+        for step in range(1, n_steps + 1):
+            got[0].append(first.begin().standard_normal((1, 4 * length)).copy())
+            first.release()
+            assert len(published) == min(step + rng.SLOTS, 2 * n_steps)
+        with pytest.raises(RuntimeError, match="not the forward helper's next batch"):
+            StreamReader(5, "forward", batches[0], length, n_steps, helper)
+        first.finish()
+        got.append(read_whole_steps(
+            StreamReader(5, "forward", batches[1], length, n_steps, helper), n_steps))
+        assert len(published) == 2 * n_steps
+        with pytest.raises(RuntimeError, match="not the forward helper's next batch"):
+            StreamReader(5, "forward", batches[1], length, n_steps, helper)
+    assert np.array_equal(np.stack(got[0]), want[0]) and np.array_equal(got[1], want[1])
