@@ -61,7 +61,7 @@ UPSILON = 1e-3
 # one realization of the finest target holds fewer.  Batching shares numpy's
 # fixed cost per level and step between realizations, which is most of the
 # work on the few-particle top levels of a deep ladder; 2^18 float64 entries
-# are 2 MiB per copy of the ensemble, and a step holds about two copies.
+# are 2 MiB per copy of the ensemble, and a step advances its one copy in place.
 # 2^18 is the smallest power of two that batches the finest target (L = 7,
 # 70,639 entries a realization) of example 1's exact ladder at eps 2^-7.
 BATCH_ENTRIES = 2 ** 18
@@ -389,27 +389,17 @@ def run_filter_realizations(cfg, schedule, ys, realizations, helper=None):
     diverges gets a row of NaN.  The target's :class:`~mlenkf.rng.Helper`,
     whose next batch this must be, fills the draws on a second thread when
     given as ``helper``; without one, each read draws on the calling
-    thread.  The tracks are the same.
+    thread.  The tracks are the same.  Each step advances the batch's
+    one ensemble in place.
     """
     realizations = tuple(realizations)
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
-    # The list hands each step the only reference to its input ensemble,
-    # so the step frees the input once it has predicted (CPython 3.11+,
-    # see mlenkf_step) and the update's temporaries reuse its memory.
-    # With propagate_pairs reading its draw before it takes the fine
-    # product, this keeps the wide levels' temporaries off the heap top,
-    # which glibc trims and page-faults back in on the next step; either
-    # alone leaves the EnKF's wide levels slower than building the update
-    # in fresh arrays.  A helper keeps that order: its slots come before
-    # the ensemble, and a read views its slot where a direct draw allocates.
-    held = [initial_multilevel_ensemble(cfg, schedule, realizations)]
-    readers = batch_readers(cfg.master_seed, held[0], cfg.obs.m, cfg.solver, cfg.n_steps,
-                            helper)
-    tracks[:, 0] = empirical_qoi(held[0], cfg.obs)
+    ml = initial_multilevel_ensemble(cfg, schedule, realizations)
+    readers = batch_readers(cfg.master_seed, ml, cfg.obs.m, cfg.solver, cfg.n_steps, helper)
+    tracks[:, 0] = empirical_qoi(ml, cfg.obs)
     for n in range(1, cfg.n_steps + 1):
-        held.append(mlenkf_step(held.pop(), ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy,
-                                cfg.solver, readers))
-        tracks[:, n] = empirical_qoi(held[0], cfg.obs)
+        ml = mlenkf_step(ml, ys[n - 1], cfg.obs, cfg.model, cfg.hierarchy, cfg.solver, readers)
+        tracks[:, n] = empirical_qoi(ml, cfg.obs)
     for reader in readers.values():
         reader.finish()
     tracks[~np.all(np.isfinite(tracks), axis=1)] = np.nan
@@ -445,7 +435,7 @@ def realization_batches(cfg, schedule):
 def _worker_heap_policy():
     """Pool-worker initializer: keep freed pages in the heap, on glibc.
 
-    A step frees wide level arrays (1.15 MiB at 147,456 level-0 members)
+    A step frees wide draw arrays (1.15 MiB at 147,456 level-0 members)
     and the next step allocates them again.  glibc unmaps such blocks or
     trims them off the heap top, so every step faulted their pages in
     afresh.  ``M_MMAP_MAX = 0`` serves every array from the heap and

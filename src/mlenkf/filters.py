@@ -30,6 +30,7 @@ import numpy as np
 
 from . import model
 from .model import _exact_coefficients, propagate_pairs
+from .rng import UNIT_NORMALS
 
 __all__ = [
     "ObservationModel",
@@ -294,15 +295,19 @@ def ml_gain(r, obs):
 def _add_correction(v, kt, innovation):
     # v += P K (ytilde - Hv) per column block, in place, P the truncation
     # to v's height and kt the gains as (N, m, B, 1): the rank-m product is
-    # broadcast one observed direction at a time into one temporary, never
-    # a BLAS call, and only then added into v, so v + sum_j k_j innov_j is
+    # broadcast one observed direction at a time into one temporary of a
+    # panel of about UNIT_NORMALS entries, never a BLAS call, and only then
+    # added into the panel's rows of v, so v + sum_j k_j innov_j is
     # bit-identical to the written-out sum_j k_j innov_j + v for every m
     n, b = v.shape[0], kt.shape[2]
     innovation = _blocks(innovation, b)
-    correction = kt[:n, 0] * innovation[0]
-    for j in range(1, innovation.shape[0]):
-        correction += kt[:n, j] * innovation[j]
-    v += correction.reshape(n, -1)
+    rows = max(1, UNIT_NORMALS // v.shape[1])
+    for r0 in range(0, n, rows):
+        k = kt[r0 : min(r0 + rows, n)]
+        correction = k[:, 0] * innovation[0]
+        for j in range(1, innovation.shape[0]):
+            correction += k[:, j] * innovation[j]
+        v[r0 : r0 + rows] += correction.reshape(k.shape[0], -1)
 
 
 def ml_update(ml, k, y, obs, readers, hv=None):
@@ -320,9 +325,9 @@ def ml_update(ml, k, y, obs, readers, hv=None):
     (see :func:`_project`) when the caller has them already.
 
     The update consumes its inputs: the corrections are added into the
-    member arrays of ``ml``, which it returns, and the innovations
-    ``y + eta - Hv`` are written over the projections in ``hv``.  A
-    caller that still needs either passes copies.
+    member arrays of ``ml``, one panel of rows at a time, and ``ml`` is
+    returned; the innovations ``y + eta - Hv`` are written over the
+    projections in ``hv``.  A caller that still needs either passes copies.
     """
     if hv is None:
         hv = _project(ml, obs)
@@ -336,34 +341,30 @@ def ml_update(ml, k, y, obs, readers, hv=None):
         eta = rng.standard_normal((obs.m, pe.size))
         ytilde = np.einsum("kj,jbp->kbp", obs.Gamma_factor, eta).reshape(obs.m, -1)
         ytilde += y[:, None]
-        for _, h in members:
-            np.subtract(ytilde, h, out=h)
-        del ytilde  # freed first, so the corrections' temporary can reuse its memory
         for v, h in members:
+            np.subtract(ytilde, h, out=h)
             _add_correction(v, kt, h)
     rng.release()
     return ml
 
 
 def ml_predict(ml, cfg, hierarchy, solver, readers):
-    """Propagate every pair one interval with coupled noise.
+    """Propagate every pair one interval with coupled noise, in place.
 
     The readers' next step's one forward stream of each block's
     realization is read in level order: each level's
     :func:`~mlenkf.model.propagate_pairs` call draws the next block, so
     levels get disjoint draws and the two members of a pair share theirs;
-    then it is released.  The prediction, which holds none of its memory,
-    carries the same realizations.  ``readers`` is as in :func:`ml_update`.
+    then it is released.  Every member array of ``ml`` is advanced where
+    it lies, and ``ml`` is returned; a caller that still needs the
+    ensemble before the step passes a copy.  ``readers`` is as in
+    :func:`ml_update`.
     """
     rng = readers["forward"].begin()
-    out = []
     for pe in ml.levels:
-        coarse, fine = propagate_pairs(
-            pe.coarse, pe.fine, pe.level, cfg, hierarchy, rng, solver
-        )
-        out.append(PairEnsemble(coarse, fine, pe.level))
+        propagate_pairs(pe.coarse, pe.fine, pe.level, cfg, hierarchy, rng, solver)
     rng.release()
-    return MultilevelEnsemble(tuple(out), ml.realizations)
+    return ml
 
 
 def mlenkf_step(ml, y, obs, cfg, hierarchy, solver, readers):
@@ -373,12 +374,9 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, solver, readers):
     without coarse partners makes it an EnKF step at level L.  A batch
     of realizations steps as one ensemble, each block reading its own
     realization's streams at the readers' next step (see :func:`ml_update`).
-    The update writes into the prediction and its projections, which the
-    step owns; ``ml`` itself is never written.  The step drops ``ml`` once
-    it has predicted, so on CPython 3.11 and later a caller that hands
-    over its last reference frees the input before the update runs;
-    before 3.11 the caller's frame holds every argument until the call
-    returns, and the input lives through it.
+    The step advances the member arrays of ``ml`` in place and returns
+    ``ml``, so it allocates no full-size member array; a caller that
+    still needs the ensemble before the step passes a copy.
     """
     n_top = ml.levels[-1].fine.shape[0]
     if obs.m >= n_top:
@@ -386,11 +384,10 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, solver, readers):
             "observation dimension must stay below N_L "
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
-    pred = ml_predict(ml, cfg, hierarchy, solver, readers)
-    del ml
-    hv = _project(pred, obs)
-    k = ml_gain(compute_R_ml(pred, obs, hv), obs)
-    return ml_update(pred, k, y, obs, readers, hv)
+    ml = ml_predict(ml, cfg, hierarchy, solver, readers)
+    hv = _project(ml, obs)
+    k = ml_gain(compute_R_ml(ml, obs, hv), obs)
+    return ml_update(ml, k, y, obs, readers, hv)
 
 
 # No caller in the library; the benchmark tracer (perfbench/tracer.py) patches these names.

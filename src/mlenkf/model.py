@@ -190,11 +190,13 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
 
     Returns
     -------
-    (coarse_out, fine_out)
-        Fresh arrays of the input shapes that share no memory with the
-        inputs, with each other or with the draws; the inputs are left
-        unchanged.  Each member is built in its own product, so a call
-        makes no full-size array beyond the draw and those two.
+    (coarse, fine)
+        The input arrays, advanced in place through (rows, B, M) views,
+        which a reshape that only splits the column axis gives for any
+        strides: each member is scaled and has its noise added where it
+        lies, so a call makes no full-size array beyond the draw.  Members
+        that share memory, which the in-place writes would step twice,
+        raise ``ValueError``.
     """
     n, j, _, dt = hierarchy.level_params(level)
     nc, m = coarse.shape
@@ -205,32 +207,32 @@ def propagate_pairs(coarse, fine, level, cfg, hierarchy, rng, solver):
         raise ValueError("coarse ensemble does not match level - 1")
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    if np.may_share_memory(coarse, fine):
+        raise ValueError("coarse and fine members must not share memory")
     # each in-place sum adds the same two products as the written-out
-    # a * x + s * z, and IEEE addition commutes, so results are bit-identical.
-    # The draw is read before the fine product, so a draw allocated for the
-    # call frees a block below the kept product (see run_filter_realizations)
+    # a * x + s * z, and IEEE addition commutes, so results are bit-identical
+    z = _blocks(rng.standard_normal((n, m)))
+    f, c = fine.reshape(z.shape), coarse.reshape(z[:nc].shape)  # (rows, B, M) views
     if solver == "exact":
         a, std, _ = _exact_coefficients(n, cfg.T, cfg.b)
-        z = _blocks(rng.standard_normal((n, m)))
         z *= std[:, None, None]
-        fine_out = a[:, None, None] * fine.reshape(z.shape)
-        fine_out += z
-        coarse_out = a[:nc, None, None] * coarse.reshape(z[:nc].shape)
-        coarse_out += z[:nc]
+        f *= a[:, None, None]
+        f += z
+        c *= a[:nc, None, None]
+        c += z[:nc]
         unit_counter["forward"] += m * (n + nc)
-        return coarse_out.reshape(nc, m), fine_out.reshape(n, m)
+        return coarse, fine
     g_j, std_x, g_coarse, std_xc, std_d = _expeuler_coefficients(n, nc, j, dt, cfg.b)
-    z = _blocks(rng.standard_normal((n, m)))
-    fine_out = g_j[:, None, None] * fine.reshape(z.shape)
+    f *= g_j[:, None, None]
     # coarse = G^{J/2} coarse + X - D with X = std_x z: D given X is
     # beta z, beta = cov / std_x, plus an independent normal of deviation
     # std_d; corr(X, D)^2 <= 0.19, so std_d does not cancel
-    coarse_out = g_coarse[:, None, None] * coarse.reshape(z[:nc].shape)
-    coarse_out += std_xc[:, None, None] * z[:nc]
+    c *= g_coarse[:, None, None]
+    c += std_xc[:, None, None] * z[:nc]
     w = _blocks(rng.standard_normal((nc, m)))
     w *= std_d[:, None, None]
-    coarse_out -= w
+    c -= w
     z *= std_x[:, None, None]
-    fine_out += z
+    f += z
     unit_counter["forward"] += m * (n * j + nc * (j // 2))
-    return coarse_out.reshape(nc, m), fine_out.reshape(n, m)
+    return coarse, fine

@@ -182,7 +182,7 @@ def check_degeneracy(seed):
     obs = _random_observation(rng, n, 1)
     v = np.tile(rng.standard_normal(n)[:, None], (1, m_size))
     empty = np.zeros((0, m_size))
-    ml = filters.MultilevelEnsemble((filters.PairEnsemble(empty, v, level),))
+    ml = filters.MultilevelEnsemble((filters.PairEnsemble(empty, v.copy(), level),))
     readers = experiment.batch_readers(seed, ml, obs.m, "exact", 5)
     for step in range(1, 6):
         y = rng.standard_normal(1)

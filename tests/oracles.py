@@ -112,7 +112,7 @@ def enkf_step(v, level, y, obs, cfg, hierarchy, seed, realization, step, solver)
     m_size = v.shape[1]
     # the step's streams have level slot 0; one level reads the first block
     rng = RngKey(seed, "forward", realization, 0, step).generator()
-    _, pred = propagate_pairs(np.zeros((0, m_size)), v, level, cfg, hierarchy, rng, solver)
+    _, pred = propagate_pairs(np.zeros((0, m_size)), v.copy(), level, cfg, hierarchy, rng, solver)
     k = ml_gain(sample_cov_action(pred, obs), obs)
     rng = RngKey(seed, "obs-perturbation", realization, 0, step).generator()
     eta = np.linalg.cholesky(obs.Gamma) @ rng.standard_normal((obs.m, m_size))

@@ -586,10 +586,11 @@ def test_realization_batches_follow_the_batch_rule(monkeypatch):
 
 
 def test_batched_step_peaks_near_two_member_copies_above_its_input():
-    # with the caller keeping its input, a step on three finest realizations
-    # of the deep exact ladder holds the input, the prediction it updates
-    # in place, the projections and one level's temporaries; a step that
-    # built its update in fresh arrays peaked at about 2.5 copies above it
+    # a step on three finest realizations of the deep exact ladder advances
+    # its input in place and allocates the projections and one level's
+    # draws and temporaries (about 1.2 copies); a step that built its
+    # prediction apart from its input peaked at about 2 copies above it,
+    # and one that built its update in fresh arrays at about 2.5
     cfg = ExperimentConfig(example=1, eps_grid=(2.0 ** -7,), realizations=3, n_ref=1024)
     sched = make_schedule(2.0 ** -7, cfg.hierarchy, "mlenkf")
     assert sched.L == 7

@@ -1,7 +1,5 @@
 import contextlib
 import math
-import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -487,8 +485,8 @@ def test_ml_update_three_directions_matches_matmul_formula():
 def test_three_direction_batch_steps_as_its_realizations_alone(solver, helped):
     # the (m, B, M) perturbation kernel over m = 3 directions, on draws
     # read in place on either path: a batch of three realizations steps
-    # bit for bit as each realization alone, leaves its input unwritten,
-    # and its output holds no memory of the helper's slots
+    # bit for bit as each realization alone, and its output holds no
+    # memory of the helper's slots
     obs, ml = three_direction_problem(103)
     hier = LevelHierarchy(kappa=2.0, n0=4)
     realizations = (4, 0, 7)
@@ -512,14 +510,11 @@ def test_three_direction_batch_steps_as_its_realizations_alone(solver, helped):
                                for a in (pe.coarse, pe.fine) for s in slots)
         return out
 
-    inputs = [a for pe in batch.levels for a in (pe.coarse, pe.fine)]
-    kept = [a.copy() for a in inputs]
-    got = step(batch)
-    assert all(np.array_equal(a, k) for a, k in zip(inputs, kept))
+    got = step(copied(batch))
     for i, r in enumerate(realizations):
         cols = [slice(i * pe.size // 3, (i + 1) * pe.size // 3) for pe in batch.levels]
         solo = step(MultilevelEnsemble(
-            tuple(PairEnsemble(pe.coarse[:, c], pe.fine[:, c], pe.level)
+            tuple(PairEnsemble(pe.coarse[:, c].copy(), pe.fine[:, c].copy(), pe.level)
                   for pe, c in zip(batch.levels, cols)), (r,)))
         for pe, c, alone in zip(got.levels, cols, solo.levels):
             assert np.all(np.isfinite(alone.fine))
@@ -593,12 +588,12 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
         return generator(key)
 
     monkeypatch.setattr(RngKey, "generator", counted)
-    got = mlenkf_step(ml, y, obs, CFG, HIER, solver, readers(seed, ml, m=2, solver=solver))
+    got = mlenkf_step(copied(ml), y, obs, CFG, HIER, solver, readers(seed, ml, m=2, solver=solver))
     assert opened == [RngKey(seed, "forward", realization, 0, step),
                       RngKey(seed, "obs-perturbation", realization, 0, step)]
     monkeypatch.undo()
     pred, want = hand_step(ml, y, obs, seed, realization, step, solver)
-    engine_pred = ml_predict(ml, CFG, HIER, solver, readers(seed, ml, m=2, solver=solver))
+    engine_pred = ml_predict(copied(ml), CFG, HIER, solver, readers(seed, ml, m=2, solver=solver))
     for pe, hand, upd, ref in zip(engine_pred.levels, pred.levels, got.levels, want.levels):
         assert np.array_equal(pe.fine, hand.fine) and np.array_equal(pe.coarse, hand.coarse)
         tol = 1e-13 * max(1.0, np.max(np.abs(ref.fine)))
@@ -613,52 +608,93 @@ def test_mlenkf_step_reads_one_stream_per_purpose_in_level_blocks(solver, L, mon
                       for purpose in ("forward", "obs-perturbation") for r in (5, 3)]
 
 
+def out_of_place_step(ml, y, obs, solver, reads):
+    """The engine step written out on fresh arrays, from the draws that
+    ``reads`` hand out: each kernel's operations in the engine's order, so
+    an in-place step must match it bit for bit."""
+    b = len(ml.realizations)
+    rng = reads["forward"].begin()
+    pred = []
+    for pe in ml.levels:
+        n, j, _, dt = HIER.level_params(pe.level)
+        nc = pe.coarse.shape[0]
+        z = rng.standard_normal((n, pe.size)).reshape(n, pe.size)
+        if solver == "exact":
+            a, std, _ = _exact_coefficients(n, CFG.T, CFG.b)
+            fine = a[:, None] * pe.fine + std[:, None] * z
+            coarse = a[:nc, None] * pe.coarse + std[:nc, None] * z[:nc]
+        else:
+            g_j, std_x, g_c, std_xc, std_d = _expeuler_coefficients(n, nc, j, dt, CFG.b)
+            w = rng.standard_normal((nc, pe.size)).reshape(nc, pe.size)
+            fine = g_j[:, None] * pe.fine + std_x[:, None] * z
+            coarse = g_c[:, None] * pe.coarse + std_xc[:, None] * z[:nc] - std_d[:, None] * w
+        pred.append(PairEnsemble(coarse, fine, pe.level))
+    rng.release()
+    pred = MultilevelEnsemble(tuple(pred), ml.realizations)
+    k = ml_gain(compute_R_ml(pred, obs), obs)
+    rng = reads["obs-perturbation"].begin()
+    out = []
+    for pe in pred.levels:
+        eta = rng.standard_normal((obs.m, pe.size))
+        ytilde = np.einsum("kj,jbp->kbp", obs.Gamma_factor, eta) + y[:, None, None]
+        members = []
+        for v in (pe.coarse, pe.fine):
+            n = v.shape[0]
+            innovation = ytilde - obs.observe(v).reshape(obs.m, b, -1)
+            correction = k[:, :n, 0].T[..., None] * innovation[0]
+            for i in range(1, obs.m):
+                correction = correction + k[:, :n, i].T[..., None] * innovation[i]
+            members.append(v + correction.reshape(v.shape))
+        out.append(PairEnsemble(*members, pe.level))
+    rng.release()
+    return MultilevelEnsemble(tuple(out), ml.realizations)
+
+
 @pytest.mark.parametrize("solver", ["exact", "expeuler"])
 @pytest.mark.parametrize("L", [2, None], ids=["mlenkf", "enkf"])
-def test_mlenkf_step_leaves_the_callers_batch_untouched(solver, L):
+def test_mlenkf_step_advances_the_callers_batch_in_place(solver, L):
+    # the step returns the ensemble it was given, its member arrays
+    # advanced where they lie, bit for bit the step written out on copies,
+    # and on the helper path no member holds memory of the helper's slots
     rng = np.random.default_rng(47)
     if L is None:
-        ml = one_level(rng.standard_normal((HIER.n_modes(2), 8)), 2)
+        given = one_level(rng.standard_normal((HIER.n_modes(2), 8)), 2)
     else:
-        ml = random_multilevel(rng, HIER, L, (8, 6, 4))
-    ml = MultilevelEnsemble(ml.levels, (3, 5))
-    inputs = [a for pe in ml.levels for a in (pe.coarse, pe.fine)]
-    kept = [a.copy() for a in inputs]
-    out = mlenkf_step(ml, np.array([0.3]), obs_1d(4), CFG, HIER, solver,
-                      readers(11, ml, solver=solver))
-    outputs = [a for pe in out.levels for a in (pe.coarse, pe.fine)]
-    assert all(np.array_equal(a, b) for a, b in zip(inputs, kept))
-    for i, a in enumerate(outputs):
-        assert not any(np.shares_memory(a, b) for b in inputs + outputs[i + 1:])
+        given = random_multilevel(rng, HIER, L, (8, 6, 4))
+    given = MultilevelEnsemble(given.levels, (3, 5))
+    obs, y = obs_1d(4), np.array([0.3])
+    plan = _step_normals([(pe.level, pe.fine.shape[0], pe.coarse.shape[0], pe.size // 2)
+                          for pe in given.levels], obs.m, solver)
+    want = out_of_place_step(copied(given), y, obs, solver, readers(11, given, solver=solver))
+    for helped in (False, True):
+        ml = copied(given)
+        inputs = [a for pe in ml.levels for a in (pe.coarse, pe.fine)]
+        with (Helper(11, [ml.realizations], plan, 1) if helped
+              else contextlib.nullcontext()) as helper:
+            out = mlenkf_step(ml, y, obs, CFG, HIER, solver,
+                              batch_readers(11, ml, obs.m, solver, 1, helper))
+            slots = tuple(helper.slots.values()) if helped else ()
+        assert out is ml
+        outputs = [a for pe in out.levels for a in (pe.coarse, pe.fine)]
+        assert all(a is b for a, b in zip(outputs, inputs))
+        for pe, ref in zip(out.levels, want.levels):
+            assert np.array_equal(pe.fine, ref.fine) and np.array_equal(pe.coarse, ref.coarse)
+        assert not any(np.shares_memory(a, s) for a in outputs for s in slots)
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before CPython 3.11 the caller's value stack holds every argument "
-           "until the call returns, so a handed-over input lives through the step",
-)
-def test_mlenkf_step_frees_an_input_it_was_handed_before_the_update(monkeypatch):
-    # a caller that passes its last reference gets the input's memory back
-    # for the update's temporaries; one that keeps a reference keeps it
-    rng = np.random.default_rng(29)
-    held = [random_multilevel(rng, HIER, 2, (8, 6, 4))]
-    kept = held[0]
-    refs = [weakref.ref(pe.fine) for pe in held[0].levels]
-    alive = []
-    update = filters.ml_update
-
-    def spy(*args, **kwargs):
-        alive.append(any(r() is not None for r in refs))
-        return update(*args, **kwargs)
-
-    monkeypatch.setattr(filters, "ml_update", spy)
-    y, obs = np.array([0.3]), obs_1d(4)
-    first, second = (readers(11, kept) for _ in range(2))
-    # plain positional calls: a star-args call would hold the input in its tuple
-    mlenkf_step(held[0], y, obs, CFG, HIER, "exact", first)
-    del kept
-    mlenkf_step(held.pop(), y, obs, CFG, HIER, "exact", second)
-    assert alive == [True, False]
+def test_ml_update_in_row_panels_matches_one_panel(monkeypatch):
+    # the correction is added one panel of rows at a time; panels of one
+    # row give the one-panel update bit for bit, over m = 3 directions
+    obs, ml = three_direction_problem(109)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
+    y = np.array([0.3, -0.8, 1.1])
+    outs = []
+    for entries in (1, 2 ** 40):  # one row a panel, then one panel a member
+        monkeypatch.setattr(filters, "UNIT_NORMALS", entries)
+        outs.append(ml_update(copied(ml), k, y, obs, readers(13, ml, m=3)))
+    for split, whole in zip(*(out.levels for out in outs)):
+        assert np.array_equal(split.fine, whole.fine)
+        assert np.array_equal(split.coarse, whole.coarse)
 
 
 @pytest.mark.parametrize("solver", ["exact", "expeuler"])
@@ -673,7 +709,7 @@ def test_one_level_engine_at_level_l_matches_reference_enkf(solver):
     obs = ObservationModel(rng.standard_normal((2, n)), np.array([[0.4, 0.1], [0.1, 0.3]]),
                            np.zeros(n))
     v = np.tile(rng.standard_normal(n)[:, None], (1, m_size))
-    ml = one_level(v, level, (2,))
+    ml = one_level(v.copy(), level, (2,))
     reads = batch_readers(19, ml, obs.m, solver, 5)
     for step in range(1, 6):
         y = rng.standard_normal(2)

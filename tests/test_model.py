@@ -15,7 +15,7 @@ from mlenkf.model import (
     substep_noise_var,
     unit_counter,
 )
-from mlenkf.rng import RngKey
+from mlenkf.rng import RngKey, StreamReader
 from mlenkf.spectral import LevelHierarchy, eigenvalues
 from oracles import (
     coupled_coarse_solve,
@@ -88,8 +88,8 @@ def test_coarse_increment_variance_identity():
 
 
 def pair_step(coarse, fine, level, key, solver, hier=HIER):
-    """propagate_pairs on single columns, returned as 1-D arrays."""
-    c, f = propagate_pairs(coarse[:, None], fine[:, None], level, CFG, hier,
+    """propagate_pairs on copies of single columns, returned as 1-D arrays."""
+    c, f = propagate_pairs(coarse[:, None].copy(), fine[:, None].copy(), level, CFG, hier,
                            key.generator(), solver)
     return c[:, 0], f[:, 0]
 
@@ -177,8 +177,8 @@ class ImpulseDraws:
 
 
 def expeuler_routes(coarse, fine, level, hier, rng):
-    """(law, substeps): the joint-law draw and the substep oracle."""
-    law = propagate_pairs(coarse, fine, level, CFG, hier, rng(), "expeuler")
+    """(law, substeps): the joint-law draw on copies and the substep oracle."""
+    law = propagate_pairs(coarse.copy(), fine.copy(), level, CFG, hier, rng(), "expeuler")
     return law, expeuler_pairs_substeps(coarse, fine, level, CFG, hier, rng())
 
 
@@ -365,7 +365,7 @@ def test_propagate_pairs_batch_replays_keyed_draws():
     rng = np.random.default_rng(40)
     fine = rng.standard_normal((4, 3))
     coarse = fine[:2].copy()
-    cout, fout = propagate_pairs(coarse, fine, 2, CFG, HIER, key.generator(), "exact")
+    cout, fout = propagate_pairs(coarse, fine.copy(), 2, CFG, HIER, key.generator(), "exact")
     lam = eigenvalues(4)
     a = propagator(lam, CFG.T)
     std = np.sqrt(exact_noise_var(lam, CFG.T, CFG.b))
@@ -377,17 +377,63 @@ def test_propagate_pairs_batch_replays_keyed_draws():
 @pytest.mark.parametrize("solver", ["exact", "expeuler"])
 @pytest.mark.parametrize("level, rows", [(0, 0), (3, 4), (3, 0)],
                          ids=["level0", "pair", "single-level"])
-def test_propagate_pairs_returns_fresh_arrays_and_keeps_its_inputs(solver, level, rows):
-    # the kernels write into their own draws, never into the members
+def test_propagate_pairs_advances_its_inputs_in_place(solver, level, rows):
+    # the members are scaled and get their noise where they lie, bit for
+    # bit the written-out formula on copies of them
     rng = np.random.default_rng(44)
-    coarse, fine = rng.standard_normal((rows, 6)), rng.standard_normal((HIER.n_modes(level), 6))
-    kept = coarse.copy(), fine.copy()
-    outs = propagate_pairs(coarse, fine, level, CFG, HIER,
-                           RngKey(3, "forward", 0, level, 1).generator(), solver)
-    assert np.array_equal(coarse, kept[0]) and np.array_equal(fine, kept[1])
-    for out in outs:
-        assert not any(np.shares_memory(out, arr) for arr in (coarse, fine))
-    assert not np.shares_memory(*outs)
+    n, j, _, dt = HIER.level_params(level)
+    coarse, fine = rng.standard_normal((rows, 6)), rng.standard_normal((n, 6))
+    c0, f0 = coarse.copy(), fine.copy()
+    key = RngKey(3, "forward", 0, level, 1)
+    outs = propagate_pairs(coarse, fine, level, CFG, HIER, key.generator(), solver)
+    assert outs[0] is coarse and outs[1] is fine
+    draws = key.generator()
+    z = draws.standard_normal((n, 6))
+    if solver == "exact":
+        a, std, _ = _exact_coefficients(n, CFG.T, CFG.b)
+        want_f = a[:, None] * f0 + std[:, None] * z
+        want_c = a[:rows, None] * c0 + std[:rows, None] * z[:rows]
+    else:
+        g_j, std_x, g_c, std_xc, std_d = _expeuler_coefficients(n, rows, j, dt, CFG.b)
+        want_f = g_j[:, None] * f0 + std_x[:, None] * z
+        want_c = (g_c[:, None] * c0 + std_xc[:, None] * z[:rows]
+                  - std_d[:, None] * draws.standard_normal((rows, 6)))
+    assert np.array_equal(fine, want_f) and np.array_equal(coarse, want_c)
+
+
+@pytest.mark.parametrize("solver", ["exact", "expeuler"])
+def test_propagate_pairs_advances_column_sliced_members_in_place(solver):
+    # a batch reader's (rows, B, M) draw views a column slice's two blocks
+    # in place too: the slice steps as a contiguous copy of it would, and
+    # the columns beside it are not written
+    rng = np.random.default_rng(45)
+    n, nc = HIER.n_modes(2), HIER.n_modes(1)
+    wide_f, wide_c = rng.standard_normal((n, 8)), rng.standard_normal((nc, 8))
+    kept = wide_f.copy(), wide_c.copy()
+
+    def step(c, f):
+        length = (n + nc * (solver == "expeuler")) * 2
+        reader = StreamReader(3, "forward", (4, 1), length, 1).begin()
+        return propagate_pairs(c, f, 2, CFG, HIER, reader, solver)
+
+    want = step(wide_c[:, :4].copy(), wide_f[:, :4].copy())
+    got = step(wide_c[:, :4], wide_f[:, :4])
+    assert np.shares_memory(got[0], wide_c) and np.shares_memory(got[1], wide_f)
+    assert np.array_equal(wide_c[:, :4], want[0]) and np.array_equal(wide_f[:, :4], want[1])
+    assert np.array_equal(wide_c[:, 4:], kept[1][:, 4:])
+    assert np.array_equal(wide_f[:, 4:], kept[0][:, 4:])
+
+
+@pytest.mark.parametrize("solver", ["exact", "expeuler"])
+def test_propagate_pairs_refuses_members_that_share_memory(solver):
+    # a nested pair built as a view of its fine member would be stepped
+    # twice in the shared rows; it is refused before anything is written
+    fine = np.random.default_rng(46).standard_normal((4, 3))
+    kept = fine.copy()
+    with pytest.raises(ValueError, match="share memory"):
+        propagate_pairs(fine[:2], fine, 2, CFG, HIER, RngKey(3, "forward", 0, 2, 1).generator(),
+                        solver)
+    assert np.array_equal(fine, kept)
 
 
 def test_propagate_pairs_validation():
