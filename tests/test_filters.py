@@ -1,5 +1,6 @@
 import contextlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -680,6 +681,31 @@ def test_mlenkf_step_advances_the_callers_batch_in_place(solver, L):
         for pe, ref in zip(out.levels, want.levels):
             assert np.array_equal(pe.fine, ref.fine) and np.array_equal(pe.coarse, ref.coarse)
         assert not any(np.shares_memory(a, s) for a in outputs for s in slots)
+
+
+def test_mlenkf_step_frees_an_input_it_was_handed_before_the_update(monkeypatch):
+    # the step predicts into the input it was handed, so by the update the
+    # input's memory is the update's own: no second copy of the ensemble is
+    # alive beside it, whether the caller kept a reference or passed its last
+    rng = np.random.default_rng(29)
+    held = [random_multilevel(rng, HIER, 2, (8, 6, 4))]
+    kept = held[0]
+    refs = [weakref.ref(pe.fine) for pe in held[0].levels]
+    seen = []
+    update = filters.ml_update
+
+    def spy(ml, *args, **kwargs):
+        seen.append([r() is pe.fine for r, pe in zip(refs, ml.levels)])
+        return update(ml, *args, **kwargs)
+
+    monkeypatch.setattr(filters, "ml_update", spy)
+    y, obs = np.array([0.3]), obs_1d(4)
+    first, second = (readers(11, kept) for _ in range(2))
+    mlenkf_step(held[0], y, obs, CFG, HIER, "exact", first)
+    del kept
+    out = mlenkf_step(held.pop(), y, obs, CFG, HIER, "exact", second)
+    assert seen == [[True] * 3, [True] * 3]
+    assert all(r() is pe.fine for r, pe in zip(refs, out.levels))
 
 
 def test_ml_update_in_row_panels_matches_one_panel(monkeypatch):
