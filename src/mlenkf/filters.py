@@ -7,10 +7,11 @@ which is the same engine with one pair ensemble at level L and no
 coarse partners.  The exact Kalman recursion serves as the mean-field
 reference in the linear-Gaussian setting.  Sample covariances are never
 materialized as N x N matrices; everything goes through the action on
-the m observation directions.  A step applies H to each level's
-predicted members once, and the moments, the update and the QoI are
-``np.einsum`` or broadcast kernels: no member array reaches BLAS, so
-seeded results do not depend on the BLAS thread count.
+the m observation directions.  The moments and the update each apply H
+to the members they read and keep no projection past the member's own
+kernel.  The moments, the update and the QoI are ``np.einsum`` or
+broadcast kernels: no member array reaches BLAS, so seeded results do
+not depend on the BLAS thread count.
 
 An ensemble carries a batch of B independent realizations, whose indices
 it holds, as column blocks: each level array is (N_l, B M_l), the i-th
@@ -187,11 +188,13 @@ def _block_means(a, b):
     return np.add.reduce(a, axis=-1) / a.shape[-1]
 
 
-def _cov_action(v, hv, b):
+def _cov_action(v, obs, b):
     # Cov_M[v, Hv] = v (Hv - mean Hv)^T / (M - 1) per column block, shape
     # (b, N, m): exact because the centred factor sums to zero over the
-    # particles, so v needs no copy
-    d = _blocks(hv, b) - _block_means(hv, b)[..., None]
+    # particles, so v needs no copy; Hv is centred where it lies
+    h = obs.observe(v)
+    d = _blocks(h, b)
+    d -= _block_means(h, b)[..., None]
     v = _blocks(v, b)
     m = v.shape[2]
     if m <= np.getbufsize():
@@ -201,19 +204,6 @@ def _cov_action(v, hv, b):
         # that depend on the other axes, so a long block is summed alone
         s = np.stack([np.einsum("np,kp->nk", v[:, i], d[:, i]) for i in range(b)])
     return s / (m - 1)
-
-
-def _project(ml, obs):
-    """``(H coarse, H fine)`` of every level, each (m, M_l), with ``None``
-    for coarse members without rows (the lowest level's).
-
-    One assimilation step applies H to its predicted members once; the
-    covariance action and the update both read these projections.
-    """
-    return tuple(
-        (obs.observe(pe.coarse) if pe.coarse.shape[0] else None, obs.observe(pe.fine))
-        for pe in ml.levels
-    )
 
 
 def sample_cov_action(v, obs):
@@ -226,27 +216,24 @@ def sample_cov_action(v, obs):
     return compute_R_ml(MultilevelEnsemble((PairEnsemble(v[:0], v, 0),)), obs)[0]
 
 
-def compute_R_ml(ml, obs, hv=None):
+def compute_R_ml(ml, obs):
     """Multilevel covariance action R^ML of every block, shape (B, N_L, m).
 
     Adds ``Cov_{M_l}[v^l, Hv^l] - Cov_{M_{l+1}}[v^l, Hv^l]`` into the
     first N_l rows for every level below the top, then the top-level
     fine covariance; the second term of each difference comes from the
     coarse members of the level above, which live at level l.  With one
-    level this is the single-level sample covariance action.  ``hv``
-    holds the members' projections (see :func:`_project`) when the caller
-    has them already.  Cost O(m sum_l M_l N_l).
+    level this is the single-level sample covariance action.  Each term
+    projects its members and keeps the projection only while it sums.
+    Cost O(m sum_l M_l N_l).
     """
-    if hv is None:
-        hv = _project(ml, obs)
-    levels = tuple(zip(ml.levels, hv))
     top = ml.levels[-1].fine
     b = len(ml.realizations)
     r = np.zeros((b, top.shape[0], obs.m))
-    for (pe, (_, h_fine)), (up, (h_coarse, _)) in zip(levels, levels[1:]):
-        r[:, : pe.fine.shape[0]] += _cov_action(pe.fine, h_fine, b)
-        r[:, : up.coarse.shape[0]] -= _cov_action(up.coarse, h_coarse, b)
-    r += _cov_action(top, hv[-1][1], b)
+    for pe, up in zip(ml.levels, ml.levels[1:]):
+        r[:, : pe.fine.shape[0]] += _cov_action(pe.fine, obs, b)
+        r[:, : up.coarse.shape[0]] -= _cov_action(up.coarse, obs, b)
+    r += _cov_action(top, obs, b)
     model.unit_counter["moments"] += obs.m * sum(pe.fine.size for pe in ml.levels)
     return r
 
@@ -310,7 +297,7 @@ def _add_correction(v, kt, innovation):
         v[r0 : r0 + rows] += correction.reshape(k.shape[0], -1)
 
 
-def ml_update(ml, k, y, obs, readers, hv=None):
+def ml_update(ml, k, y, obs, readers):
     """Perturbed-observation update of every pair, in place.
 
     One perturbed datum ``y + eta`` is shared by the two members of a
@@ -321,29 +308,28 @@ def ml_update(ml, k, y, obs, readers, hv=None):
     :func:`~mlenkf.experiment.batch_readers`); their next step's one
     perturbation stream of each block's realization is read in place in
     level order, then released: each level takes the next m M_l normals,
-    so levels get disjoint blocks.  ``hv`` holds the members' projections
-    (see :func:`_project`) when the caller has them already.
+    so levels get disjoint blocks.  Each member is projected just before
+    its correction, and its innovation ``y + eta - Hv`` is formed in that
+    projection.
 
-    The update consumes its inputs: the corrections are added into the
-    member arrays of ``ml``, one panel of rows at a time, and ``ml`` is
-    returned; the innovations ``y + eta - Hv`` are written over the
-    projections in ``hv``.  A caller that still needs either passes copies.
+    The corrections are added into the member arrays of ``ml``, one panel
+    of rows at a time, and ``ml`` is returned; a caller that still needs
+    the members before the update passes a copy.
     """
-    if hv is None:
-        hv = _project(ml, obs)
     y = np.asarray(y, dtype=float).reshape(obs.m)
     if k.shape[0] != len(ml.realizations):
         raise ValueError(f"{len(ml.realizations)} blocks need as many gains, got {k.shape[0]}")
     kt = k.transpose(1, 2, 0)[..., None]
     rng = readers["obs-perturbation"].begin()
-    for pe, projections in zip(ml.levels, hv):
-        members = [(v, h) for v, h in zip((pe.coarse, pe.fine), projections) if h is not None]
+    for pe in ml.levels:
         eta = rng.standard_normal((obs.m, pe.size))
         ytilde = np.einsum("kj,jbp->kbp", obs.Gamma_factor, eta).reshape(obs.m, -1)
         ytilde += y[:, None]
-        for v, h in members:
-            np.subtract(ytilde, h, out=h)
-            _add_correction(v, kt, h)
+        for v in (pe.coarse, pe.fine):
+            if v.shape[0]:
+                h = obs.observe(v)
+                np.subtract(ytilde, h, out=h)
+                _add_correction(v, kt, h)
     rng.release()
     return ml
 
@@ -374,6 +360,8 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, solver, readers):
     without coarse partners makes it an EnKF step at level L.  A batch
     of realizations steps as one ensemble, each block reading its own
     realization's streams at the readers' next step (see :func:`ml_update`).
+    The moments and the update each project the members they read, so H
+    is applied twice per member and no projection outlives its kernel.
     The step advances the member arrays of ``ml`` in place and returns
     ``ml``, so it allocates no full-size member array; a caller that
     still needs the ensemble before the step passes a copy.
@@ -385,9 +373,8 @@ def mlenkf_step(ml, y, obs, cfg, hierarchy, solver, readers):
             f"(m={obs.m}, N_L={n_top}); larger m is outside the regime"
         )
     ml = ml_predict(ml, cfg, hierarchy, solver, readers)
-    hv = _project(ml, obs)
-    k = ml_gain(compute_R_ml(ml, obs, hv), obs)
-    return ml_update(ml, k, y, obs, readers, hv)
+    k = ml_gain(compute_R_ml(ml, obs), obs)
+    return ml_update(ml, k, y, obs, readers)
 
 
 # No caller in the library; the benchmark tracer (perfbench/tracer.py) patches these names.

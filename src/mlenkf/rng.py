@@ -244,9 +244,8 @@ class StreamReader:
     def __init__(self, seed, purpose, realizations, length, n_steps, helper=None):
         self._seed, self._purpose, self._blocks = seed, purpose, tuple(realizations)
         self._length, self._n_steps, self._helper = length, n_steps, helper
-        self._step, self._pos = 1, 0  # the reader stands at _pos of _step
-        self._open = 0  # the last step that began reading, 0 before any
-        self._held = 0  # the step whose reads are valid, 0 once released
+        self._step, self._pos = 0, 0  # the reader stands at _pos of _step, 0 before any
+        self._held = False  # whether _step's reads are valid, False once released
         if helper is not None:
             self._base = helper.enter(purpose, self._blocks, length, n_steps)
 
@@ -257,11 +256,12 @@ class StreamReader:
 
     def begin(self):
         """The reader at the start of its next step; raises ``RuntimeError``
-        unless the step before read its whole plan."""
-        if self._open == self._step:
+        unless the step before read its whole plan and the plan holds a next
+        step."""
+        if self._step and self._pos != self._length or self._step == self._n_steps:
             raise self._misread(f"the start of step {self._step + 1}")
         self.release()
-        self._open = self._held = self._step
+        self._step, self._pos, self._held = self._step + 1, 0, True
         if self._helper is None:
             self._draws = [RngKey(self._seed, self._purpose, r, 0, self._step).generator()
                            for r in self._blocks]
@@ -269,9 +269,9 @@ class StreamReader:
 
     def release(self):
         """End the open step's reads; from here the helper may refill its slot."""
-        step, self._held = self._held, 0
-        if self._helper is not None and step:
-            self._helper.release(self._purpose, self._base + step)
+        if self._held and self._helper is not None:
+            self._helper.release(self._purpose, self._base + self._step)
+        self._held = False
 
     def finish(self):
         """Release the last step; raise ``RuntimeError`` unless it read all."""
@@ -288,11 +288,9 @@ class StreamReader:
         if cols % b:
             raise ValueError(f"{cols} columns do not split into {b} blocks")
         m = cols // b
-        if not rows * m:
-            return np.empty((rows, b, m))
         start, end = self._pos, self._pos + rows * m
-        if self._held != self._step or end > self._length:
-            raise RuntimeError(f"step {self._open} reads more than its {self._length} "
+        if end > self._length:
+            raise RuntimeError(f"step {self._step} reads more than its {self._length} "
                                f"planned {self._purpose} normals per block")
         if self._helper is None:
             out = np.empty((b, rows, m))
@@ -302,6 +300,4 @@ class StreamReader:
                 self._filled = self._helper.read(self._purpose, self._base + self._step)
             out = self._filled[:, start:end].reshape(b, rows, m)
         self._pos = end
-        if end == self._length and self._step < self._n_steps:
-            self._step, self._pos = self._step + 1, 0
         return out.transpose(1, 0, 2)

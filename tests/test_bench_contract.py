@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # perfbench/run.py imports mlenkf.cli, which loads every module the
@@ -53,6 +54,36 @@ def test_every_patched_name_resolves(tracer):
     for path, attr, _ in tracer.PATCHES:
         owner = tracer._resolve(mlenkf, path)
         assert callable(owner.__dict__[attr]), f"{path}.{attr}"
+
+
+def test_a_step_calls_the_patched_filter_names(monkeypatch):
+    # the tracer's filter spans see a step only through the module-global
+    # lookups of mlenkf.filters that it patches: the moments, the gain and
+    # the update once a step, and the forward map once per level
+    names = ("compute_R_ml", "ml_gain", "ml_update", "propagate_pairs")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        inner = getattr(mlenkf.filters, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(mlenkf.filters, name, counted(name))
+    ex = mlenkf.experiment
+    cfg = ex.ExperimentConfig(example=1, eps_grid=(0.125,), realizations=2, n_ref=64)
+    sched = ex.make_schedule(0.125, cfg.hierarchy, "mlenkf")
+    ml = ex.initial_multilevel_ensemble(cfg, sched, realizations=(0, 1))
+    readers = ex.batch_readers(cfg.master_seed, ml, cfg.obs.m, "exact", 1)
+    mlenkf.filters.mlenkf_step(ml, np.array([0.1]), cfg.obs, cfg.model, cfg.hierarchy,
+                               "exact", readers)
+    assert len(ml.levels) > 1
+    assert calls == {"compute_R_ml": 1, "ml_gain": 1, "ml_update": 1,
+                     "propagate_pairs": len(ml.levels)}
 
 
 def test_forward_map_and_unit_counter_exist():
