@@ -469,10 +469,12 @@ def estimate_mse(cfg, schedule, data, pool=None):
     :class:`~mlenkf.rng.Helper` fills the draws of all the batches, across
     their boundaries, if a CPU beyond ``cfg.jobs`` is usable and a step of
     the widest batch draws at least :data:`~mlenkf.rng.UNIT_NORMALS`
-    forward normals; its slots are allocated before any ensemble.  Each
-    realization's squared error is formed here from the tracks; diverged
-    (non-finite) ones are excluded with a warning, and the record carries
-    the number actually averaged.
+    forward normals.  Its slots, two steps of draws for a purpose whose
+    step splits into two or more helper units and three for one whose step
+    is one unit, are allocated before any ensemble.  Each realization's
+    squared error is formed here from the tracks; diverged (non-finite)
+    ones are excluded with a warning, and the record carries the number
+    actually averaged.
     """
     t0 = time.perf_counter()
     batches = realization_batches(cfg, schedule)

@@ -119,9 +119,6 @@ def _seed_words_type():
     return SeedWords
 
 
-# steps a reader keeps in a helper's slots: step s reads while s + 1 and s + 2 fill
-SLOTS = 3
-
 # normals a helper's unit holds at least, so that its submit and handoff cost
 # little beside its draw; a larger block stays a unit for both threads to share
 UNIT_NORMALS = 2 ** 15
@@ -142,12 +139,16 @@ class Helper(contextlib.AbstractContextManager):
     """Step slots of a target's readers, and a thread that fills them.
 
     Step s of ``batches[k]``, whose blocks draw ``lengths[purpose]`` normals
-    a step, is position g = k ``n_steps`` + s of each purpose and fills slot
-    g mod :data:`SLOTS`, sized for the widest batch.  Releasing g publishes
-    g + ``SLOTS``, also across a batch boundary.  Each unit, consecutive
-    blocks of at least :data:`UNIT_NORMALS` normals or one larger block, is
-    drawn whole by one thread into a slot that no read views.  Leaving the
-    ``with`` block drops the unclaimed units and joins the thread.
+    a step, is position g = k ``n_steps`` + s of each purpose.  Each unit,
+    consecutive blocks of at least :data:`UNIT_NORMALS` normals or one larger
+    block, is drawn whole by one thread into a slot that no read views.  A
+    purpose keeps c slots, sized for the widest batch, and g fills slot
+    g mod c; releasing g publishes g + c, also across a batch boundary.  A
+    step of the widest batch that splits into two or more units keeps c = 2:
+    the helper fills step s + 1 while s is read, and the reader claims what
+    is left of s + 1 when it gets there.  A one-unit step is shared between
+    the threads only across steps and keeps c = 3.  Leaving the ``with``
+    block drops the unclaimed units and joins the thread.
     """
 
     def __init__(self, seed, batches, lengths, n_steps):
@@ -156,11 +157,13 @@ class Helper(contextlib.AbstractContextManager):
         self._seed, self._n_steps, self._lengths = seed, n_steps, dict(lengths)
         self._batches = [tuple(batch) for batch in batches]
         width = max(map(len, self._batches))
-        self.slots = {p: np.empty((SLOTS, width * n)) for p, n in self._lengths.items()}
+        self._per = {p: -(-UNIT_NORMALS // n) for p, n in self._lengths.items()}  # blocks a unit
+        self.slots = {p: np.empty((2 if width > self._per[p] else 3, width * n))
+                      for p, n in self._lengths.items()}
         self._entered = dict.fromkeys(self._lengths, 0)  # readers, one a batch
         self._released = dict.fromkeys(self._lengths, 0)  # the last released position
         self._published = dict.fromkeys(self._lengths, 0)  # the last published position
-        self._units = {p: [None] * SLOTS for p in self._lengths}
+        self._units = {p: [None] * len(rows) for p, rows in self.slots.items()}
         self._pool = ThreadPoolExecutor(max_workers=1)
         self._queue = []  # published units that may be unclaimed
 
@@ -180,24 +183,25 @@ class Helper(contextlib.AbstractContextManager):
 
     def release(self, purpose, g):
         """Free position ``g``'s slot, and publish each position through
-        ``g + SLOTS`` not yet published, opening its keys on this thread."""
+        g + c not yet published, c the purpose's slots, opening its keys on
+        this thread."""
         self._released[purpose] = g
-        n = self._lengths[purpose]
-        per = -(-UNIT_NORMALS // n)  # blocks a unit
+        n, per, slots = self._lengths[purpose], self._per[purpose], self.slots[purpose]
+        c = len(slots)
         for h in range(self._published[purpose] + 1,
-                       min(g + SLOTS, len(self._batches) * self._n_steps) + 1):
+                       min(g + c, len(self._batches) * self._n_steps) + 1):
             k, s = divmod(h - 1, self._n_steps)
             batch = self._batches[k]
-            rows = self.slots[purpose][h % SLOTS, : len(batch) * n].reshape(len(batch), n)
+            rows = slots[h % c, : len(batch) * n].reshape(len(batch), n)
             draws = [(RngKey(self._seed, purpose, r, 0, s + 1).generator(), row)
                      for r, row in zip(batch, rows)]
-            self._units[purpose][h % SLOTS] = rows, self.publish(
+            self._units[purpose][h % c] = rows, self.publish(
                 [functools.partial(_fill, draws[i : i + per]) for i in range(0, len(draws), per)])
             self._published[purpose] = h
 
     def read(self, purpose, g):
         """Position ``g``'s (B, length) slot, once its units are filled."""
-        rows, units = self._units[purpose][g % SLOTS]
+        rows, units = self._units[purpose][g % len(self._units[purpose])]
         self.wait(units)
         return rows
 

@@ -794,7 +794,8 @@ def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
 
 def test_helper_fills_the_next_batch_before_this_one_finishes(monkeypatch):
     # one helper serves a target's batches of 4 and 3: the first batch's
-    # last SLOTS steps publish the second's first SLOTS steps before the
+    # last c steps publish the second's first c steps, c the slots of a
+    # purpose (three, for these one-unit steps), before the
     # first batch finishes, also when the helper's fills are slow, and the
     # tracks are those of the direct path
     cfg = ExperimentConfig(example=1, eps_grid=(0.125,), n_steps=5, realizations=7, n_ref=128)
@@ -811,11 +812,35 @@ def test_helper_fills_the_next_batch_before_this_one_finishes(monkeypatch):
         monkeypatch.setattr(rng.StreamReader, "finish",
                             lambda reader: at_finish.append(len(published)) or finish(reader))
         got = [run_filter_realizations(cfg, sched, data.ys, b, helper) for b in batches]
-    # two purposes, each with the first batch's steps and SLOTS more
-    assert at_finish[:2] == [2 * (cfg.n_steps + rng.SLOTS)] * 2
+    # two purposes, each with the first batch's steps and its slots more
+    slots = sum(s.shape[0] for s in helper.slots.values())
+    assert at_finish[:2] == [2 * cfg.n_steps + slots] * 2
     assert len(published) == 2 * 2 * cfg.n_steps and fills["helper"] > 0
     for g, w in zip(got, want):
         assert np.all(np.isfinite(w)) and np.array_equal(g, w)
+
+
+def test_helper_keeps_two_slots_for_a_step_of_several_units():
+    # a purpose whose step of the widest batch splits into two or more units
+    # keeps two slots, one whose step is one unit keeps three; each slot
+    # holds one step of the widest batch
+    deep = ExperimentConfig(example=1, eps_grid=tuple(2.0 ** -k for k in range(2, 8)),
+                            realizations=20, n_ref=1024)
+    enkf = replace(deep, method="enkf", solver="expeuler", eps_grid=deep.eps_grid[:5],
+                   realizations=2)
+    cases = (
+        # batches 3,3,3,3,3,3,2: 3 forward units a step, 2 perturbation units
+        (deep, 2.0 ** -7, {"forward": (2, 3 * 52_554), "obs-perturbation": (2, 3 * 25_341)}),
+        # one batch of 20: forward units of 11 and 9 blocks, 1 perturbation unit
+        (deep, 2.0 ** -5, {"forward": (2, 20 * 3_078), "obs-perturbation": (3, 20 * 1_583)}),
+        # batches [1, 1]: one unit a step of each purpose
+        (enkf, 2.0 ** -6, {"forward": (3, 262_144), "obs-perturbation": (3, 4_096)}),
+    )
+    for cfg, eps, want in cases:
+        sched = make_schedule(eps, cfg.hierarchy, cfg.method)
+        with target_helper(cfg, sched, realization_batches(cfg, sched)) as helper:
+            assert {p: (len(s), s.nbytes) for p, s in helper.slots.items()} == {
+                p: (c, 8 * c * n) for p, (c, n) in want.items()}
 
 
 def test_step_normals_are_the_reads_of_a_step():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mlenkf.experiment as experiment
+import mlenkf.rng as rng
 from golden.regen import (
     HERE,
     POOL_STUDIES,
@@ -29,18 +30,36 @@ from golden.regen import (
 # its one job, else on the calling thread; each path runs on any host, with
 # the usable CPUs patched to 4 (helper) or 1 (the "-direct" cases).  The
 # helper cases also lift the helper's floor, which every target of these
-# small studies is below.  The pool study leaves them as the host has them.
+# small studies is below.  Most of their steps are one helper unit, for
+# which the helper keeps three slots; the "-units" cases make every block a
+# unit, so every step is several units and every purpose keeps two slots.
+# The pool study leaves them as the host has them.
 @pytest.mark.parametrize(
-    "name, jobs, cpus",
-    [pytest.param(name, 1, 4, id=f"{name}-1") for name in STUDIES]
-    + [pytest.param(name, 1, 1, id=f"{name}-1-direct") for name in STUDIES]
-    + [pytest.param(name, 2, None, id=f"{name}-2") for name in POOL_STUDIES],
+    "name, jobs, cpus, unit_normals",
+    [pytest.param(name, 1, 4, None, id=f"{name}-1") for name in STUDIES]
+    + [pytest.param(name, 1, 4, 1, id=f"{name}-1-units") for name in STUDIES]
+    + [pytest.param(name, 1, 1, None, id=f"{name}-1-direct") for name in STUDIES]
+    + [pytest.param(name, 2, None, None, id=f"{name}-2") for name in POOL_STUDIES],
 )
-def test_study_reproduces_its_pins(name, jobs, cpus, monkeypatch):
+def test_study_reproduces_its_pins(name, jobs, cpus, unit_normals, monkeypatch):
     if cpus is not None:
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(experiment, "UNIT_NORMALS", 0)
+    if unit_normals is not None:
+        monkeypatch.setattr(rng, "UNIT_NORMALS", unit_normals)
+    slots = set()  # the slot counts of the helpers that the study opens
+
+    class Counted(rng.Helper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            slots.update(len(s) for s in self.slots.values())
+
+    monkeypatch.setattr(experiment, "Helper", Counted)
     outputs = study_outputs(name, jobs)
+    if cpus != 4:  # the direct and pool paths open no helper in this process
+        assert not slots
+    else:
+        assert slots == {2} if unit_normals else 3 in slots
     assert outputs["schedule.csv"] == (HERE / name / "schedule.csv").read_text()
     for pin in ("results.csv", "summary.txt"):
         assert_text_close(outputs[pin], (HERE / name / pin).read_text(), f"{name}/{pin}")

@@ -177,23 +177,33 @@ def test_prefetched_blocks_read_as_column_blocks(monkeypatch, realizations):
                 assert g.shape == w.shape and np.array_equal(g, w)
 
 
-def test_helper_reads_keep_their_values_until_release(monkeypatch):
+# a step whose blocks make one helper unit, which keeps three slots, or
+# a step of one unit a block, which keeps two
+UNIT_CASES = [pytest.param(rng.UNIT_NORMALS, 3, id="one-unit"),
+              pytest.param(1, 2, id="block-units")]
+
+
+@pytest.mark.parametrize("unit_normals, slots", UNIT_CASES)
+def test_helper_reads_keep_their_values_until_release(monkeypatch, unit_normals, slots):
     # a step's views of its slot hold while the helper fills the other
     # slots; only the release publishes the refill of the step's slot
     realizations = (4, 0, 9)
     reads = STEP_READS
     length = sum(rows * cols // 3 for rows, cols in reads)
-    n_steps = rng.SLOTS + 3
+    n_steps = slots + 3
     want = read_steps(StreamReader(5, "forward", realizations, length, n_steps), n_steps, reads)
     slow_helper_fill(monkeypatch, 0.002)
+    monkeypatch.setattr(rng, "UNIT_NORMALS", unit_normals)
     with Helper(5, [realizations], {"forward": length}, n_steps) as helper:
+        c = helper.slots["forward"].shape[0]
+        assert c == slots
         published = []
         publish = helper.publish
         monkeypatch.setattr(helper, "publish", lambda fills: published.append(1) or publish(fills))
         reader = StreamReader(5, "forward", realizations, length, n_steps, helper)
         for step in range(1, n_steps + 1):
             before = len(published)
-            assert before == rng.SLOTS + min(step - 1, n_steps - rng.SLOTS)
+            assert before == c + min(step - 1, n_steps - c)
             reader.begin()
             views = [reader.standard_normal(shape) for shape in reads]
             assert len(published) == before  # the step read its whole plan
@@ -202,9 +212,9 @@ def test_helper_reads_keep_their_values_until_release(monkeypatch):
             for v, w in zip(views, want[step - 1]):
                 assert np.array_equal(v, w)
             reader.release()
-            assert len(published) == before + (step + rng.SLOTS <= n_steps)
+            assert len(published) == before + (step + c <= n_steps)
             reader.release()  # a second release publishes nothing
-            assert len(published) == before + (step + rng.SLOTS <= n_steps)
+            assert len(published) == before + (step + c <= n_steps)
         reader.finish()
 
 
@@ -298,15 +308,20 @@ def test_helper_groups_small_blocks_into_units(monkeypatch, blocks, length, unit
     assert np.array_equal(got, want)
 
 
-def test_helper_fills_across_batch_boundaries(monkeypatch):
+@pytest.mark.parametrize("unit_normals, slots", UNIT_CASES)
+def test_helper_fills_across_batch_boundaries(monkeypatch, unit_normals, slots):
     # batches of 4 and 3 blocks over five steps: releasing the first batch's
-    # last SLOTS steps publishes the second's first SLOTS steps, before the
-    # first batch finishes; the reads are those of the direct path
+    # last c steps publishes the second's first c steps, c the helper's
+    # slots, before the first batch finishes; the reads are those of the
+    # direct path
     batches, n_steps, length = [range(4), range(4, 7)], 5, 10
     want = [read_whole_steps(StreamReader(5, "forward", b, length, n_steps), n_steps)
             for b in batches]
     slow_helper_fill(monkeypatch, 0.002)
+    monkeypatch.setattr(rng, "UNIT_NORMALS", unit_normals)
     with Helper(5, batches, {"forward": length}, n_steps) as helper:
+        c = helper.slots["forward"].shape[0]
+        assert c == slots
         published = []
         publish = helper.publish
         monkeypatch.setattr(helper, "publish", lambda fills: published.append(1) or publish(fills))
@@ -315,12 +330,12 @@ def test_helper_fills_across_batch_boundaries(monkeypatch):
         for wrong in (batches[1], range(1, 5)):
             with pytest.raises(RuntimeError, match="not the forward helper's next batch"):
                 StreamReader(5, "forward", wrong, length, n_steps, helper)
-        assert len(published) == rng.SLOTS
+        assert len(published) == c
         got = [[]]
         for step in range(1, n_steps + 1):
             got[0].append(first.begin().standard_normal((1, 4 * length)).copy())
             first.release()
-            assert len(published) == min(step + rng.SLOTS, 2 * n_steps)
+            assert len(published) == min(step + c, 2 * n_steps)
         with pytest.raises(RuntimeError, match="not the forward helper's next batch"):
             StreamReader(5, "forward", batches[0], length, n_steps, helper)
         first.finish()
