@@ -374,7 +374,7 @@ def _step_normals(rows, m, solver):
 def batch_readers(seed, ml, m, solver, n_steps, helper=None):
     """A :class:`~mlenkf.rng.StreamReader` per purpose over the batch ``ml``'s
     draws at steps 1..``n_steps``, planned for engine steps with ``m``
-    observed directions and ``solver``, filled by ``helper`` when given."""
+    observed directions and ``solver``, read from ``helper``'s slots if given."""
     b = len(ml.realizations)
     rows = [(pe.level, pe.fine.shape[0], pe.coarse.shape[0], pe.size // b) for pe in ml.levels]
     return {purpose: StreamReader(seed, purpose, ml.realizations, length, n_steps, helper)
@@ -386,11 +386,11 @@ def run_filter_realizations(cfg, schedule, ys, realizations, helper=None):
 
     The realizations run as the column blocks of one ensemble; each row
     equals the realization's track run alone.  A realization whose filter
-    diverges gets a row of NaN.  The target's :class:`~mlenkf.rng.Helper`,
-    whose next batch this must be, fills the draws on a second thread when
-    given as ``helper``; without one, each read draws on the calling
-    thread.  The tracks are the same.  Each step advances the batch's
-    one ensemble in place.
+    diverges gets a row of NaN.  The draws are read from the step slots of
+    the target's :class:`~mlenkf.rng.Helper`, whose next batch this must
+    be, when given as ``helper``, else from the readers' own, filled on
+    the calling thread.  The tracks are the same, whoever fills the slots.
+    Each step advances the batch's one ensemble in place.
     """
     realizations = tuple(realizations)
     tracks = np.empty((len(realizations), cfg.n_steps + 1))
@@ -465,13 +465,12 @@ def estimate_mse(cfg, schedule, data, pool=None):
 
     A target maps :func:`run_filter_realizations` over the batches of
     :func:`realization_batches`, through ``pool`` when given (its workers
-    draw on their own thread), else in this process, where one
-    :class:`~mlenkf.rng.Helper` fills the draws of all the batches, across
-    their boundaries, if a CPU beyond ``cfg.jobs`` is usable and a step of
-    the widest batch draws at least :data:`~mlenkf.rng.UNIT_NORMALS`
-    forward normals.  Its slots, two steps of draws for a purpose whose
-    step splits into two or more helper units and three for one whose step
-    is one unit, are allocated before any ensemble.  Each realization's
+    draw on their own thread), else in this process, through one
+    :class:`~mlenkf.rng.Helper`, allocated before any ensemble.  It gets a
+    thread, which fills its slots ahead across the batches' boundaries, if
+    a CPU beyond ``cfg.jobs`` is usable and a step of the widest batch
+    draws at least :data:`~mlenkf.rng.UNIT_NORMALS` forward normals; else
+    its one slot a purpose is filled on this thread.  Each realization's
     squared error is formed here from the tracks; diverged (non-finite)
     ones are excluded with a warning, and the record carries the number
     actually averaged.
@@ -480,9 +479,9 @@ def estimate_mse(cfg, schedule, data, pool=None):
     batches = realization_batches(cfg, schedule)
     plan = _step_normals(_level_rows(schedule, cfg.hierarchy), cfg.obs.m, cfg.solver)
     helper = contextlib.nullcontext()
-    if (pool is None and _usable_cpus() > cfg.jobs
-            and max(map(len, batches)) * plan["forward"] >= UNIT_NORMALS):
-        helper = Helper(cfg.master_seed, batches, plan, cfg.n_steps)
+    if pool is None:
+        helper = Helper(cfg.master_seed, batches, plan, cfg.n_steps, _usable_cpus() > cfg.jobs
+                        and max(map(len, batches)) * plan["forward"] >= UNIT_NORMALS)
     with helper as helper:
         run = functools.partial(run_filter_realizations, cfg, schedule, data.ys, helper=helper)
         tracks = np.concatenate(list((map if pool is None else pool.map)(run, batches)))

@@ -19,17 +19,18 @@ against the step's plan.  Streams are consumed sequentially and numpy
 fills arrays in C order, so two consumers that read different amounts
 from the same position see the same draw prefix: a coarse solve shares
 the first N_{l-1} rows of its fine partner's block, and one fill of a
-block's whole step stream stands in for the step's reads of it.  Those
-fills depend only on the keys and the level shapes, so a :class:`Helper`
-thread may run them ahead of the steps, across a target's batches; keys
-are opened on the calling thread only.  A read hands out its draws where
-they lie.
+block's whole step stream stands in for the step's reads of it.  A read
+is a view of such a fill in a :class:`Helper`'s step slot, valid until
+the step is released.  The fills depend only on the keys and the level
+shapes, so a helper's thread may run them ahead, across a target's
+batches; keys are opened on the calling thread only.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,7 @@ UNIT_NORMALS = 2 ** 15
 
 
 def _draw(generator, out):
-    # the one draw site of both paths; numpy releases the GIL while it fills
+    # the one draw site of both threads; numpy releases the GIL while it fills
     generator.standard_normal(out=out)
 
 
@@ -135,36 +136,42 @@ def _fill(draws):
         _draw(generator, out)
 
 
+# executor and futures of a helper without a thread: the reader claims and fills each unit
+_NO_THREAD = types.SimpleNamespace(submit=lambda fill: _NO_THREAD, done=lambda: False,
+                                   cancel=lambda: True, shutdown=lambda cancel_futures: None)
+
+
 class Helper(contextlib.AbstractContextManager):
-    """Step slots of a target's readers, and a thread that fills them.
+    """Step slots of a target's readers, and who fills them.
 
     Step s of ``batches[k]``, whose blocks draw ``lengths[purpose]`` normals
     a step, is position g = k ``n_steps`` + s of each purpose.  Each unit,
     consecutive blocks of at least :data:`UNIT_NORMALS` normals or one larger
     block, is drawn whole by one thread into a slot that no read views.  A
     purpose keeps c slots, sized for the widest batch, and g fills slot
-    g mod c; releasing g publishes g + c, also across a batch boundary.  A
-    step of the widest batch that splits into two or more units keeps c = 2:
-    the helper fills step s + 1 while s is read, and the reader claims what
-    is left of s + 1 when it gets there.  A one-unit step is shared between
-    the threads only across steps and keeps c = 3.  Leaving the ``with``
-    block drops the unclaimed units and joins the thread.
+    g mod c; releasing g publishes g + c, also across a batch boundary.
+    Without a ``thread``, c = 1 and the reader fills step g at its first
+    read.  With one, a step of the widest batch that splits into two or
+    more units keeps c = 2: the thread fills step s + 1 while s is read,
+    and the reader claims what is left of s + 1 when it gets there; a
+    one-unit step keeps c = 3.  Leaving the ``with`` block drops the
+    unclaimed units and joins the thread.
     """
 
-    def __init__(self, seed, batches, lengths, n_steps):
-        from concurrent.futures import ThreadPoolExecutor  # loaded only with a spare CPU
-
+    def __init__(self, seed, batches, lengths, n_steps, thread):
+        if thread:
+            from concurrent.futures import ThreadPoolExecutor  # loaded only with a spare CPU
         self._seed, self._n_steps, self._lengths = seed, n_steps, dict(lengths)
         self._batches = [tuple(batch) for batch in batches]
         width = max(map(len, self._batches))
         self._per = {p: -(-UNIT_NORMALS // n) for p, n in self._lengths.items()}  # blocks a unit
-        self.slots = {p: np.empty((2 if width > self._per[p] else 3, width * n))
-                      for p, n in self._lengths.items()}
+        c = {p: (2 if width > per else 3) if thread else 1 for p, per in self._per.items()}
+        self.slots = {p: np.empty((c[p], width * n)) for p, n in self._lengths.items()}
         self._entered = dict.fromkeys(self._lengths, 0)  # readers, one a batch
         self._released = dict.fromkeys(self._lengths, 0)  # the last released position
         self._published = dict.fromkeys(self._lengths, 0)  # the last published position
         self._units = {p: [None] * len(rows) for p, rows in self.slots.items()}
-        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._pool = ThreadPoolExecutor(max_workers=1) if thread else _NO_THREAD
         self._queue = []  # published units that may be unclaimed
 
     def __exit__(self, *exc):
@@ -237,21 +244,22 @@ class StreamReader:
     block's stream ``RngKey(seed, purpose, realizations[i], 0, step)``.
     After :meth:`begin`, ``standard_normal((rows, B * M))`` returns a
     (rows, B, M) view whose ``[:, i]`` holds the next ``rows x M`` normals
-    of stream i, in C order: of one (B, rows, M) draw without a ``helper``,
-    else of the step's slot, valid until :meth:`release` or the next
-    :meth:`begin`; a ``helper``'s batch must be its target's next.  A step
-    that reads more than its plan raises ``RuntimeError`` at that read, one
-    that reads less at the next :meth:`begin` or at :meth:`finish`, and so
-    does any read, an empty one too, outside a begun, unreleased step.
+    of stream i, in C order, in the step's slot of ``helper``: valid until
+    :meth:`release` or the next :meth:`begin`.  A ``helper``'s batch must
+    be its target's next; without one, the reader opens its own helper of
+    this one batch, without a thread.  A step that reads more than its
+    plan raises ``RuntimeError`` at that read, one that reads less at the
+    next :meth:`begin` or at :meth:`finish`, and so does any read, an
+    empty one too, outside a begun, unreleased step.
     """
 
     def __init__(self, seed, purpose, realizations, length, n_steps, helper=None):
-        self._seed, self._purpose, self._blocks = seed, purpose, tuple(realizations)
-        self._length, self._n_steps, self._helper = length, n_steps, helper
+        self._purpose, self._blocks = purpose, tuple(realizations)
+        self._length, self._n_steps = length, n_steps
         self._step, self._pos = 0, 0  # the reader stands at _pos of _step, 0 before any
         self._held = False  # whether _step's reads are valid, False once released
-        if helper is not None:
-            self._base = helper.enter(purpose, self._blocks, length, n_steps)
+        self._helper = helper or Helper(seed, [self._blocks], {purpose: length}, n_steps, False)
+        self._base = self._helper.enter(purpose, self._blocks, length, n_steps)
 
     def _misread(self, where):
         return RuntimeError(f"the {self._purpose} draws stand at {self._pos} of step "
@@ -266,14 +274,11 @@ class StreamReader:
             raise self._misread(f"the start of step {self._step + 1}")
         self.release()
         self._step, self._pos, self._held = self._step + 1, 0, True
-        if self._helper is None:
-            self._draws = [RngKey(self._seed, self._purpose, r, 0, self._step).generator()
-                           for r in self._blocks]
         return self
 
     def release(self):
         """End the open step's reads; from here the helper may refill its slot."""
-        if self._held and self._helper is not None:
+        if self._held:
             self._helper.release(self._purpose, self._base + self._step)
         self._held = False
 
@@ -296,12 +301,7 @@ class StreamReader:
         if end > self._length:
             raise RuntimeError(f"step {self._step} reads more than its {self._length} "
                                f"planned {self._purpose} normals per block")
-        if self._helper is None:
-            out = np.empty((b, rows, m))
-            _fill(zip(self._draws, out))
-        else:
-            if not start:
-                self._filled = self._helper.read(self._purpose, self._base + self._step)
-            out = self._filled[:, start:end].reshape(b, rows, m)
+        if not start:
+            self._filled = self._helper.read(self._purpose, self._base + self._step)
         self._pos = end
-        return out.transpose(1, 0, 2)
+        return self._filled[:, start:end].reshape(b, rows, m).transpose(1, 0, 2)

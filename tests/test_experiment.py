@@ -683,21 +683,21 @@ def step_plan(cfg, sched):
                                     cfg.solver)
 
 
-def target_helper(cfg, sched, batches):
+def target_helper(cfg, sched, batches, thread=True):
     """A draw helper for the target ``sched`` run as ``batches``, built as
     :func:`estimate_mse` builds its own."""
-    return Helper(cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps)
+    return Helper(cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps, thread)
 
 
 @pytest.mark.parametrize("method,solver", sorted(HELPER_CASES))
 def test_prefetched_draws_leave_the_tracks_byte_identical(monkeypatch, method, solver):
-    # without a helper every read draws on the calling thread, CPUs to
-    # spare or not; one helper, serving a batch of three and then a batch
-    # of one, fills the draws on its thread: also when the threads switch
-    # every microsecond, and when the helper's fills are slow, so that the
-    # calling thread fills most units itself; the tracks must not tell
-    # them apart.  Five steps, more than the helper's slots, so the
-    # released slots are refilled
+    # without a target's helper every reader fills its own slot on the
+    # calling thread, CPUs to spare or not; one helper, serving a batch of
+    # three and then a batch of one, fills the draws on its thread: also
+    # when the threads switch every microsecond, and when the helper's
+    # fills are slow, so that the calling thread fills most units itself;
+    # the tracks must not tell them apart.  Five steps, more than the
+    # helper's slots, so the released slots are refilled
     cfg = ExperimentConfig(example=1, method=method, solver=solver,
                            eps_grid=(HELPER_CASES[method, solver],), n_steps=5,
                            realizations=3, n_ref=128)
@@ -756,8 +756,8 @@ def test_a_step_that_draws_an_extra_row_raises_on_either_path(monkeypatch, metho
 
 def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
     # a target in this process gets one helper, given its batches and
-    # allocated before the first batch's ensemble, when the process may
-    # run on a CPU beyond the jobs
+    # allocated before the first batch's ensemble; it gets a thread when
+    # the process may run on a CPU beyond the jobs
     assert 1 <= experiment._usable_cpus() <= os.cpu_count()
     cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_ref=16, n_steps=2, realizations=3)
     data = synthesize_truth_and_obs(cfg)
@@ -772,8 +772,8 @@ def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
         events.clear()
         estimate_mse(replace(cfg, jobs=jobs), sched, data)
         batches = [range(3)] if jobs == 1 else [range(2), range(2, 3)]
-        helper = [(cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps)]
-        assert events == (helper if expected else []) + list(map(len, batches))
+        helper = (cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps, expected)
+        assert events == [helper] + list(map(len, batches))
     # and only when a step of its widest batch draws one unit of forward
     # normals or more: an EnKF target at B = 1 draws 4,096 at eps 2^-4 and
     # 32,768, the floor, at 2^-5
@@ -788,8 +788,8 @@ def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
         assert plan["forward"] == eps ** -3
         events.clear()
         estimate_mse(enkf, sched, data)
-        helper = [(enkf.master_seed, [range(1), range(1, 2)], plan, enkf.n_steps)]
-        assert events == (helper if expected else []) + [1, 1]
+        helper = (enkf.master_seed, [range(1), range(1, 2)], plan, enkf.n_steps, expected)
+        assert events == [helper, 1, 1]
 
 
 def test_helper_fills_the_next_batch_before_this_one_finishes(monkeypatch):
@@ -821,26 +821,57 @@ def test_helper_fills_the_next_batch_before_this_one_finishes(monkeypatch):
 
 
 def test_helper_keeps_two_slots_for_a_step_of_several_units():
-    # a purpose whose step of the widest batch splits into two or more units
-    # keeps two slots, one whose step is one unit keeps three; each slot
-    # holds one step of the widest batch
+    # with a thread, a purpose whose step of the widest batch splits into two
+    # or more units keeps two slots, one whose step is one unit keeps three;
+    # without one, every purpose keeps one.  Each slot holds one step of the
+    # widest batch
     deep = ExperimentConfig(example=1, eps_grid=tuple(2.0 ** -k for k in range(2, 8)),
                             realizations=20, n_ref=1024)
     enkf = replace(deep, method="enkf", solver="expeuler", eps_grid=deep.eps_grid[:5],
                    realizations=2)
     cases = (
         # batches 3,3,3,3,3,3,2: 3 forward units a step, 2 perturbation units
-        (deep, 2.0 ** -7, {"forward": (2, 3 * 52_554), "obs-perturbation": (2, 3 * 25_341)}),
+        (deep, 2.0 ** -7, True, {"forward": (2, 3 * 52_554), "obs-perturbation": (2, 3 * 25_341)}),
         # one batch of 20: forward units of 11 and 9 blocks, 1 perturbation unit
-        (deep, 2.0 ** -5, {"forward": (2, 20 * 3_078), "obs-perturbation": (3, 20 * 1_583)}),
+        (deep, 2.0 ** -5, True, {"forward": (2, 20 * 3_078), "obs-perturbation": (3, 20 * 1_583)}),
         # batches [1, 1]: one unit a step of each purpose
-        (enkf, 2.0 ** -6, {"forward": (3, 262_144), "obs-perturbation": (3, 4_096)}),
+        (enkf, 2.0 ** -6, True, {"forward": (3, 262_144), "obs-perturbation": (3, 4_096)}),
+        # the first target without a thread: 8 B_max length bytes a purpose
+        (deep, 2.0 ** -7, False,
+         {"forward": (1, 3 * 52_554), "obs-perturbation": (1, 3 * 25_341)}),
     )
-    for cfg, eps, want in cases:
+    for cfg, eps, thread, want in cases:
         sched = make_schedule(eps, cfg.hierarchy, cfg.method)
-        with target_helper(cfg, sched, realization_batches(cfg, sched)) as helper:
+        with target_helper(cfg, sched, realization_batches(cfg, sched), thread) as helper:
             assert {p: (len(s), s.nbytes) for p, s in helper.slots.items()} == {
                 p: (c, 8 * c * n) for p, (c, n) in want.items()}
+
+
+def test_a_target_without_a_thread_reads_one_slot_a_purpose(monkeypatch):
+    # on one CPU a target's helper has no thread, and every read of every
+    # step and batch is a view of one array per purpose: that helper's one
+    # slot, allocated once for the target before its first ensemble
+    cpus(monkeypatch, 1)
+    cfg = ExperimentConfig(example=1, eps_grid=tuple(2.0 ** -k for k in range(2, 8)),
+                           n_steps=2, realizations=7, n_ref=1024)
+    data = synthesize_truth_and_obs(cfg)
+    sched = make_schedule(2.0 ** -7, cfg.hierarchy, "mlenkf")
+    assert list(map(len, realization_batches(cfg, sched))) == [3, 2, 2]
+    events, reads = [], {p: [] for p in step_plan(cfg, sched)}
+    ensemble, read = experiment.initial_multilevel_ensemble, rng.StreamReader.standard_normal
+    monkeypatch.setattr(experiment, "Helper", lambda *args: events.append(Helper(*args))
+                        or events[-1])
+    monkeypatch.setattr(experiment, "initial_multilevel_ensemble",
+                        lambda *args: events.append(len(args[2])) or ensemble(*args))
+    monkeypatch.setattr(rng.StreamReader, "standard_normal",
+                        lambda reader, size: reads[reader._purpose].append(read(reader, size))
+                        or reads[reader._purpose][-1])
+    assert estimate_mse(cfg, sched, data).realizations == 7
+    helper, *batches = events
+    assert isinstance(helper, Helper) and batches == [3, 2, 2]
+    for purpose, slot in helper.slots.items():
+        assert slot.shape[0] == 1 and len(reads[purpose]) >= 2 * 3 * 2
+        assert all(r.base is slot for r in reads[purpose] if r.size)
 
 
 def test_step_normals_are_the_reads_of_a_step():

@@ -501,7 +501,7 @@ def test_three_direction_batch_steps_as_its_realizations_alone(solver, helped):
         b = len(ens.realizations)
         rows = [(pe.level, pe.fine.shape[0], pe.coarse.shape[0], pe.size // b) for pe in ens.levels]
         plan = _step_normals(rows, obs.m, solver)
-        with (Helper(31, [ens.realizations], plan, 1) if helped
+        with (Helper(31, [ens.realizations], plan, 1, True) if helped
               else contextlib.nullcontext()) as helper:
             out = mlenkf_step(ens, y, obs, CFG, hier, solver,
                               batch_readers(31, ens, obs.m, solver, 1, helper))
@@ -670,7 +670,7 @@ def test_mlenkf_step_advances_the_callers_batch_in_place(solver, L):
     for helped in (False, True):
         ml = copied(given)
         inputs = [a for pe in ml.levels for a in (pe.coarse, pe.fine)]
-        with (Helper(11, [ml.realizations], plan, 1) if helped
+        with (Helper(11, [ml.realizations], plan, 1, True) if helped
               else contextlib.nullcontext()) as helper:
             out = mlenkf_step(ml, y, obs, CFG, HIER, solver,
                               batch_readers(11, ml, obs.m, solver, 1, helper))

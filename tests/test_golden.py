@@ -26,10 +26,11 @@ from golden.regen import (
 )
 
 
-# a jobs-1 study draws through a helper thread when it may use a CPU beyond
-# its one job, else on the calling thread; each path runs on any host, with
-# the usable CPUs patched to 4 (helper) or 1 (the "-direct" cases).  The
-# helper cases also lift the helper's floor, which every target of these
+# a jobs-1 study draws through a helper with a thread when it may use a CPU
+# beyond its one job, else through one without, which keeps one slot a
+# purpose and fills it on the calling thread; each runs on any host, with
+# the usable CPUs patched to 4 (thread) or 1 (the "-direct" cases).  The
+# thread cases also lift the helper's floor, which every target of these
 # small studies is below.  Most of their steps are one helper unit, for
 # which the helper keeps three slots; the "-units" cases make every block a
 # unit, so every step is several units and every purpose keeps two slots.
@@ -56,8 +57,10 @@ def test_study_reproduces_its_pins(name, jobs, cpus, unit_normals, monkeypatch):
 
     monkeypatch.setattr(experiment, "Helper", Counted)
     outputs = study_outputs(name, jobs)
-    if cpus != 4:  # the direct and pool paths open no helper in this process
+    if cpus is None:  # the pool's workers open their readers' helpers
         assert not slots
+    elif cpus == 1:
+        assert slots == {1}
     else:
         assert slots == {2} if unit_normals else 3 in slots
     assert outputs["schedule.csv"] == (HERE / name / "schedule.csv").read_text()

@@ -101,20 +101,26 @@ def test_indices_must_be_nonnegative():
 
 def test_column_blocks_fill_block_i_from_stream_i():
     # three blocks, and one block, which reads exactly as its bare generator;
-    # a read is the (rows, B, M) view of one (B, rows, M) draw, so a batch
-    # read writes each normal once
+    # a read is a (rows, B, M) view of the reader's one step slot, whose
+    # (B, length) rows hold the blocks' step streams, so a batch read writes
+    # each normal once
     for realizations in ((4, 0, 9), (2,)):
         b = len(realizations)
         keys = [RngKey(7, "forward", r, 0, 1) for r in realizations]
         reader = StreamReader(7, "forward", realizations, 20, 1).begin()
+        slot = reader._helper.slots["forward"]
+        assert slot.shape == (1, b * 20) and slot.flags.c_contiguous
         solo = [k.generator() for k in keys]
+        pos = 0
         for rows in (1, 3, 0):
             got = reader.standard_normal((rows, b * 5))
             want = np.stack([g.standard_normal((rows, 5)) for g in solo], axis=1)
             assert got.shape == (rows, b, 5) and np.array_equal(got, want)
             if rows:
-                assert got.base.shape == (b, rows, 5) and got.base.flags.c_contiguous
-                assert np.array_equal(got.base.transpose(1, 0, 2), got)
+                assert got.base is slot
+                blocks = slot.reshape(b, 20)[:, pos : pos + rows * 5]
+                assert np.array_equal(blocks.reshape(b, rows, 5).transpose(1, 0, 2), got)
+            pos += rows * 5
     with pytest.raises(ValueError, match="blocks"):
         StreamReader(7, "forward", range(3), 4, 1).begin().standard_normal((2, 7))
 
@@ -165,7 +171,7 @@ def test_prefetched_blocks_read_as_column_blocks(monkeypatch, realizations):
     for delay in (0, 0.005):
         if delay:
             slow_helper_fill(monkeypatch, delay)
-        with Helper(5, [realizations], {"forward": length}, 5) as helper:
+        with Helper(5, [realizations], {"forward": length}, 5, True) as helper:
             views = []
             got.append(read_steps(
                 StreamReader(5, "forward", realizations, length, 5, helper), 5, reads, views))
@@ -194,7 +200,7 @@ def test_helper_reads_keep_their_values_until_release(monkeypatch, unit_normals,
     want = read_steps(StreamReader(5, "forward", realizations, length, n_steps), n_steps, reads)
     slow_helper_fill(monkeypatch, 0.002)
     monkeypatch.setattr(rng, "UNIT_NORMALS", unit_normals)
-    with Helper(5, [realizations], {"forward": length}, n_steps) as helper:
+    with Helper(5, [realizations], {"forward": length}, n_steps, True) as helper:
         c = helper.slots["forward"].shape[0]
         assert c == slots
         published = []
@@ -219,11 +225,12 @@ def test_helper_reads_keep_their_values_until_release(monkeypatch, unit_normals,
 
 
 def test_prefetched_blocks_raise_on_a_step_that_leaves_its_plan():
-    # on the direct path and on the helper's, with a helper for each reader
+    # on a reader's own helper and on one with a thread, a helper for each reader
     check_plan(lambda length: StreamReader(5, "obs-perturbation", (0, 1), length, 2))
     with contextlib.ExitStack() as helpers:
         def helped(length):
-            helper = helpers.enter_context(Helper(5, [(0, 1)], {"obs-perturbation": length}, 2))
+            plan = {"obs-perturbation": length}
+            helper = helpers.enter_context(Helper(5, [(0, 1)], plan, 2, True))
             return StreamReader(5, "obs-perturbation", (0, 1), length, 2, helper)
 
         check_plan(helped)
@@ -298,7 +305,7 @@ def test_helper_groups_small_blocks_into_units(monkeypatch, blocks, length, unit
     realizations = range(3, 3 + blocks)
     want = read_whole_steps(StreamReader(5, "forward", realizations, length, 4), 4)
     slow_helper_fill(monkeypatch, 0.001)
-    with Helper(5, [realizations], {"forward": length}, 4) as helper:
+    with Helper(5, [realizations], {"forward": length}, 4, True) as helper:
         published = []
         publish = helper.publish
         monkeypatch.setattr(helper, "publish", lambda fills: published.append(
@@ -319,7 +326,7 @@ def test_helper_fills_across_batch_boundaries(monkeypatch, unit_normals, slots):
             for b in batches]
     slow_helper_fill(monkeypatch, 0.002)
     monkeypatch.setattr(rng, "UNIT_NORMALS", unit_normals)
-    with Helper(5, batches, {"forward": length}, n_steps) as helper:
+    with Helper(5, batches, {"forward": length}, n_steps, True) as helper:
         c = helper.slots["forward"].shape[0]
         assert c == slots
         published = []
