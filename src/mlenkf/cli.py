@@ -112,18 +112,17 @@ def _summary_text(records, cfg):
     return "\n".join(lines) + "\n"
 
 
-def _default_n_ref(fields):
-    """The CLI's one default of its own (the library's is 2^13): the
-    smallest power of two that is at least 1024 and at least 32 N_L of the
-    grid's finest target.  A truth cut at n_ref misses the modes beyond
-    it, so the MSE reads low by about N_L/n_ref: 2-5% at this rule, 9% at
-    eps 2^-6 and a third at 2^-8 with n_ref 1024."""
-    def get(name):
-        return fields.get(name, getattr(experiment.ExperimentConfig, name))
-
-    hierarchy = experiment.build_example(get("example"), get("solver"), 2)[1]
-    n_top = _finest_modes(hierarchy, get("eps_grid"))
-    return 1 << (max(1024, 32 * n_top) - 1).bit_length()
+def _set_n_ref(fields):
+    """N_L of the grid's finest target under ``fields``, setting the CLI's one
+    default of its own if n_ref is unset (the library's is 2^13): the least
+    power of two that is at least 1024 and at least 32 N_L.  A truth cut at
+    n_ref misses the modes beyond it, so the MSE reads low by about N_L/n_ref:
+    2-5% at this rule, 9% at eps 2^-6 and a third at 2^-8 with n_ref 1024."""
+    example, solver, eps_grid = (fields.get(k, getattr(experiment.ExperimentConfig, k))
+                                 for k in ("example", "solver", "eps_grid"))
+    n_top = _finest_modes(experiment.build_example(example, solver, 2)[1], eps_grid)
+    fields.setdefault("n_ref", 1 << (max(1024, 32 * n_top) - 1).bit_length())
+    return n_top
 
 
 def _finest_modes(hierarchy, eps_grid):
@@ -145,12 +144,15 @@ def _cmd_run(args):
             raise ConfigError(f"bad eps list: {exc}") from exc
     try:
         fields = {_FIELDS[k]: v for k, v in settings.items()}
-        if "n_ref" not in fields:
-            fields["n_ref"] = _default_n_ref(fields)
+        n_top = _set_n_ref(fields)
+        if 8 * fields["n_ref"] > sys.maxsize:  # the bytes of numpy's largest array
+            raise MemoryError("no array holds that many modes")
         # ExperimentConfig checks every setting and grid point before any compute
         cfg = experiment.ExperimentConfig(**fields)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except MemoryError as exc:
+        raise ConfigError(f"cannot build n_ref={fields['n_ref']} for N_L={n_top}: {exc}") from exc
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

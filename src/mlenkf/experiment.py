@@ -467,22 +467,24 @@ def estimate_mse(cfg, schedule, data, pool=None):
     :func:`realization_batches`, through ``pool`` when given (its workers
     draw on their own thread), else in this process, through one
     :class:`~mlenkf.rng.Helper`, allocated before any ensemble.  It gets a
-    thread, which fills its slots ahead across the batches' boundaries, if
-    a CPU beyond ``cfg.jobs`` is usable and a step of the widest batch
-    draws at least :data:`~mlenkf.rng.UNIT_NORMALS` forward normals; else
-    its one slot a purpose is filled on this thread.  Each realization's
-    squared error is formed here from the tracks; diverged (non-finite)
-    ones are excluded with a warning, and the record carries the number
-    actually averaged.
+    one-worker executor, opened here and nowhere else, which fills its
+    slots ahead across the batches' boundaries, if a CPU beyond
+    ``cfg.jobs`` is usable and a step of the widest batch draws at least
+    :data:`~mlenkf.rng.UNIT_NORMALS` forward normals; else its one slot a
+    purpose is filled on this thread.  Each realization's squared error is
+    formed here from the tracks; diverged (non-finite) ones are excluded
+    with a warning, and the record carries the number actually averaged.
     """
     t0 = time.perf_counter()
     batches = realization_batches(cfg, schedule)
     plan = _step_normals(_level_rows(schedule, cfg.hierarchy), cfg.obs.m, cfg.solver)
-    helper = contextlib.nullcontext()
-    if pool is None:
-        helper = Helper(cfg.master_seed, batches, plan, cfg.n_steps, _usable_cpus() > cfg.jobs
-                        and max(map(len, batches)) * plan["forward"] >= UNIT_NORMALS)
-    with helper as helper:
+    thread = contextlib.nullcontext()
+    if (pool is None and _usable_cpus() > cfg.jobs
+            and max(map(len, batches)) * plan["forward"] >= UNIT_NORMALS):
+        from concurrent.futures import ThreadPoolExecutor  # loaded only with a spare CPU
+        thread = ThreadPoolExecutor(max_workers=1)
+    with thread as thread:
+        helper = None if pool else Helper(cfg.master_seed, batches, plan, cfg.n_steps, thread)
         run = functools.partial(run_filter_realizations, cfg, schedule, data.ys, helper=helper)
         tracks = np.concatenate(list((map if pool is None else pool.map)(run, batches)))
     errs = np.sum((tracks - data.ref_qoi) ** 2, axis=1)

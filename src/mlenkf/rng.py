@@ -22,13 +22,13 @@ the first N_{l-1} rows of its fine partner's block, and one fill of a
 block's whole step stream stands in for the step's reads of it.  A read
 is a view of such a fill in a :class:`Helper`'s step slot, valid until
 the step is released.  The fills depend only on the keys and the level
-shapes, so a helper's thread may run them ahead, across a target's
-batches; keys are opened on the calling thread only.
+shapes, so the executor a helper is handed, which its caller opens and
+ends, may run them ahead across a target's batches; keys are opened on
+the calling thread only.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import types
 from dataclasses import dataclass
@@ -136,12 +136,12 @@ def _fill(draws):
         _draw(generator, out)
 
 
-# executor and futures of a helper without a thread: the reader claims and fills each unit
+# executor and futures of a helper without a pool: the reader claims and fills each unit
 _NO_THREAD = types.SimpleNamespace(submit=lambda fill: _NO_THREAD, done=lambda: False,
-                                   cancel=lambda: True, shutdown=lambda cancel_futures: None)
+                                   cancel=lambda: True)
 
 
-class Helper(contextlib.AbstractContextManager):
+class Helper:
     """Step slots of a target's readers, and who fills them.
 
     Step s of ``batches[k]``, whose blocks draw ``lengths[purpose]`` normals
@@ -149,33 +149,28 @@ class Helper(contextlib.AbstractContextManager):
     consecutive blocks of at least :data:`UNIT_NORMALS` normals or one larger
     block, is drawn whole by one thread into a slot that no read views.  A
     purpose keeps c slots, sized for the widest batch, and g fills slot
-    g mod c; releasing g publishes g + c, also across a batch boundary.
-    Without a ``thread``, c = 1 and the reader fills step g at its first
-    read.  With one, a step of the widest batch that splits into two or
-    more units keeps c = 2: the thread fills step s + 1 while s is read,
-    and the reader claims what is left of s + 1 when it gets there; a
-    one-unit step keeps c = 3.  Leaving the ``with`` block drops the
-    unclaimed units and joins the thread.
+    g mod c; releasing g publishes g + c, also across a batch boundary,
+    submitting its units to ``pool``, an executor of one worker that the
+    caller opens and shuts down.  Without one, c = 1 and the reader fills
+    step g at its first read.  With one, a step of the widest batch that
+    splits into two or more units keeps c = 2: the pool fills step s + 1
+    while s is read, and the reader claims what is left of s + 1 when it
+    gets there; a one-unit step keeps c = 3.
     """
 
-    def __init__(self, seed, batches, lengths, n_steps, thread):
-        if thread:
-            from concurrent.futures import ThreadPoolExecutor  # loaded only with a spare CPU
+    def __init__(self, seed, batches, lengths, n_steps, pool=None):
         self._seed, self._n_steps, self._lengths = seed, n_steps, dict(lengths)
         self._batches = [tuple(batch) for batch in batches]
         width = max(map(len, self._batches))
         self._per = {p: -(-UNIT_NORMALS // n) for p, n in self._lengths.items()}  # blocks a unit
-        c = {p: (2 if width > per else 3) if thread else 1 for p, per in self._per.items()}
+        c = {p: 1 if pool is None else 2 if width > per else 3 for p, per in self._per.items()}
         self.slots = {p: np.empty((c[p], width * n)) for p, n in self._lengths.items()}
         self._entered = dict.fromkeys(self._lengths, 0)  # readers, one a batch
         self._released = dict.fromkeys(self._lengths, 0)  # the last released position
         self._published = dict.fromkeys(self._lengths, 0)  # the last published position
         self._units = {p: [None] * len(rows) for p, rows in self.slots.items()}
-        self._pool = ThreadPoolExecutor(max_workers=1) if thread else _NO_THREAD
+        self._pool = _NO_THREAD if pool is None else pool
         self._queue = []  # published units that may be unclaimed
-
-    def __exit__(self, *exc):
-        self._pool.shutdown(cancel_futures=True)
 
     def enter(self, purpose, blocks, length, n_steps):
         """Position before the first step of a new reader of ``blocks``, the
@@ -224,7 +219,7 @@ class Helper(contextlib.AbstractContextManager):
 
     def wait(self, units):
         """Return once ``units`` are filled, raising a fill's error.  The caller
-        fills each one nobody claimed, and while the thread fills one, the
+        fills each one nobody claimed, and while the pool fills one, the
         first published one nobody claimed; it blocks only if none is left."""
         for unit in units:
             while unit[0] is not None and not unit[0].done():
@@ -234,7 +229,7 @@ class Helper(contextlib.AbstractContextManager):
                 job[0] = None
                 job[1]()
             if unit[0] is not None:
-                unit[0].result()  # waits for the thread's fill and raises its error
+                unit[0].result()  # waits for the pool's fill and raises its error
 
 
 class StreamReader:
@@ -247,7 +242,7 @@ class StreamReader:
     of stream i, in C order, in the step's slot of ``helper``: valid until
     :meth:`release` or the next :meth:`begin`.  A ``helper``'s batch must
     be its target's next; without one, the reader opens its own helper of
-    this one batch, without a thread.  A step that reads more than its
+    this one batch, without a pool.  A step that reads more than its
     plan raises ``RuntimeError`` at that read, one that reads less at the
     next :meth:`begin` or at :meth:`finish`, and so does any read, an
     empty one too, outside a begun, unreleased step.
@@ -258,7 +253,7 @@ class StreamReader:
         self._length, self._n_steps = length, n_steps
         self._step, self._pos = 0, 0  # the reader stands at _pos of _step, 0 before any
         self._held = False  # whether _step's reads are valid, False once released
-        self._helper = helper or Helper(seed, [self._blocks], {purpose: length}, n_steps, False)
+        self._helper = helper or Helper(seed, [self._blocks], {purpose: length}, n_steps)
         self._base = self._helper.enter(purpose, self._blocks, length, n_steps)
 
     def _misread(self, where):

@@ -218,6 +218,36 @@ def test_run_derives_n_ref_from_the_grid_unless_it_is_set(tmp_path, monkeypatch)
     assert seen[4:] == [2048, 1024]
 
 
+def test_run_reports_an_example_it_cannot_build_at_its_n_ref(tmp_path, monkeypatch, capsys):
+    # eps 1e-8 derives n_ref = 2^32 for example 1's N_L = 2^27, whose
+    # arrays (32 GiB each) do not fit: a stand-in build fails as numpy's
+    # allocation would, so nothing is allocated here, and the run stops with
+    # one line naming n_ref and N_L; so does an explicit n_ref
+    build = mlenkf.experiment.build_example
+
+    def out_of_memory(example, solver, n_ref, n0=1):
+        if n_ref > 2 ** 16:
+            raise MemoryError(f"Unable to allocate {n_ref * 8 / 2 ** 30} GiB for an array")
+        return build(example, solver, n_ref, n0)
+
+    monkeypatch.setattr(mlenkf.experiment, "build_example", out_of_memory)
+    out = tmp_path / "out"
+    for flags, n_ref, n_top in ((["--eps", "1e-8"], 2 ** 32, 2 ** 27),
+                                (["--eps", "0.5,0.25", "--n-ref", str(2 ** 40)], 2 ** 40, 4)):
+        assert main(["run", "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot build n_ref={n_ref} for N_L={n_top}: Unable to")
+        assert len(err.strip().splitlines()) == 1 and not out.exists()
+    # eps 1e-300 derives an n_ref beyond numpy's largest array, which no
+    # build is asked to allocate
+    monkeypatch.setattr(mlenkf.experiment, "build_example",
+                        lambda *args: build(*args) if args[2] == 2 else pytest.fail("built"))
+    assert main(["run", "--out", str(out), "--eps", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert "n_ref=" in err and "N_L=" in err and "no array holds that many modes" in err
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
 def test_summary_states_the_reference_dimension(tmp_path):
     # example 1 has N_L = 4 at 2^-2 and 16 at 2^-4; the derived n_ref of
     # 2^-2 is 1024, 256 times N_L, while 256 at 2^-4 is only 16 times it

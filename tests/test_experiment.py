@@ -1,12 +1,11 @@
 import concurrent.futures
-import contextlib
+import ctypes
 import math
 import os
 import platform
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 
 import mlenkf.experiment as experiment
+from handoff import SCHEDULES, StandInPool
 from mlenkf.experiment import (
     ExperimentConfig,
     RunRecord,
@@ -549,6 +549,58 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert int(proc.stdout) < 50
 
 
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    # without os.sched_getaffinity (not on every platform) the usable CPUs
+    # are os.cpu_count(), and 1 when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, want in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert experiment._usable_cpus() == want
+
+
+class FakeLibc:
+    """A ``ctypes.CDLL(None)`` whose ``mallopt`` records its calls and fails
+    those in ``fails``; without ``glibc`` it lacks glibc's version call."""
+
+    def __init__(self, glibc=True, fails=()):
+        self.calls = []
+        if glibc:
+            self.gnu_get_libc_version = lambda: b"2.36"
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return int((param, value) not in fails)
+
+        self.mallopt = mallopt
+
+
+def test_worker_heap_policy_sets_nothing_off_glibc(monkeypatch):
+    # a C library without glibc's version call, or none that loads, gets
+    # no mallopt call at all
+    libc = FakeLibc(glibc=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert experiment._worker_heap_policy() is None and libc.calls == []
+
+    def unloadable(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", unloadable)
+    assert experiment._worker_heap_policy() is None
+
+
+@pytest.mark.parametrize("fails, calls", [
+    ((), [(-4, 0), (-1, 2 ** 30)]),
+    # either setting failing restores glibc's default M_MMAP_MAX, 65536
+    ([(-4, 0)], [(-4, 0), (-4, 65536)]),
+    ([(-1, 2 ** 30)], [(-4, 0), (-1, 2 ** 30), (-4, 65536)]),
+])
+def test_worker_heap_policy_never_keeps_one_setting_alone(monkeypatch, fails, calls):
+    libc = FakeLibc(fails=fails)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    experiment._worker_heap_policy()
+    assert libc.calls == calls
+
+
 def batch_sizes(cfg):
     return [[len(b) for b in realization_batches(
         cfg, make_schedule(eps, cfg.hierarchy, cfg.method))] for eps in cfg.eps_grid]
@@ -659,73 +711,48 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(experiment, "UNIT_NORMALS", 0)
 
 
-def count_fills(monkeypatch, draw, helper_delay=0.0):
-    """Patch ``rng._draw`` to ``draw`` counting its fills per thread, which
-    it returns as ``{"main": n, "helper": n}``; each fill on the helper
-    thread first sleeps ``helper_delay`` seconds."""
-    fills = {"main": 0, "helper": 0}
-
-    def counted(generator, out):
-        if threading.current_thread() is threading.main_thread():
-            fills["main"] += 1
-        else:
-            fills["helper"] += 1
-            time.sleep(helper_delay)
-        draw(generator, out)
-
-    monkeypatch.setattr(rng, "_draw", counted)
-    return fills
-
-
 def step_plan(cfg, sched):
     """Normals a realization reads in one step per purpose."""
     return experiment._step_normals(experiment._level_rows(sched, cfg.hierarchy), cfg.obs.m,
                                     cfg.solver)
 
 
-def target_helper(cfg, sched, batches, thread=True):
+def target_helper(cfg, sched, batches, pool):
     """A draw helper for the target ``sched`` run as ``batches``, built as
-    :func:`estimate_mse` builds its own."""
-    return Helper(cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps, thread)
+    :func:`estimate_mse` builds its own, filled through ``pool``."""
+    return Helper(cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps, pool)
 
 
 @pytest.mark.parametrize("method,solver", sorted(HELPER_CASES))
-def test_prefetched_draws_leave_the_tracks_byte_identical(monkeypatch, method, solver):
+def test_handoff_orders_leave_the_tracks_byte_identical(method, solver):
     # without a target's helper every reader fills its own slot on the
-    # calling thread, CPUs to spare or not; one helper, serving a batch of
-    # three and then a batch of one, fills the draws on its thread: also
-    # when the threads switch every microsecond, and when the helper's
-    # fills are slow, so that the calling thread fills most units itself;
-    # the tracks must not tell them apart.  Five steps, more than the
-    # helper's slots, so the released slots are refilled
+    # calling thread; one helper, serving a batch of three and then a batch
+    # of one, is filled by the reader alone (no pool, or a worker that
+    # starts nothing), by a worker that fills every unit ahead, by the two
+    # in turn, and by a real fill thread; the tracks must not tell them
+    # apart.  Five steps, more than the helper's slots, so the released
+    # slots are refilled
     cfg = ExperimentConfig(example=1, method=method, solver=solver,
                            eps_grid=(HELPER_CASES[method, solver],), n_steps=5,
                            realizations=3, n_ref=128)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(cfg.eps_grid[0], cfg.hierarchy, method)
-    cpus(monkeypatch, 4)
-    tracks, fills = {}, {}
-    draw = rng._draw
-    interval = sys.getswitchinterval()
-    try:
-        for case, switch, delay in (("direct", interval, 0.0), ("helper", 1e-6, 0.0),
-                                    ("slow helper", interval, 0.002)):
-            sys.setswitchinterval(switch)
-            fills[case] = count_fills(monkeypatch, draw, delay)
-            with (contextlib.nullcontext() if case == "direct"
-                  else target_helper(cfg, sched, [(0, 1, 2), (1,)])) as helper:
-                for batch in ((0, 1, 2), (1,)):
-                    tracks[case, batch] = run_filter_realizations(cfg, sched, data.ys, batch,
-                                                                  helper)
-    finally:
-        sys.setswitchinterval(interval)
-    assert fills["direct"]["helper"] == 0 and fills["helper"]["helper"] > 0
-    assert fills["slow helper"]["main"] > fills["slow helper"]["helper"]
-    for batch in ((0, 1, 2), (1,)):
-        assert np.all(np.isfinite(tracks["direct", batch]))
-        for case in ("helper", "slow helper"):
-            assert np.array_equal(tracks["direct", batch], tracks[case, batch])
-    assert np.array_equal(tracks["helper", (0, 1, 2)][1:2], tracks["helper", (1,)])
+    batches = [(0, 1, 2), (1,)]
+    tracks = {("own", b): run_filter_realizations(cfg, sched, data.ys, b) for b in batches}
+    pools = {name: StandInPool(schedule) for name, schedule in SCHEDULES.items()}
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as thread:
+        for case, pool in [("no pool", None), *pools.items(), ("thread", thread)]:
+            helper = target_helper(cfg, sched, batches, pool)
+            for b in batches:
+                tracks[case, b] = run_filter_realizations(cfg, sched, data.ys, b, helper)
+    assert [set(p.who()) for p in pools.values()] == [{"worker"}, {"reader"},
+                                                      {"worker", "reader"}]
+    assert ("wait", 1) in pools["mixed"].log
+    for b in batches:
+        assert np.all(np.isfinite(tracks["own", b]))
+        for case in ("no pool", *pools, "thread"):
+            assert np.array_equal(tracks["own", b], tracks[case, b])
+    assert np.array_equal(tracks["own", (0, 1, 2)][1:2], tracks["own", (1,)])
 
 
 @pytest.mark.parametrize("count", [1, 4], ids=["direct", "helper"])
@@ -756,7 +783,8 @@ def test_a_step_that_draws_an_extra_row_raises_on_either_path(monkeypatch, metho
 
 def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
     # a target in this process gets one helper, given its batches and
-    # allocated before the first batch's ensemble; it gets a thread when
+    # allocated before the first batch's ensemble; it is filled through a
+    # one-worker executor, opened for the target and shut down with it, when
     # the process may run on a CPU beyond the jobs
     assert 1 <= experiment._usable_cpus() <= os.cpu_count()
     cfg = ExperimentConfig(example=1, eps_grid=(0.5,), n_ref=16, n_steps=2, realizations=3)
@@ -764,16 +792,26 @@ def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
     sched = make_schedule(0.5, cfg.hierarchy, "mlenkf")
     events = []
     ensemble = experiment.initial_multilevel_ensemble
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", StandInPool)
     monkeypatch.setattr(experiment, "Helper", lambda *args: events.append(args) or Helper(*args))
     monkeypatch.setattr(experiment, "initial_multilevel_ensemble",
                         lambda *args: events.append(len(args[2])) or ensemble(*args))
+
+    def check(cfg, sched, batches, expected):
+        events.clear()
+        estimate_mse(cfg, sched, data)
+        *args, pool = events[0]
+        assert args == [cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps]
+        assert events[1:] == list(map(len, batches))
+        if expected:
+            assert isinstance(pool, StandInPool) and pool.entered and pool.exited
+        else:
+            assert pool is None
+
     for count, jobs, expected in ((2, 1, True), (2, 2, False), (3, 2, True), (1, 1, False)):
         cpus(monkeypatch, count)
-        events.clear()
-        estimate_mse(replace(cfg, jobs=jobs), sched, data)
         batches = [range(3)] if jobs == 1 else [range(2), range(2, 3)]
-        helper = (cfg.master_seed, batches, step_plan(cfg, sched), cfg.n_steps, expected)
-        assert events == [helper] + list(map(len, batches))
+        check(replace(cfg, jobs=jobs), sched, batches, expected)
     # and only when a step of its widest batch draws one unit of forward
     # normals or more: an EnKF target at B = 1 draws 4,096 at eps 2^-4 and
     # 32,768, the floor, at 2^-5
@@ -784,47 +822,44 @@ def test_helper_needs_a_cpu_beyond_the_jobs(monkeypatch):
     data = synthesize_truth_and_obs(enkf)
     for eps, expected in ((0.0625, False), (0.03125, True)):
         sched = make_schedule(eps, enkf.hierarchy, "enkf")
-        plan = step_plan(enkf, sched)
-        assert plan["forward"] == eps ** -3
-        events.clear()
-        estimate_mse(enkf, sched, data)
-        helper = (enkf.master_seed, [range(1), range(1, 2)], plan, enkf.n_steps, expected)
-        assert events == [helper, 1, 1]
+        assert step_plan(enkf, sched)["forward"] == eps ** -3
+        check(enkf, sched, [range(1), range(1, 2)], expected)
 
 
 def test_helper_fills_the_next_batch_before_this_one_finishes(monkeypatch):
     # one helper serves a target's batches of 4 and 3: the first batch's
     # last c steps publish the second's first c steps, c the slots of a
-    # purpose (three, for these one-unit steps), before the
-    # first batch finishes, also when the helper's fills are slow, and the
-    # tracks are those of the direct path
+    # purpose (three, for these one-unit steps), before the first batch
+    # finishes, whoever fills the units, and the tracks are those of the
+    # readers' own helpers
     cfg = ExperimentConfig(example=1, eps_grid=(0.125,), n_steps=5, realizations=7, n_ref=128)
     data = synthesize_truth_and_obs(cfg)
     sched = make_schedule(0.125, cfg.hierarchy, "mlenkf")
     batches = [range(4), range(4, 7)]
     want = [run_filter_realizations(cfg, sched, data.ys, b) for b in batches]
-    fills = count_fills(monkeypatch, rng._draw, 0.002)
     finish = rng.StreamReader.finish
-    with target_helper(cfg, sched, batches) as helper:
+    for schedule in SCHEDULES.values():
+        pool = StandInPool(schedule)
+        helper = target_helper(cfg, sched, batches, pool)
         published, at_finish = [], []
         publish = helper.publish
         monkeypatch.setattr(helper, "publish", lambda units: published.append(1) or publish(units))
         monkeypatch.setattr(rng.StreamReader, "finish",
                             lambda reader: at_finish.append(len(published)) or finish(reader))
         got = [run_filter_realizations(cfg, sched, data.ys, b, helper) for b in batches]
-    # two purposes, each with the first batch's steps and its slots more
-    slots = sum(s.shape[0] for s in helper.slots.values())
-    assert at_finish[:2] == [2 * cfg.n_steps + slots] * 2
-    assert len(published) == 2 * 2 * cfg.n_steps and fills["helper"] > 0
-    for g, w in zip(got, want):
-        assert np.all(np.isfinite(w)) and np.array_equal(g, w)
+        # two purposes, each with the first batch's steps and its slots more
+        slots = sum(s.shape[0] for s in helper.slots.values())
+        assert at_finish[:2] == [2 * cfg.n_steps + slots] * 2
+        assert len(published) == 2 * 2 * cfg.n_steps and all(pool.who())
+        for g, w in zip(got, want):
+            assert np.all(np.isfinite(w)) and np.array_equal(g, w)
 
 
 def test_helper_keeps_two_slots_for_a_step_of_several_units():
-    # with a thread, a purpose whose step of the widest batch splits into two
-    # or more units keeps two slots, one whose step is one unit keeps three;
-    # without one, every purpose keeps one.  Each slot holds one step of the
-    # widest batch
+    # (f) with a pool, a purpose whose step of the widest batch splits into
+    # two or more units keeps two slots, one whose step is one unit keeps
+    # three; without one, every purpose keeps one.  Each slot holds one step
+    # of the widest batch
     deep = ExperimentConfig(example=1, eps_grid=tuple(2.0 ** -k for k in range(2, 8)),
                             realizations=20, n_ref=1024)
     enkf = replace(deep, method="enkf", solver="expeuler", eps_grid=deep.eps_grid[:5],
@@ -836,19 +871,20 @@ def test_helper_keeps_two_slots_for_a_step_of_several_units():
         (deep, 2.0 ** -5, True, {"forward": (2, 20 * 3_078), "obs-perturbation": (3, 20 * 1_583)}),
         # batches [1, 1]: one unit a step of each purpose
         (enkf, 2.0 ** -6, True, {"forward": (3, 262_144), "obs-perturbation": (3, 4_096)}),
-        # the first target without a thread: 8 B_max length bytes a purpose
+        # the first target without a pool: 8 B_max length bytes a purpose
         (deep, 2.0 ** -7, False,
          {"forward": (1, 3 * 52_554), "obs-perturbation": (1, 3 * 25_341)}),
     )
-    for cfg, eps, thread, want in cases:
+    for cfg, eps, pooled, want in cases:
         sched = make_schedule(eps, cfg.hierarchy, cfg.method)
-        with target_helper(cfg, sched, realization_batches(cfg, sched), thread) as helper:
-            assert {p: (len(s), s.nbytes) for p, s in helper.slots.items()} == {
-                p: (c, 8 * c * n) for p, (c, n) in want.items()}
+        helper = target_helper(cfg, sched, realization_batches(cfg, sched),
+                               StandInPool() if pooled else None)
+        assert {p: (len(s), s.nbytes) for p, s in helper.slots.items()} == {
+            p: (c, 8 * c * n) for p, (c, n) in want.items()}
 
 
 def test_a_target_without_a_thread_reads_one_slot_a_purpose(monkeypatch):
-    # on one CPU a target's helper has no thread, and every read of every
+    # on one CPU a target's helper has no pool, and every read of every
     # step and batch is a view of one array per purpose: that helper's one
     # slot, allocated once for the target before its first ensemble
     cpus(monkeypatch, 1)
@@ -909,22 +945,22 @@ def test_a_failing_batch_ends_its_helper_thread(monkeypatch):
         estimate_mse(cfg, sched, data)
     assert len(calls) == 3
     assert threading.active_count() == before
-    # a fill that raises on the helper is raised on the calling thread,
-    # which holds its own fills until the helper has tried one
+    # a fill that raises on the target's fill worker is raised on the
+    # calling thread, here with a worker that fills every unit ahead
     monkeypatch.setattr(filters, "ml_gain", gain)
-    tried = threading.Event()
-    draw = rng._draw
+    draw, pools = rng._draw, []
 
     def failing_fill(generator, out):
-        if threading.current_thread() is threading.main_thread():
-            assert tried.wait(10)
-            return draw(generator, out)
-        tried.set()
-        raise FloatingPointError("fill fails on the helper")
+        if pools[0].filling:
+            raise FloatingPointError("fill fails on the worker")
+        return draw(generator, out)
 
     monkeypatch.setattr(rng, "_draw", failing_fill)
-    with pytest.raises(FloatingPointError, match="fill fails on the helper"):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda max_workers: pools.append(
+        StandInPool(SCHEDULES["worker"], max_workers)) or pools[0])
+    with pytest.raises(FloatingPointError, match="fill fails on the worker"):
         estimate_mse(cfg, sched, data)
+    assert len(pools) == 1 and pools[0].exited
     assert threading.active_count() == before
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import weakref
 
@@ -23,6 +22,7 @@ from mlenkf.filters import (
     positive_part,
     sample_cov_action,
 )
+from handoff import SCHEDULES, StandInPool
 from mlenkf.experiment import _step_normals, batch_readers
 from mlenkf.model import ModelConfig, _exact_coefficients, _expeuler_coefficients, unit_counter
 from mlenkf.rng import Helper, RngKey
@@ -501,14 +501,15 @@ def test_three_direction_batch_steps_as_its_realizations_alone(solver, helped):
         b = len(ens.realizations)
         rows = [(pe.level, pe.fine.shape[0], pe.coarse.shape[0], pe.size // b) for pe in ens.levels]
         plan = _step_normals(rows, obs.m, solver)
-        with (Helper(31, [ens.realizations], plan, 1, True) if helped
-              else contextlib.nullcontext()) as helper:
-            out = mlenkf_step(ens, y, obs, CFG, hier, solver,
-                              batch_readers(31, ens, obs.m, solver, 1, helper))
-            if helped:
-                slots = tuple(helper.slots.values())
-                assert not any(np.shares_memory(a, s) for pe in out.levels
-                               for a in (pe.coarse, pe.fine) for s in slots)
+        pool = StandInPool(SCHEDULES["mixed"])
+        helper = Helper(31, [ens.realizations], plan, 1, pool) if helped else None
+        out = mlenkf_step(ens, y, obs, CFG, hier, solver,
+                          batch_readers(31, ens, obs.m, solver, 1, helper))
+        if helped:
+            slots = tuple(helper.slots.values())
+            assert not any(np.shares_memory(a, s) for pe in out.levels
+                           for a in (pe.coarse, pe.fine) for s in slots)
+            assert all(pool.who())
         return out
 
     got = step(copied(batch))
@@ -670,11 +671,11 @@ def test_mlenkf_step_advances_the_callers_batch_in_place(solver, L):
     for helped in (False, True):
         ml = copied(given)
         inputs = [a for pe in ml.levels for a in (pe.coarse, pe.fine)]
-        with (Helper(11, [ml.realizations], plan, 1, True) if helped
-              else contextlib.nullcontext()) as helper:
-            out = mlenkf_step(ml, y, obs, CFG, HIER, solver,
-                              batch_readers(11, ml, obs.m, solver, 1, helper))
-            slots = tuple(helper.slots.values()) if helped else ()
+        pool = StandInPool(SCHEDULES["mixed"])
+        helper = Helper(11, [ml.realizations], plan, 1, pool) if helped else None
+        out = mlenkf_step(ml, y, obs, CFG, HIER, solver,
+                          batch_readers(11, ml, obs.m, solver, 1, helper))
+        slots = tuple(helper.slots.values()) if helped else ()
         assert out is ml
         outputs = [a for pe in out.levels for a in (pe.coarse, pe.fine)]
         assert all(a is b for a, b in zip(outputs, inputs))

@@ -26,15 +26,17 @@ from golden.regen import (
 )
 
 
-# a jobs-1 study draws through a helper with a thread when it may use a CPU
-# beyond its one job, else through one without, which keeps one slot a
-# purpose and fills it on the calling thread; each runs on any host, with
-# the usable CPUs patched to 4 (thread) or 1 (the "-direct" cases).  The
-# thread cases also lift the helper's floor, which every target of these
-# small studies is below.  Most of their steps are one helper unit, for
-# which the helper keeps three slots; the "-units" cases make every block a
-# unit, so every step is several units and every purpose keeps two slots.
-# The pool study leaves them as the host has them.
+# a jobs-1 study draws through a helper filled by a real one-worker
+# ThreadPoolExecutor when it may use a CPU beyond its one job, else through
+# one without, which keeps one slot a purpose and fills it on the calling
+# thread; each runs on any host, with the usable CPUs patched to 4 (thread)
+# or 1 (the "-direct" cases).  The thread cases, the tier-1 runs of a real
+# fill thread, also lift the helper's floor, which every target of these
+# small studies is below; the handoff orders themselves are tested through
+# a stand-in executor (tests/handoff.py).  Most of their steps are one
+# helper unit, for which the helper keeps three slots; the "-units" cases
+# make every block a unit, so every step is several units and every purpose
+# keeps two slots.  The pool study leaves them as the host has them.
 @pytest.mark.parametrize(
     "name, jobs, cpus, unit_normals",
     [pytest.param(name, 1, 4, None, id=f"{name}-1") for name in STUDIES]
@@ -48,21 +50,23 @@ def test_study_reproduces_its_pins(name, jobs, cpus, unit_normals, monkeypatch):
         monkeypatch.setattr(experiment, "UNIT_NORMALS", 0)
     if unit_normals is not None:
         monkeypatch.setattr(rng, "UNIT_NORMALS", unit_normals)
-    slots = set()  # the slot counts of the helpers that the study opens
+    slots, pools = set(), set()  # of the helpers that the study opens
 
     class Counted(rng.Helper):
         def __init__(self, *args):
             super().__init__(*args)
             slots.update(len(s) for s in self.slots.values())
+            pools.add(type(args[4]).__name__)
 
     monkeypatch.setattr(experiment, "Helper", Counted)
     outputs = study_outputs(name, jobs)
     if cpus is None:  # the pool's workers open their readers' helpers
         assert not slots
     elif cpus == 1:
-        assert slots == {1}
+        assert slots == {1} and pools == {"NoneType"}
     else:
         assert slots == {2} if unit_normals else 3 in slots
+        assert pools == {"ThreadPoolExecutor"}
     assert outputs["schedule.csv"] == (HERE / name / "schedule.csv").read_text()
     for pin in ("results.csv", "summary.txt"):
         assert_text_close(outputs[pin], (HERE / name / pin).read_text(), f"{name}/{pin}")

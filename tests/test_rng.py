@@ -1,10 +1,7 @@
-import contextlib
-import threading
-import time
-
 import numpy as np
 import pytest
 
+from handoff import SCHEDULES, StandInPool
 from mlenkf import rng
 from mlenkf.experiment import ExperimentConfig, run_experiment
 from mlenkf.rng import PURPOSES, Helper, RngKey, StreamReader
@@ -145,42 +142,38 @@ def read_steps(reader, n_steps, reads, views=None):
 STEP_READS = ((2, 12), (0, 12), (1, 6), (3, 3), (0, 3))
 
 
-def slow_helper_fill(monkeypatch, seconds):
-    """Make every fill on the helper thread take ``seconds`` longer, so
-    the calling thread fills most units itself."""
-    draw = rng._draw
+def key_streams(realizations, length, n_steps, purpose="forward"):
+    """(n_steps, B, length) array of each block's whole step streams, drawn
+    from the keys alone."""
+    return np.array([[RngKey(5, purpose, r, 0, step).generator().standard_normal(length)
+                      for r in realizations] for step in range(1, n_steps + 1)])
 
-    def slow(generator, out):
-        if threading.current_thread() is not threading.main_thread():
-            time.sleep(seconds)
-        draw(generator, out)
 
-    monkeypatch.setattr(rng, "_draw", slow)
+def helped_reader(realizations, length, n_steps, pool):
+    """A forward reader of one batch through a helper filled by ``pool``."""
+    helper = Helper(5, [realizations], {"forward": length}, n_steps, pool)
+    return helper, StreamReader(5, "forward", realizations, length, n_steps, helper)
 
 
 @pytest.mark.parametrize("realizations", [(4, 0, 9), (2,)])
-def test_prefetched_blocks_read_as_column_blocks(monkeypatch, realizations):
-    # the whole step streams filled on either thread, by the helper or by
-    # the caller, read as the step's column-block draws on the calling
-    # thread; each read is a view of the helper's slots, not a copy
+def test_helper_reads_are_column_block_views(realizations):
+    # the whole step streams, filled by the worker, by the reader or by
+    # both, read as the step's column-block draws; each read is a view of
+    # the helper's slots, not a copy
     b = len(realizations)
     reads = tuple((rows, cols * b // 3) for rows, cols in STEP_READS)
     length = sum(rows * cols // b for rows, cols in reads)
     want = read_steps(StreamReader(5, "forward", realizations, length, 5), 5, reads)
-    got = []
-    for delay in (0, 0.005):
-        if delay:
-            slow_helper_fill(monkeypatch, delay)
-        with Helper(5, [realizations], {"forward": length}, 5, True) as helper:
-            views = []
-            got.append(read_steps(
-                StreamReader(5, "forward", realizations, length, 5, helper), 5, reads, views))
-            slots = helper.slots["forward"]
-            assert all(np.shares_memory(v, slots) for v in views if v.size)
-    for run in (want, *got):
-        for got_step, want_step in zip(run, want):
+    for name, schedule in SCHEDULES.items():
+        pool = StandInPool(schedule)
+        helper, reader = helped_reader(realizations, length, 5, pool)
+        views = []
+        got = read_steps(reader, 5, reads, views)
+        assert all(np.shares_memory(v, helper.slots["forward"]) for v in views if v.size)
+        for got_step, want_step in zip(got, want):
             for g, w in zip(got_step, want_step):
                 assert g.shape == w.shape and np.array_equal(g, w)
+        assert set(pool.who()) == ({"worker", "reader"} if name == "mixed" else {name})
 
 
 # a step whose blocks make one helper unit, which keeps three slots, or
@@ -191,49 +184,134 @@ UNIT_CASES = [pytest.param(rng.UNIT_NORMALS, 3, id="one-unit"),
 
 @pytest.mark.parametrize("unit_normals, slots", UNIT_CASES)
 def test_helper_reads_keep_their_values_until_release(monkeypatch, unit_normals, slots):
-    # a step's views of its slot hold while the helper fills the other
+    # a step's views of its slot hold while the worker fills the other
     # slots; only the release publishes the refill of the step's slot
     realizations = (4, 0, 9)
     reads = STEP_READS
     length = sum(rows * cols // 3 for rows, cols in reads)
     n_steps = slots + 3
     want = read_steps(StreamReader(5, "forward", realizations, length, n_steps), n_steps, reads)
-    slow_helper_fill(monkeypatch, 0.002)
     monkeypatch.setattr(rng, "UNIT_NORMALS", unit_normals)
-    with Helper(5, [realizations], {"forward": length}, n_steps, True) as helper:
-        c = helper.slots["forward"].shape[0]
-        assert c == slots
-        published = []
-        publish = helper.publish
-        monkeypatch.setattr(helper, "publish", lambda fills: published.append(1) or publish(fills))
-        reader = StreamReader(5, "forward", realizations, length, n_steps, helper)
-        for step in range(1, n_steps + 1):
-            before = len(published)
-            assert before == c + min(step - 1, n_steps - c)
-            reader.begin()
-            views = [reader.standard_normal(shape) for shape in reads]
-            assert len(published) == before  # the step read its whole plan
-            while not all(u[0] is None or u[0].done() for u in helper._queue):
-                time.sleep(0.001)  # the helper fills the steps after this one
-            for v, w in zip(views, want[step - 1]):
-                assert np.array_equal(v, w)
-            reader.release()
-            assert len(published) == before + (step + c <= n_steps)
-            reader.release()  # a second release publishes nothing
-            assert len(published) == before + (step + c <= n_steps)
-        reader.finish()
+    pool = StandInPool()
+    helper = Helper(5, [realizations], {"forward": length}, n_steps, pool)
+    c = helper.slots["forward"].shape[0]
+    assert c == slots
+    published = []
+    publish = helper.publish
+    monkeypatch.setattr(helper, "publish", lambda fills: published.append(1) or publish(fills))
+    reader = StreamReader(5, "forward", realizations, length, n_steps, helper)
+    for step in range(1, n_steps + 1):
+        before = len(published)
+        assert before == c + min(step - 1, n_steps - c)
+        reader.begin()
+        views = [reader.standard_normal(shape) for shape in reads]
+        assert len(published) == before  # the step read its whole plan
+        pool.fill(*pool.pending())  # the worker fills the steps after this one
+        for v, w in zip(views, want[step - 1]):
+            assert np.array_equal(v, w)
+        reader.release()
+        assert len(published) == before + (step + c <= n_steps)
+        reader.release()  # a second release publishes nothing
+        assert len(published) == before + (step + c <= n_steps)
+    reader.finish()
+    assert "worker" in pool.who() and "reader" in pool.who()
 
 
-def test_prefetched_blocks_raise_on_a_step_that_leaves_its_plan():
-    # on a reader's own helper and on one with a thread, a helper for each reader
+def test_the_worker_fills_a_step_before_its_read(monkeypatch):
+    # (a) every unit the worker fills ahead is in its slot before the read,
+    # which then claims and waits on nothing
+    monkeypatch.setattr(rng, "UNIT_NORMALS", 1)  # a unit a block, so c = 2
+    realizations, length, n_steps = (4, 0, 9), 10, 4
+    want = key_streams(realizations, length, n_steps)
+    pool = StandInPool()
+    helper, reader = helped_reader(realizations, length, n_steps, pool)
+    for step in range(1, n_steps + 1):
+        pool.fill(*pool.pending())
+        assert np.array_equal(helper.slots["forward"][step % 2].reshape(3, length), want[step - 1])
+        seen = len(pool.log)
+        got = reader.begin().standard_normal((1, 3 * length))
+        assert pool.log[seen:] == [] and np.array_equal(got[0], want[step - 1])
+    reader.finish()
+    assert pool.who() == ["worker"] * 3 * n_steps
+
+
+def test_the_reader_claims_and_fills_the_units_nobody_started(monkeypatch):
+    # (b) a read claims and fills its own step's unstarted units in order,
+    # and leaves the next step's, published already, to the worker
+    monkeypatch.setattr(rng, "UNIT_NORMALS", 1)
+    realizations, length, n_steps = (4, 0, 9), 10, 3
+    want = key_streams(realizations, length, n_steps)
+    pool = StandInPool()
+    helper, reader = helped_reader(realizations, length, n_steps, pool)
+    assert pool.pending() == list(range(6))  # steps 1 and 2
+    for step in range(1, n_steps + 1):
+        seen = len(pool.log)
+        got = reader.begin().standard_normal((1, 3 * length))
+        own = range(3 * step - 3, 3 * step)
+        assert pool.log[seen:] == [("reader", i) for i in own]
+        assert pool.pending() == list(range(3 * step, 3 * min(step + 1, n_steps)))
+        assert np.array_equal(got[0], want[step - 1])
+    reader.finish()
+    assert pool.who() == ["reader"] * 3 * n_steps
+
+
+@pytest.mark.parametrize("n_steps, started, log", [
+    # one step of two units: the reader fills unit 1, then waits for unit 0
+    pytest.param(1, 0, [("reader", 1), ("wait", 0), ("worker", 0)], id="next-unit"),
+    # two steps of three: the reader fills its own step's other units and
+    # the next step's, and waits for unit 0 once none is left
+    pytest.param(2, 0, [("reader", i) for i in range(1, 6)] + [("wait", 0), ("worker", 0)],
+                 id="next-step"),
+    # the started unit is the step's last: the reader fills its own first
+    pytest.param(2, 2, [("reader", i) for i in (0, 1, 3, 4, 5)] + [("wait", 2), ("worker", 2)],
+                 id="last-unit"),
+])
+def test_a_reader_fills_the_next_unit_while_the_worker_fills_one(monkeypatch, n_steps,
+                                                                 started, log):
+    # (c) a read that finds one of its units being filled fills the next
+    # published unit nobody claimed, then waits for the started one
+    monkeypatch.setattr(rng, "UNIT_NORMALS", 1)
+    realizations = (4, 0, 9)[: 2 if n_steps == 1 else 3]
+    want = key_streams(realizations, 10, n_steps)
+    pool = StandInPool()
+    _, reader = helped_reader(realizations, 10, n_steps, pool)
+    pool.start(started)
+    got = reader.begin().standard_normal((1, len(realizations) * 10))
+    assert pool.log == log and np.array_equal(got[0], want[0])
+
+
+def test_a_fill_error_on_the_worker_is_raised_on_the_reader(monkeypatch):
+    # (d) a unit whose fill raised on the worker, before the read or while
+    # the reader waits on it, raises its error on the reader
+    monkeypatch.setattr(rng, "UNIT_NORMALS", 1)
+    draw = rng._draw
+
+    def failing(generator, out):
+        if pool.filling:  # the pool of the case below
+            raise FloatingPointError("fill fails on the worker")
+        draw(generator, out)
+
+    monkeypatch.setattr(rng, "_draw", failing)
+    for fail, log in (("fill", [("worker", 1), ("reader", 0)]),
+                      ("start", [("reader", 0), ("wait", 1), ("worker", 1)])):
+        pool = StandInPool()
+        _, reader = helped_reader((4, 0), 10, 1, pool)
+        getattr(pool, fail)(1)
+        with pytest.raises(FloatingPointError, match="fill fails on the worker"):
+            reader.begin().standard_normal((1, 20))
+        assert pool.log == log
+
+
+def test_readers_raise_on_a_step_that_leaves_its_plan():
+    # on a reader's own helper and on one with a pool, a helper for each reader
     check_plan(lambda length: StreamReader(5, "obs-perturbation", (0, 1), length, 2))
-    with contextlib.ExitStack() as helpers:
-        def helped(length):
-            plan = {"obs-perturbation": length}
-            helper = helpers.enter_context(Helper(5, [(0, 1)], plan, 2, True))
-            return StreamReader(5, "obs-perturbation", (0, 1), length, 2, helper)
 
-        check_plan(helped)
+    def helped(length):
+        plan = {"obs-perturbation": length}
+        helper = Helper(5, [(0, 1)], plan, 2, StandInPool(SCHEDULES["mixed"]))
+        return StreamReader(5, "obs-perturbation", (0, 1), length, 2, helper)
+
+    check_plan(helped)
 
 
 def check_plan(reader):
@@ -301,54 +379,65 @@ def read_whole_steps(reader, n_steps):
 def test_helper_groups_small_blocks_into_units(monkeypatch, blocks, length, units):
     # a unit is a run of consecutive blocks of one step of at least
     # UNIT_NORMALS normals, its last one perhaps smaller, and a block of
-    # that size is a unit alone; the reads stay those of the direct path
+    # that size is a unit alone; the reads stay those of a reader's own
+    # helper, whoever fills the units
     realizations = range(3, 3 + blocks)
     want = read_whole_steps(StreamReader(5, "forward", realizations, length, 4), 4)
-    slow_helper_fill(monkeypatch, 0.001)
-    with Helper(5, [realizations], {"forward": length}, 4, True) as helper:
-        published = []
-        publish = helper.publish
-        monkeypatch.setattr(helper, "publish", lambda fills: published.append(
-            [len(fill.args[0]) for fill in fills]) or publish(fills))
-        got = read_whole_steps(StreamReader(5, "forward", realizations, length, 4, helper), 4)
+    pool = StandInPool(SCHEDULES["mixed"])
+    helper = Helper(5, [realizations], {"forward": length}, 4, pool)
+    published = []
+    publish = helper.publish
+    monkeypatch.setattr(helper, "publish", lambda fills: published.append(
+        [len(fill.args[0]) for fill in fills]) or publish(fills))
+    got = read_whole_steps(StreamReader(5, "forward", realizations, length, 4, helper), 4)
     assert published == [units] * 4
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("unit_normals, slots", UNIT_CASES)
 def test_helper_fills_across_batch_boundaries(monkeypatch, unit_normals, slots):
-    # batches of 4 and 3 blocks over five steps: releasing the first batch's
-    # last c steps publishes the second's first c steps, c the helper's
-    # slots, before the first batch finishes; the reads are those of the
-    # direct path
+    # (e) batches of 4 and 3 blocks over five steps: no unit of position
+    # g + c, c the helper's slots, is submitted before the release of g,
+    # and releasing the first batch's last c steps publishes the second's
+    # first c steps before the first batch finishes; the reads are those
+    # of the readers' own helpers, whoever fills the units
     batches, n_steps, length = [range(4), range(4, 7)], 5, 10
     want = [read_whole_steps(StreamReader(5, "forward", b, length, n_steps), n_steps)
             for b in batches]
-    slow_helper_fill(monkeypatch, 0.002)
     monkeypatch.setattr(rng, "UNIT_NORMALS", unit_normals)
-    with Helper(5, batches, {"forward": length}, n_steps, True) as helper:
+    for schedule in SCHEDULES.values():
+        pool = StandInPool(schedule)
+        helper = Helper(5, batches, {"forward": length}, n_steps, pool)
         c = helper.slots["forward"].shape[0]
         assert c == slots
         published = []
         publish = helper.publish
-        monkeypatch.setattr(helper, "publish", lambda fills: published.append(1) or publish(fills))
+        monkeypatch.setattr(helper, "publish",
+                            lambda fills: published.append(len(fills)) or publish(fills))
         first = StreamReader(5, "forward", batches[0], length, n_steps, helper)
         # only the target's next batch gets a reader
         for wrong in (batches[1], range(1, 5)):
             with pytest.raises(RuntimeError, match="not the forward helper's next batch"):
                 StreamReader(5, "forward", wrong, length, n_steps, helper)
-        assert len(published) == c
+        assert len(published) == c and len(pool.units) == sum(published)
         got = [[]]
         for step in range(1, n_steps + 1):
             got[0].append(first.begin().standard_normal((1, 4 * length)).copy())
+            assert len(published) == min(step - 1 + c, 2 * n_steps)
             first.release()
             assert len(published) == min(step + c, 2 * n_steps)
+            assert len(pool.units) == sum(published)
         with pytest.raises(RuntimeError, match="not the forward helper's next batch"):
             StreamReader(5, "forward", batches[0], length, n_steps, helper)
         first.finish()
-        got.append(read_whole_steps(
-            StreamReader(5, "forward", batches[1], length, n_steps, helper), n_steps))
+        second = StreamReader(5, "forward", batches[1], length, n_steps, helper)
+        for step in range(1, n_steps + 1):
+            got.append(second.begin().standard_normal((1, 3 * length)).copy())
+            assert len(published) == min(n_steps + step - 1 + c, 2 * n_steps)
+        second.finish()
         assert len(published) == 2 * n_steps
         with pytest.raises(RuntimeError, match="not the forward helper's next batch"):
             StreamReader(5, "forward", batches[1], length, n_steps, helper)
-    assert np.array_equal(np.stack(got[0]), want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(np.stack(got[0]), want[0])
+        assert np.array_equal(np.stack(got[1:]), want[1])
+        assert all(pool.who())  # every unit filled, by the worker or the reader
