@@ -60,6 +60,8 @@ def load_config(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in settings:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         cast = _eps_list if key == "eps" else type(getattr(experiment.ExperimentConfig, _FIELDS[key]))
         try:
             settings[key] = cast(value)
@@ -179,7 +181,13 @@ def _cmd_run(args):
 
     # the callback goes in positionally: perfbench/setup_probe.py stops
     # the run here with a stand-in taking (cfg, data=None)
-    records, _ = experiment.run_experiment(cfg, save)
+    try:
+        records, _ = experiment.run_experiment(cfg, save)
+    except MemoryError as exc:
+        # the finished targets' rows are on disk already
+        print(f"error: out of memory after {len(result_rows)} of {len(cfg.eps_grid)} "
+              f"targets finished: {exc}", file=sys.stderr)
+        return 1
     (out_dir / "summary.txt").write_text(_summary_text(records, cfg))
     for r in records:
         print(

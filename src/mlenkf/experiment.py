@@ -261,7 +261,7 @@ def make_schedule(eps, hierarchy, method, base_constant=1.0):
     if method == "enkf":
         m = math.ceil(base_constant / eps ** 2)
         if m < 2:
-            warnings.warn("ensemble size clamped to 2 for this eps")
+            warnings.warn(f"ensemble size clamped to 2 at eps={eps!r}")
         return Schedule(eps, L, max(2, m), method)
     s = 1.0 + hierarchy.gamma_t
     h_top = hierarchy.level_params(L)[2]
@@ -279,7 +279,7 @@ def make_schedule(eps, hierarchy, method, base_constant=1.0):
         clamped = clamped or m_l < 2
         sizes.append(max(2, m_l))
     if clamped:
-        warnings.warn("ensemble sizes clamped to 2 for this eps")
+        warnings.warn(f"ensemble sizes clamped to 2 at eps={eps!r}")
     return Schedule(eps, L, tuple(sizes), method)
 
 
@@ -432,34 +432,6 @@ def realization_batches(cfg, schedule):
     return [range(k * q + min(k, r), (k + 1) * q + min(k + 1, r)) for k in range(n)]
 
 
-def _worker_heap_policy():
-    """Pool-worker initializer: keep freed pages in the heap, on glibc.
-
-    A step frees wide draw arrays (1.15 MiB at 147,456 level-0 members)
-    and the next step allocates them again.  glibc unmaps such blocks or
-    trims them off the heap top, so every step faulted their pages in
-    afresh.  ``M_MMAP_MAX = 0`` serves every array from the heap and
-    ``M_TRIM_THRESHOLD = 2**30`` keeps the heap from being trimmed.  The
-    two go together: a trim threshold alone also switches off glibc's
-    dynamic mmap threshold, so every wide array would be mmapped and
-    faulted in on each allocation.  Off glibc, whose parameter numbers
-    these are, nothing is set.
-    """
-    import ctypes
-
-    try:
-        libc = ctypes.CDLL(None)
-        mallopt = libc.mallopt
-        libc.gnu_get_libc_version  # present in glibc only
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_max = -1, -4
-    if not (mallopt(m_mmap_max, 0) and mallopt(m_trim_threshold, 2 ** 30)):
-        mallopt(m_mmap_max, 65536)  # glibc's default: never one setting alone
-
-
 def estimate_mse(cfg, schedule, data, pool=None):
     """Average squared QoI error against the reference over realizations.
 
@@ -490,7 +462,8 @@ def estimate_mse(cfg, schedule, data, pool=None):
     errs = np.sum((tracks - data.ref_qoi) ** 2, axis=1)
     ok = np.isfinite(errs)
     if not np.all(ok):
-        warnings.warn(f"excluded {int(np.sum(~ok))} diverged realizations")
+        warnings.warn(f"excluded {int(np.sum(~ok))} diverged realizations "
+                      f"at eps={schedule.epsilon!r}")
     if not np.any(ok):
         raise RuntimeError("all realizations diverged")
     wall = time.perf_counter() - t0
@@ -514,8 +487,7 @@ def run_experiment(cfg, on_record=None, *, data=None):
     so a caller can save finished rows before a later target fails.
     With ``cfg.jobs > 1`` every target's batches go through one process
     pool, opened once for the study, of at most ``cfg.jobs`` workers and
-    no more than there are realizations or usable CPUs; its workers keep
-    the heap pages they free (:func:`_worker_heap_policy`).
+    no more than there are realizations or usable CPUs.
     """
     if data is None:
         data = synthesize_truth_and_obs(cfg)
@@ -527,8 +499,7 @@ def run_experiment(cfg, on_record=None, *, data=None):
 
         # the pool starts all its workers up front, so never more than there
         # are realizations or CPUs; the batches, and so the outputs, follow jobs
-        pool = ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations, _usable_cpus()),
-                                   initializer=_worker_heap_policy)
+        pool = ProcessPoolExecutor(max_workers=min(cfg.jobs, cfg.realizations, _usable_cpus()))
     with pool as pool:
         for eps in cfg.eps_grid:
             schedule = make_schedule(eps, cfg.hierarchy, cfg.method, cfg.base_constant)

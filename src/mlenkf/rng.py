@@ -47,7 +47,8 @@ class RngKey:
     Parameters
     ----------
     seed : int
-        Master seed of the experiment, up to 64 bits.
+        Master seed of the experiment, any nonnegative int: ``SeedSequence``
+        takes entropy of any size.
     purpose : str
         One of :data:`PURPOSES`; separates forward noise, observation
         perturbations, the synthetic truth path and the data noise.

@@ -173,6 +173,13 @@ def test_run_rejects_eps_that_is_not_a_list_of_numbers(tmp_path, monkeypatch, ca
     assert "study.cfg:5: bad value for eps" in err
 
 
+def test_run_rejects_a_repeated_config_key(tmp_path, monkeypatch, capsys):
+    # the seed value spills a second seed line, line 10, after the first
+    code, err = rejected_before_compute(tmp_path, monkeypatch, capsys, seed="1\nseed = 2")
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    assert "study.cfg:10: duplicate key 'seed'" in err
+
+
 def test_verify_rejects_negative_seed(capsys):
     # refused before the battery, so no check reports a failure
     assert main(["verify", "--seed", "-1"]) == 2
@@ -248,6 +255,30 @@ def test_run_reports_an_example_it_cannot_build_at_its_n_ref(tmp_path, monkeypat
     assert len(err.strip().splitlines()) == 1 and not out.exists()
 
 
+@pytest.mark.skipif(os.name != "posix", reason="the address-space limit is POSIX only")
+def test_run_reports_a_target_it_cannot_allocate(tmp_path):
+    # n_ref = 2^17 builds, and eps 0.25 runs, in 2 GiB of address space;
+    # eps 1e-5 asks for draw arrays of terabytes, which fail to allocate
+    # in the draw helper (a pool worker at --jobs 2), after eps 0.25's row
+    # is written
+    script = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31)); "
+              "from mlenkf.cli import main; sys.exit(main(sys.argv[1:]))")
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "run", "--out", str(out), "--eps", "0.25,1e-5",
+             "--n-ref", str(2 ** 17), "--realizations", "2", "--jobs", jobs],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: out of memory after 1 of 2 targets finished: ")
+        assert len(proc.stderr.strip().splitlines()) == 1 and "Traceback" not in proc.stderr
+        rows = read_rows(out / "results.csv")
+        assert len(rows) == 2 and rows[1][3] == "0.25"
+
+
 def test_summary_states_the_reference_dimension(tmp_path):
     # example 1 has N_L = 4 at 2^-2 and 16 at 2^-4; the derived n_ref of
     # 2^-2 is 1024, 256 times N_L, while 256 at 2^-4 is only 16 times it
@@ -282,7 +313,7 @@ def test_summary_reports_balanced_branch_only_when_rates_balance(tmp_path):
         run = ["run", "--config", str(tiny_config(tmp_path, solver=solver)), "--out", str(out)]
         if balanced:
             # at eps 0.5 the expeuler schedule sizes its top level 1, clamped to 2
-            with pytest.warns(UserWarning, match="ensemble sizes clamped to 2"):
+            with pytest.warns(UserWarning, match=r"ensemble sizes clamped to 2 at eps=0\.5$"):
                 assert main(run) == 0
         else:
             assert main(run) == 0
@@ -382,10 +413,10 @@ def test_slope_error_paths(tmp_path, capsys):
 
 def test_cli_import_leaves_the_pool_modules_out():
     # a serial run never opens a pool, so its start-up skips them, and
-    # numpy.random (stream opening) and ctypes (the pool workers' heap
-    # policy) load on first use; numpy may load either itself (numpy 1.x
-    # imports numpy.random, and every release imports ctypes), so only
-    # what mlenkf adds to numpy's own imports counts
+    # numpy.random (stream opening) loads on first use, and no mlenkf code
+    # loads ctypes at all; numpy may load either itself (numpy 1.x imports
+    # numpy.random, and every release imports ctypes), so only what mlenkf
+    # adds to numpy's own imports counts
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, numpy; before = set(sys.modules); import mlenkf.cli; "
